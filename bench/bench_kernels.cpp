@@ -6,10 +6,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <functional>
-#include <limits>
-#include <memory>
-#include <queue>
 #include <vector>
 
 #include "bench_memory.hpp"
@@ -17,7 +13,6 @@
 #include "server/net.hpp"
 #include "server/service.hpp"
 #include "core/campaign.hpp"
-#include "docking/cell_list.hpp"
 #include "docking/engine.hpp"
 #include "docking/maxdo.hpp"
 #include "packaging/packager.hpp"
@@ -30,108 +25,6 @@
 namespace {
 
 using namespace hcmd;
-
-// ---------------------------------------------------------------------------
-// The seed DES engine, kept verbatim as the event-queue baseline: a
-// std::priority_queue of events carrying a std::function (heap-allocating
-// per capture over two pointers) and a shared_ptr<EventState> handle
-// (another allocation), with lazy cancellation (tombstones pop at fire
-// time) and a copy of the top Event out of the queue on every dispatch.
-// The engine:0 rows below measure this; engine:1 rows measure
-// sim::Simulation (pooled arena + indexed 4-ary heap + SmallFn).
-// ---------------------------------------------------------------------------
-class LegacySim {
- public:
-  enum class EventState : std::uint8_t { kPending, kFired, kCancelled };
-
-  class Handle {
-   public:
-    Handle() = default;
-    explicit Handle(std::shared_ptr<EventState> state)
-        : state_(std::move(state)) {}
-    bool pending() const {
-      return state_ && *state_ == EventState::kPending;
-    }
-    bool cancel() {
-      if (!pending()) return false;
-      *state_ = EventState::kCancelled;
-      return true;
-    }
-
-   private:
-    std::shared_ptr<EventState> state_;
-  };
-
-  double now() const { return now_; }
-  std::uint64_t processed_events() const { return processed_; }
-
-  Handle schedule_at(double t, std::function<void()> fn) {
-    auto state = std::make_shared<EventState>(EventState::kPending);
-    queue_.push(Event{t, next_seq_++, std::move(fn), state});
-    return Handle(std::move(state));
-  }
-
-  Handle schedule_periodic(double start, double period,
-                           std::function<bool(double)> fn) {
-    auto state = std::make_shared<EventState>(EventState::kPending);
-    auto shared_fn =
-        std::make_shared<std::function<bool(double)>>(std::move(fn));
-    auto recur = std::make_shared<std::function<void()>>();
-    *recur = [this, period, shared_fn, state, recur] {
-      if (!(*shared_fn)(now_)) {
-        *state = EventState::kCancelled;
-        return;
-      }
-      if (*state == EventState::kCancelled) return;
-      *state = EventState::kPending;
-      queue_.push(Event{now_ + period, next_seq_++, *recur, state});
-    };
-    queue_.push(Event{start, next_seq_++, *recur, state});
-    return Handle(std::move(state));
-  }
-
-  bool step() {
-    while (!queue_.empty()) {
-      Event ev = queue_.top();  // the seed's per-dispatch copy
-      queue_.pop();
-      if (*ev.state == EventState::kCancelled) continue;
-      now_ = ev.time;
-      *ev.state = EventState::kFired;
-      ev.fn();
-      ++processed_;
-      return true;
-    }
-    return false;
-  }
-
-  std::uint64_t run_until(
-      double until = std::numeric_limits<double>::infinity()) {
-    std::uint64_t ran = 0;
-    while (!queue_.empty() && queue_.top().time <= until) {
-      if (step()) ++ran;
-    }
-    return ran;
-  }
-
- private:
-  struct Event {
-    double time;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    std::shared_ptr<EventState> state;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  double now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-};
 
 void BM_InteractionEnergy(benchmark::State& state) {
   const auto receptor = proteins::generate_protein(
@@ -150,25 +43,6 @@ void BM_InteractionEnergy(benchmark::State& state) {
                           static_cast<std::int64_t>(ligand.size()));
 }
 BENCHMARK(BM_InteractionEnergy)->Arg(50)->Arg(150)->Arg(400)->Arg(1200);
-
-void BM_InteractionEnergyCellList(benchmark::State& state) {
-  const auto receptor = proteins::generate_protein(
-      1, static_cast<std::uint32_t>(state.range(0)), 1.0, 11);
-  const auto ligand = proteins::generate_protein(
-      2, static_cast<std::uint32_t>(state.range(0)), 1.0, 12);
-  proteins::Dof6 pose;
-  pose.x = receptor.bounding_radius() + ligand.bounding_radius() + 2.0;
-  const docking::EnergyParams params;
-  const docking::ReceptorCellGrid grid(receptor, params.cutoff);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        grid.interaction_energy(ligand, pose.to_transform(), params));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(receptor.size()) *
-                          static_cast<std::int64_t>(ligand.size()));
-}
-BENCHMARK(BM_InteractionEnergyCellList)->Arg(50)->Arg(150)->Arg(400)->Arg(1200);
 
 void BM_InteractionEnergyEngine(benchmark::State& state) {
   const auto receptor = proteins::generate_protein(
@@ -189,42 +63,24 @@ void BM_InteractionEnergyEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_InteractionEnergyEngine)->Arg(50)->Arg(150)->Arg(400)->Arg(1200);
 
-// Minimiser hot path, legacy flat sweep (arg 0) vs DockingEngine with
-// cell-list pruning + SoA + scratch reuse (arg 1), across receptor sizes.
-// The engine/flat ratio at >= 400 atoms is the PR's acceptance metric,
-// snapshotted in BENCH_kernels.json.
+// Minimiser hot path: DockingEngine with cell-list pruning + SoA + scratch
+// reuse, across receptor sizes.
 void BM_Minimize(benchmark::State& state) {
-  const bool use_engine = state.range(0) != 0;
-  const auto n_atoms = static_cast<std::uint32_t>(state.range(1));
+  const auto n_atoms = static_cast<std::uint32_t>(state.range(0));
   const auto receptor = proteins::generate_protein(1, n_atoms, 1.0, 13);
   const auto ligand = proteins::generate_protein(2, 60, 1.1, 14);
   proteins::Dof6 start;
   start.x = receptor.bounding_radius() + ligand.bounding_radius() + 4.0;
-  const docking::EnergyParams energy;
+  const docking::DockingEngine engine(receptor, ligand,
+                                      docking::EnergyParams{});
+  auto scratch = engine.make_scratch();
   docking::MinimizerParams params;
   params.max_iterations = 10;
-  if (use_engine) {
-    const docking::DockingEngine engine(receptor, ligand, energy);
-    auto scratch = engine.make_scratch();
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(
-          docking::minimize(engine, start, params, scratch));
-    }
-  } else {
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(
-          docking::minimize(receptor, ligand, start, energy, params));
-    }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(docking::minimize(engine, start, params, scratch));
   }
 }
-BENCHMARK(BM_Minimize)
-    ->ArgNames({"engine", "atoms"})
-    ->Args({0, 80})
-    ->Args({1, 80})
-    ->Args({0, 400})
-    ->Args({1, 400})
-    ->Args({0, 1200})
-    ->Args({1, 1200});
+BENCHMARK(BM_Minimize)->ArgName("atoms")->Arg(80)->Arg(400)->Arg(1200);
 
 // Lockstep batch minimisation vs B sequential scalar minimisations over
 // the same starts (batch:0 = scalar loop, batch:1 = minimize_batch). The
@@ -273,20 +129,16 @@ BENCHMARK(BM_MinimizeBatch)
     ->Args({1, 1200, 10});
 
 // One full MaxDo starting position (all 21 rotation couples, the paper's
-// 10 gamma starts each): flat reference backend (engine 0) vs the engine's
-// cell-list backend (engine 1), scalar gamma loop (batch 0) vs lockstep
-// gamma batching (batch 1). The batch:1/batch:0 cell-list ratio at 1200
-// atoms is the PR's acceptance metric, snapshotted in BENCH_kernels.json.
+// 10 gamma starts each) on the engine's cell-list backend: scalar gamma
+// loop (batch 0) vs lockstep gamma batching (batch 1). The batch:1/batch:0
+// ratio at 1200 atoms is gated as a same-run speedup in tools/bench_gate.py.
 void BM_MaxDoPosition(benchmark::State& state) {
-  const auto n_atoms = static_cast<std::uint32_t>(state.range(1));
+  const auto n_atoms = static_cast<std::uint32_t>(state.range(0));
   const auto receptor = proteins::generate_protein(1, n_atoms, 1.0, 13);
   const auto ligand = proteins::generate_protein(2, 60, 1.1, 14);
   docking::MaxDoParams params;
   params.minimizer.max_iterations = 5;
-  params.engine.backend = state.range(0) != 0
-                              ? docking::EnergyBackend::kCellList
-                              : docking::EnergyBackend::kFlat;
-  params.batch_gamma = state.range(2) != 0;
+  params.batch_gamma = state.range(1) != 0;
   docking::MaxDoProgram program(receptor, ligand, params);
   docking::MaxDoTask task;
   task.isep_begin = 0;
@@ -300,18 +152,15 @@ void BM_MaxDoPosition(benchmark::State& state) {
                           static_cast<std::int64_t>(task.rotations()));
 }
 BENCHMARK(BM_MaxDoPosition)
-    ->ArgNames({"engine", "atoms", "batch"})
-    ->Args({0, 400, 0})
-    ->Args({1, 400, 0})
-    ->Args({1, 400, 1})
-    ->Args({1, 1200, 0})
-    ->Args({1, 1200, 1});
+    ->ArgNames({"atoms", "batch"})
+    ->Args({400, 0})
+    ->Args({400, 1})
+    ->Args({1200, 0})
+    ->Args({1200, 1});
 
 // A callable sized like the simulator's own (the agent and transitioner
-// lambdas capture 24-40 bytes: an object pointer plus ids and a deadline).
-// It fits SmallFn's 48-byte buffer but overflows std::function's small
-// buffer, so the legacy engine pays its real-world allocation per schedule
-// *and* per top-copy.
+// lambdas capture 24-40 bytes: an object pointer plus ids and a deadline),
+// which fits SmallFn's 48-byte inline buffer.
 struct AppCallback {
   std::uint64_t* fired;
   std::uint64_t result_id;
@@ -328,15 +177,12 @@ struct AppCallback {
 //    a completion (fires) and a deadline timer (cancelled later, since
 //    reports overwhelmingly beat their ~12-day deadlines), dispatch one
 //    event, cancel the deadline armed ~pending/2 iterations ago. The
-//    legacy engine drags every cancelled deadline through the heap as a
-//    tombstone (its raw queue runs ~3x deeper than the live count); the
-//    indexed heap removes it eagerly in O(log n).
+//    indexed heap removes each cancelled deadline eagerly in O(log n).
 // items == events dispatched.
-template <typename Sim>
-void event_queue_churn(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(1));
-  const bool app_mix = state.range(2) != 0;
-  Sim sim;
+void BM_EventQueue(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool app_mix = state.range(1) != 0;
+  sim::Simulation sim;
   util::Rng rng(7);
   std::uint64_t fired = 0;
   AppCallback cb{&fired, 42, 1e6, nullptr};
@@ -348,7 +194,7 @@ void event_queue_churn(benchmark::State& state) {
       sim.step();
     }
   } else {
-    std::vector<decltype(sim.schedule_at(0.0, cb))> deadlines(n);
+    std::vector<sim::EventHandle> deadlines(n);
     for (std::size_t i = 0; i < n / 2; ++i)
       sim.schedule_at(rng.uniform(0.0, 1e6), cb);
     for (std::size_t i = 0; i < n / 2; ++i)
@@ -366,42 +212,26 @@ void event_queue_churn(benchmark::State& state) {
   benchmark::DoNotOptimize(fired);
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_EventQueue(benchmark::State& state) {
-  if (state.range(0) != 0) {
-    event_queue_churn<sim::Simulation>(state);
-  } else {
-    event_queue_churn<LegacySim>(state);
-  }
-}
 BENCHMARK(BM_EventQueue)
-    ->ArgNames({"engine", "pending", "mix"})
-    ->Args({0, 10'000, 0})
-    ->Args({1, 10'000, 0})
-    ->Args({0, 100'000, 0})
-    ->Args({1, 100'000, 0})
-    ->Args({0, 1'000'000, 0})
-    ->Args({1, 1'000'000, 0})
-    ->Args({0, 10'000, 1})
-    ->Args({1, 10'000, 1})
-    ->Args({0, 100'000, 1})
-    ->Args({1, 100'000, 1})
-    ->Args({0, 1'000'000, 1})
-    ->Args({1, 1'000'000, 1});
+    ->ArgNames({"pending", "mix"})
+    ->Args({10'000, 0})
+    ->Args({100'000, 0})
+    ->Args({1'000'000, 0})
+    ->Args({10'000, 1})
+    ->Args({100'000, 1})
+    ->Args({1'000'000, 1});
 
 // Deadline-heavy workload: per round, schedule `n` timers and cancel 90 %
 // of them before they can fire (the transitioner retires most deadlines
-// early), then drain the rest. The legacy engine drags every cancelled
-// timer through the heap as a tombstone; the indexed heap removes it
-// eagerly. items == timers scheduled.
-template <typename Sim>
-void event_cancel_churn(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(1));
-  Sim sim;
+// early), then drain the rest. The indexed heap removes each cancelled
+// timer eagerly. items == timers scheduled.
+void BM_EventCancel(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::Simulation sim;
   util::Rng rng(11);
   std::uint64_t fired = 0;
   auto tick = [&fired] { ++fired; };
-  std::vector<decltype(sim.schedule_at(0.0, tick))> handles;
+  std::vector<sim::EventHandle> handles;
   handles.reserve(n);
   for (auto _ : state) {
     handles.clear();
@@ -415,29 +245,14 @@ void event_cancel_churn(benchmark::State& state) {
   benchmark::DoNotOptimize(fired);
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
-
-void BM_EventCancel(benchmark::State& state) {
-  if (state.range(0) != 0) {
-    event_cancel_churn<sim::Simulation>(state);
-  } else {
-    event_cancel_churn<LegacySim>(state);
-  }
-}
-BENCHMARK(BM_EventCancel)
-    ->ArgNames({"engine", "timers"})
-    ->Args({0, 10'000})
-    ->Args({1, 10'000})
-    ->Args({0, 100'000})
-    ->Args({1, 100'000});
+BENCHMARK(BM_EventCancel)->ArgName("timers")->Arg(10'000)->Arg(100'000);
 
 // Periodic series cost: `series` concurrent recurring timers (the metric
 // gauges and completion ticks), advanced 256 mean periods per iteration.
-// The new engine re-arms each node in place; the legacy one re-pushes a
-// fresh std::function event per occurrence. items == occurrences fired.
-template <typename Sim>
-void periodic_churn(benchmark::State& state) {
-  const auto series = static_cast<std::size_t>(state.range(1));
-  Sim sim;
+// The engine re-arms each node in place. items == occurrences fired.
+void BM_SchedulePeriodic(benchmark::State& state) {
+  const auto series = static_cast<std::size_t>(state.range(0));
+  sim::Simulation sim;
   util::Rng rng(13);
   std::uint64_t fired = 0;
   for (std::size_t i = 0; i < series; ++i) {
@@ -453,18 +268,7 @@ void periodic_churn(benchmark::State& state) {
   benchmark::DoNotOptimize(fired);
   state.SetItemsProcessed(static_cast<std::int64_t>(sim.processed_events()));
 }
-
-void BM_SchedulePeriodic(benchmark::State& state) {
-  if (state.range(0) != 0) {
-    periodic_churn<sim::Simulation>(state);
-  } else {
-    periodic_churn<LegacySim>(state);
-  }
-}
-BENCHMARK(BM_SchedulePeriodic)
-    ->ArgNames({"engine", "series"})
-    ->Args({0, 256})
-    ->Args({1, 256});
+BENCHMARK(BM_SchedulePeriodic)->ArgName("series")->Arg(256);
 
 // One simulated week of the Fig. 6(a) campaign scenario end to end
 // (workload build + fleet + DES) at the benches' standard scale: the

@@ -378,6 +378,11 @@ void VolunteerFleet::on_complete(std::uint32_t d) {
     report.computation_error = rngs_[d].bernoulli(spec.error_rate);
     report.silent_error = !report.computation_error &&
                           rngs_[d].bernoulli(spec.silent_error_rate);
+    // Flaky hardware corrupts each result its own way. Result ids are
+    // unique, and the top bit keeps these tags apart from the fault layer's
+    // (global id << 32 | counter) tags, whose ids stay below 2^31.
+    if (report.silent_error)
+      report.corruption_tag = (std::uint64_t{1} << 63) | work.result_id;
     report.reported_runtime =
         spec.reported_runtime(work.attached_wall, work.required_ref);
     report.reference_seconds = work.required_ref;

@@ -170,9 +170,12 @@ CampaignReport run_campaign(const CampaignConfig& config,
   HCMD_ASSERT_MSG(day0 > 0, "campaign starts before the grid's launch");
   const double max_days = config.max_weeks * 7.0;
 
+  // Fleet-sizing margin over the analytic attached-fraction estimate:
+  // compensates availability lost to long pauses and to devices dying
+  // mid-workunit, which the closed-form estimate cannot see.
+  constexpr double kFleetMargin = 1.12;
   auto target_devices = [&](double day) {
-    return config.fleet_margin * scale * population.base_vftp(day0 + day) /
-           attached;
+    return kFleetMargin * scale * population.base_vftp(day0 + day) / attached;
   };
 
   std::vector<volunteer::DeviceSpec> specs;

@@ -47,11 +47,6 @@ struct CampaignConfig {
   /// Fraction of the real workload/fleet simulated (systematic sampling).
   double scale = 0.02;
 
-  /// Fleet-sizing margin over the analytic attached-fraction estimate:
-  /// compensates availability lost to long pauses and to devices dying
-  /// mid-workunit, which the closed-form estimate cannot see.
-  double fleet_margin = 1.12;
-
   volunteer::DeviceParams devices;
   volunteer::PopulationParams population;
   server::ShareScheduleParams share;

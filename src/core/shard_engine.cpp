@@ -14,6 +14,15 @@ namespace hcmd::core {
 using sim::kTimeInfinity;
 using util::kSecondsPerDay;
 
+namespace {
+
+/// Barrier spacing in simulation seconds. Semantic, not a tuning knob: a
+/// work request waits for the next barrier, so the epoch sets assignment
+/// latency. An hour divides the campaign's weekly chunks 168 times.
+constexpr double kEpochSeconds = 3600.0;
+
+}  // namespace
+
 ShardEngine::Shard::Shard(const server::ShareSchedule& schedule,
                           sim::MetricSet& metrics,
                           const faults::FaultPlan& plan,
@@ -39,7 +48,6 @@ ShardEngine::ShardEngine(server::ProjectServer& project,
           metrics.meter_series(client::metric::kHcmdUsefulRefSeconds)),
       hcmd_credit_(metrics.meter_series(client::metric::kHcmdCredit)) {
   HCMD_ASSERT_MSG(options_.shards >= 1, "shard count must be >= 1");
-  HCMD_ASSERT_MSG(options_.epoch_seconds > 0.0, "epoch must be > 0");
   server_faults_.set_instruments(options_.tracer, &metrics.registry());
   project_.set_fault_schedule(&server_faults_);
 
@@ -143,7 +151,7 @@ void ShardEngine::run_until(double until) {
     events_reserved_ = true;
   }
   while (now_ < until) {
-    const double t = std::min(until, now_ + options_.epoch_seconds);
+    const double t = std::min(until, now_ + kEpochSeconds);
     advance_shards(t);
     process_barrier(t);
     now_ = t;

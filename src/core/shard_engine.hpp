@@ -60,10 +60,6 @@ struct ShardEngineOptions {
   /// Number of fleet partitions (>= 1). One shard reproduces the sequential
   /// engine exactly; any K produces bit-identical results.
   std::uint32_t shards = 1;
-  /// Barrier spacing in simulation seconds. Must divide the run_until
-  /// targets the driver uses (the campaign advances in whole weeks; the
-  /// default hour divides a week 168 times).
-  double epoch_seconds = 3600.0;
   /// Worker threads for K > 1 (0 = min(shards, hardware)). K == 1 always
   /// runs inline on the caller thread. Thread count never affects results.
   std::size_t threads = 0;
@@ -108,9 +104,9 @@ class ShardEngine {
   void schedule_control(double t, std::function<void()> fn);
 
   // --- run ----------------------------------------------------------------
-  /// Advances all shards to `until` in epoch steps, processing a barrier at
-  /// each epoch boundary. `until` must be a multiple of epoch_seconds
-  /// away from the current time (the campaign's weekly chunks are).
+  /// Advances all shards to `until` in hourly epoch steps, processing a
+  /// barrier at each epoch boundary. `until` must be a whole number of
+  /// hours away from the current time (the campaign's weekly chunks are).
   void run_until(double until);
   double now() const { return now_; }
 

@@ -44,20 +44,29 @@ bool descend(const proteins::Dof6& pose, const std::array<double, 6>& grad,
   return true;
 }
 
-/// Shared adaptive-steepest-descent body. `eval_fn(pose, out)` returns the
-/// total energy at `pose` and fills `*out` when non-null; the two public
-/// entry points differ only in how a pose is evaluated (reference sweep vs
-/// DockingEngine backend with a reused scratch buffer).
-template <typename EvalFn>
-MinimizationResult minimize_impl(EvalFn&& eval_fn,
-                                 const proteins::Dof6& start,
-                                 const MinimizerParams& params) {
+}  // namespace
+
+MinimizationResult minimize(const DockingEngine& engine,
+                            const proteins::Dof6& start,
+                            const MinimizerParams& params,
+                            DockingEngine::Scratch& scratch,
+                            WorkCounter* work) {
   HCMD_ASSERT(params.max_iterations > 0);
   HCMD_ASSERT(params.shrink > 0.0 && params.shrink < 1.0);
 
+  // Counters accumulate in a local and flush once per minimisation so the
+  // caller's pointer is not touched (or branched on) in the hot loop.
+  WorkCounter local;
+  const auto eval = [&](const proteins::Dof6& d, InteractionEnergy* out) {
+    const InteractionEnergy e =
+        engine.energy(d.to_transform(), scratch, &local);
+    if (out != nullptr) *out = e;
+    return e.total();
+  };
+
   MinimizationResult result;
   result.pose = start;
-  double best = eval_fn(result.pose, &result.energy);
+  double best = eval(result.pose, &result.energy);
 
   StepControl ctrl(params);
 
@@ -71,9 +80,9 @@ MinimizationResult minimize_impl(EvalFn&& eval_fn,
       const double delta = dof_delta(params, k);
       const double orig = p.*kDofMembers[k];
       p.*kDofMembers[k] = orig + delta;
-      const double hi = eval_fn(p, nullptr);
+      const double hi = eval(p, nullptr);
       p.*kDofMembers[k] = orig - delta;
-      const double lo = eval_fn(p, nullptr);
+      const double lo = eval(p, nullptr);
       p.*kDofMembers[k] = orig;
       grad[k] = (hi - lo) / (2.0 * delta);
     }
@@ -84,7 +93,7 @@ MinimizationResult minimize_impl(EvalFn&& eval_fn,
       done = true;  // exactly zero gradient
     } else {
       InteractionEnergy trial_energy;
-      const double trial_total = eval_fn(trial, &trial_energy);
+      const double trial_total = eval(trial, &trial_energy);
       if (trial_total < best) {
         const double gain = best - trial_total;
         p = trial;
@@ -100,46 +109,6 @@ MinimizationResult minimize_impl(EvalFn&& eval_fn,
       break;
     }
   }
-  return result;
-}
-
-}  // namespace
-
-MinimizationResult minimize(const proteins::ReducedProtein& receptor,
-                            const proteins::ReducedProtein& ligand,
-                            const proteins::Dof6& start,
-                            const EnergyParams& energy_params,
-                            const MinimizerParams& params,
-                            WorkCounter* work) {
-  // Counters accumulate in a local and flush once per minimisation so the
-  // caller's pointer is not touched (or branched on) in the hot loop.
-  WorkCounter local;
-  const MinimizationResult result = minimize_impl(
-      [&](const proteins::Dof6& d, InteractionEnergy* out) {
-        const InteractionEnergy e = interaction_energy(
-            receptor, ligand, d.to_transform(), energy_params, &local);
-        if (out != nullptr) *out = e;
-        return e.total();
-      },
-      start, params);
-  if (work != nullptr) *work += local;
-  return result;
-}
-
-MinimizationResult minimize(const DockingEngine& engine,
-                            const proteins::Dof6& start,
-                            const MinimizerParams& params,
-                            DockingEngine::Scratch& scratch,
-                            WorkCounter* work) {
-  WorkCounter local;
-  const MinimizationResult result = minimize_impl(
-      [&](const proteins::Dof6& d, InteractionEnergy* out) {
-        const InteractionEnergy e =
-            engine.energy(d.to_transform(), scratch, &local);
-        if (out != nullptr) *out = e;
-        return e.total();
-      },
-      start, params);
   if (work != nullptr) *work += local;
   return result;
 }

@@ -26,7 +26,6 @@
 #include "docking/energy.hpp"
 #include "docking/engine.hpp"
 #include "proteins/geometry.hpp"
-#include "proteins/protein.hpp"
 
 namespace hcmd::docking {
 
@@ -80,19 +79,11 @@ struct StepControl {
   }
 };
 
-/// Minimises the interaction energy starting from `start`, evaluating via
-/// the reference flat sweep. Work performed is accumulated into `work` when
+/// Minimises the interaction energy starting from `start`. Each of the ~13
+/// evaluations per iteration reuses `scratch` for the transformed ligand
+/// positions and goes through the engine's selected backend (cell-list
+/// pruning by default). Work performed is accumulated into `work` when
 /// non-null (flushed once per minimisation, not per evaluation).
-MinimizationResult minimize(const proteins::ReducedProtein& receptor,
-                            const proteins::ReducedProtein& ligand,
-                            const proteins::Dof6& start,
-                            const EnergyParams& energy_params,
-                            const MinimizerParams& params,
-                            WorkCounter* work = nullptr);
-
-/// Engine-backed minimisation: each of the ~13 evaluations per iteration
-/// reuses `scratch` for the transformed ligand positions and goes through
-/// the engine's selected backend (cell-list pruning by default).
 /// Thread-safe when each caller brings its own scratch.
 MinimizationResult minimize(const DockingEngine& engine,
                             const proteins::Dof6& start,

@@ -7,19 +7,14 @@
 
 namespace hcmd::faults {
 
-FaultSchedule::FaultSchedule(FaultPlan plan, util::Rng rng)
-    : plan_(std::move(plan)), rng_(rng) {
+FaultSchedule::FaultSchedule(FaultPlan plan, const util::Rng& rng)
+    : plan_(std::move(plan)) {
   plan_.validate();
   active_ = plan_.enabled();
-  // Straggler membership and corruption tags must not depend on how many
-  // event-driven draws preceded them, so both derive from a salt fixed at
-  // construction rather than from the live stream.
-  util::Rng salt_rng = rng_.fork("straggler-salt");
-  straggler_salt_ = salt_rng.next_u64();
-  util::Rng saboteur_rng = rng_.fork("saboteur-salt");
-  saboteur_salt_ = saboteur_rng.next_u64();
-  util::Rng tag_rng = rng_.fork("corruption-tags");
-  next_corruption_tag_ = tag_rng.next_u64() | 1u;  // never zero
+  // Membership must not depend on how many event-driven draws preceded it,
+  // so both populations hash a salt fixed at construction.
+  straggler_salt_ = rng.fork("straggler-salt").next_u64();
+  saboteur_salt_ = rng.fork("saboteur-salt").next_u64();
 }
 
 void FaultSchedule::set_instruments(obs::Tracer* tracer,
@@ -57,25 +52,12 @@ double FaultSchedule::outage_end_after(double now) const {
   return end;
 }
 
-double FaultSchedule::backoff_delay(std::uint32_t attempt) {
-  return backoff_delay(attempt, rng_);
-}
-
 double FaultSchedule::backoff_delay(std::uint32_t attempt,
                                     util::Rng& rng) const {
   const double scale = std::ldexp(1.0, static_cast<int>(std::min(attempt, 40u)));
   const double base =
       std::min(plan_.backoff_initial_seconds * scale, plan_.backoff_cap_seconds);
   return base * rng.uniform(0.75, 1.25);
-}
-
-std::uint64_t FaultSchedule::draw_corruption_tag() {
-  // Weyl sequence over an odd increment: cheap, never repeats within a run,
-  // never zero more than once in 2^64 draws (and then we skip it).
-  std::uint64_t tag = next_corruption_tag_;
-  next_corruption_tag_ += 0x9e3779b97f4a7c15ULL;
-  if (tag == 0) tag = next_corruption_tag_, next_corruption_tag_ += 0x9e3779b97f4a7c15ULL;
-  return tag;
 }
 
 bool FaultSchedule::is_straggler(std::uint32_t device_id) const {

@@ -1,20 +1,21 @@
 // Runtime fault injector driven by a FaultPlan.
 //
-// A `FaultSchedule` owns the dedicated fault RNG stream (forked off the
-// scenario seed under the "faults" tag) and answers the questions the
-// server, transitioner and fleet ask mid-run: is the server down right now,
-// should this returned result be corrupted or lost, how much slower is this
-// device, how long should a backed-off client wait. It also centralises the
-// observability: every injected fault bumps a local counter, a `fault.*`
-// registry metric and a `TraceCat::kFault` trace event.
+// A `FaultSchedule` answers the questions the server, transitioner and
+// fleet ask mid-run: is the server down right now, should this returned
+// result be corrupted or lost, how much slower is this device, how long
+// should a backed-off client wait. It also centralises the observability:
+// every injected fault bumps a local counter, a `fault.*` registry metric
+// and a `TraceCat::kFault` trace event.
 //
 // Determinism contract:
 //  - An inert schedule (empty plan) makes no RNG draws, schedules no events
 //    and emits nothing — wiring it through a campaign leaves the run
 //    bit-exact with a build that has no fault layer at all.
-//  - An active schedule draws only from its own stream, so two runs of the
-//    same scenario + plan + seed replay bit-identically, and changing the
-//    plan never perturbs the device/agent/server streams.
+//  - The schedule owns no live stream. Every per-result draw comes from a
+//    stream the caller passes in (the device's own fault stream), so the
+//    draw sequence is a per-device property, independent of shard count,
+//    and changing the plan never perturbs the device/agent/server streams.
+//    Straggler and saboteur membership hash a salt fixed at construction.
 #pragma once
 
 #include <cstdint>
@@ -64,9 +65,9 @@ class FaultSchedule {
   /// Inert schedule: `active()` is false and every query is a no-op.
   FaultSchedule() = default;
 
-  /// Validates the plan; `rng` must be a stream dedicated to fault draws
-  /// (campaigns pass `root_rng.fork("faults")`).
-  FaultSchedule(FaultPlan plan, util::Rng rng);
+  /// Validates the plan; `rng` seeds the membership salts and must be a
+  /// stream dedicated to faults (campaigns pass `root_rng.fork("faults")`).
+  FaultSchedule(FaultPlan plan, const util::Rng& rng);
 
   bool active() const { return active_; }
   const FaultPlan& plan() const { return plan_; }
@@ -80,26 +81,13 @@ class FaultSchedule {
   bool server_down(double now) const;
   /// End of the window containing `now`; `now` itself when the server is up.
   double outage_end_after(double now) const;
-  /// Capped exponential backoff with deterministic jitter in [0.75, 1.25).
-  /// `attempt` counts prior failures (0 for the first retry).
-  double backoff_delay(std::uint32_t attempt);
-  /// Same delay law, jitter drawn from the caller's stream. The sharded
-  /// fleet passes the device's own fault stream so the draw sequence is a
-  /// per-device property, independent of shard count.
+  /// Capped exponential backoff with jitter in [0.75, 1.25) drawn from the
+  /// caller's stream. `attempt` counts prior failures (0 for the first
+  /// retry).
   double backoff_delay(std::uint32_t attempt, util::Rng& rng) const;
 
-  // --- per-result draws (dedicated stream) --------------------------------
-  bool draw_corruption() { return rng_.bernoulli(plan_.corruption_rate); }
-  bool draw_loss() { return rng_.bernoulli(plan_.loss_rate); }
-  /// Unique nonzero tag for a corrupted payload. Two independently
-  /// corrupted quorum partners get different tags, so they can never
-  /// validate against each other.
-  std::uint64_t draw_corruption_tag();
-  bool draw_churn_death(double fraction) { return rng_.bernoulli(fraction); }
-
   // --- per-result draws from a caller-owned stream ------------------------
-  // The shard-count-invariant siblings of the draws above: the plan supplies
-  // the rates, the device supplies the stream.
+  // The plan supplies the rates, the device supplies the stream.
   bool draw_corruption(util::Rng& rng) const {
     return rng.bernoulli(plan_.corruption_rate);
   }
@@ -157,11 +145,9 @@ class FaultSchedule {
   }
 
   FaultPlan plan_;
-  util::Rng rng_;
   bool active_ = false;
   std::uint64_t straggler_salt_ = 0;
   std::uint64_t saboteur_salt_ = 0;
-  std::uint64_t next_corruption_tag_ = 0;
   FaultCounters counters_;
 
   obs::Tracer* tracer_ = nullptr;

@@ -666,8 +666,6 @@ void GridServer::service_loop() {
 
     // Run even on an empty batch: the deadline lane must tick on a server
     // nobody is talking to.
-    if (!batch.empty()) {
-    }
     service_.process_batch(batch, now_seconds(), out);
 
     if (snapshots && std::chrono::steady_clock::now() >= next_snapshot) {

@@ -317,9 +317,9 @@ ResultState ProjectServer::report_result(std::uint64_t result_id, double now,
   rec.pending_result = kNoPending;
   --counters_.results_pending;
   // Results agree when both are clean, or both are corrupt *the same way*
-  // (same payload tag — the device model's deterministic per-workunit
-  // corruption uses tag 0, so two such copies collide; fault-injected
-  // corruption stamps unique tags and never matches).
+  // (same payload tag). The fleet stamps every corrupt result, from flaky
+  // hardware or injected faults, with a tag of its own, so two
+  // independently corrupted copies never match.
   if (partner.silent_error == inst.silent_error &&
       partner.corruption_tag == inst.corruption_tag) {
     partner.state = ResultState::kValid;

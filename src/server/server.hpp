@@ -81,11 +81,10 @@ struct ResultReport {
   bool silent_error = false;
   double reported_runtime = 0.0;   ///< agent-accounted run time (seconds)
   double reference_seconds = 0.0;  ///< true reference CPU the WU required
-  /// Which wrong payload a silently-corrupt result carries (0 = the
-  /// device-model corruption, which is deterministic per workunit, so two
-  /// tag-0 corrupt copies agree). Fault injection stamps a unique nonzero
-  /// tag per corrupted return, so two independently corrupted quorum
-  /// partners can never validate against each other.
+  /// Which wrong payload a silently-corrupt result carries. Equal tags
+  /// agree in quorum. The fleet stamps a unique nonzero tag per corrupted
+  /// return (device-model silent errors and fault injection alike), so two
+  /// independently corrupted quorum partners never validate each other.
   std::uint64_t corruption_tag = 0;
 };
 

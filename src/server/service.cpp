@@ -10,6 +10,13 @@
 
 namespace hcmd::server {
 
+namespace {
+
+/// Flight-recorder ring size (events) for the service-side tracer.
+constexpr std::size_t kTraceCapacity = std::size_t{1} << 14;
+
+}  // namespace
+
 RpcClass rpc_class(proto::Verb request_verb) {
   switch (request_verb) {
     case proto::Verb::kRequestWork: return RpcClass::kRequestWork;
@@ -37,7 +44,7 @@ GridService::GridService(std::vector<packaging::Workunit> catalog,
       faults_(config_.faults, util::Rng(config_.seed).fork("faults")),
       tracer_([&] {
         obs::Tracer::Options o;
-        o.capacity = config_.trace_capacity;
+        o.capacity = kTraceCapacity;
         // The service ring is dedicated to RPC decisions; every other
         // category is recorded by the owners of those events.
         o.sample_every = {0, 0, 0, 0, 0, 1};
@@ -241,7 +248,6 @@ GridService::default_diagnostics_dump() {
 void GridService::apply(const WireRequest& m, std::vector<WireResponse>& out) {
   ++rpc_requests_;
   registry_.add(ctr_requests_);
-  out.reserve(out.size() + 1);
 
   const auto error = [&](proto::ErrorCode code) {
     registry_.add(ctr_errors_);

@@ -72,8 +72,6 @@ struct ServiceConfig {
   /// keeps spans-on within the 1.05x throughput gate. 1 records every
   /// RPC; 0 disables the statistics entirely (echoes still work).
   std::uint32_t span_sample_every = 16;
-  /// Flight-recorder ring size (events) for the service-side tracer.
-  std::size_t trace_capacity = std::size_t{1} << 14;
 };
 
 /// One decoded RPC as it travels from a network worker to the service

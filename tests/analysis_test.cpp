@@ -1,7 +1,6 @@
 #include "analysis/progression.hpp"
 #include "analysis/projection.hpp"
 #include "analysis/speeddown.hpp"
-#include "analysis/vftp.hpp"
 
 #include <gtest/gtest.h>
 
@@ -10,30 +9,6 @@
 
 namespace hcmd::analysis {
 namespace {
-
-TEST(Vftp, PaperDefinition) {
-  // "If for 1 day, 10 years of cpu time are consumed, it is equivalent to
-  // at least 3,650 processors that compute full time for 1 day."
-  const double ten_years = 10.0 * util::kSecondsPerYear;
-  EXPECT_NEAR(vftp(ten_years, util::kSecondsPerDay), 3650.0, 1e-9);
-}
-
-TEST(Vftp, SeriesDividesByBinWidth) {
-  util::TimeBinnedSeries runtime(0.0, 100.0);
-  runtime.add(50.0, 200.0);
-  runtime.add(150.0, 400.0);
-  const auto series = vftp_series(runtime);
-  ASSERT_EQ(series.size(), 2u);
-  EXPECT_DOUBLE_EQ(series[0], 2.0);
-  EXPECT_DOUBLE_EQ(series[1], 4.0);
-}
-
-TEST(Vftp, MeanOverRange) {
-  util::TimeBinnedSeries runtime(0.0, 10.0);
-  runtime.add(5.0, 10.0);
-  runtime.add(15.0, 30.0);
-  EXPECT_DOUBLE_EQ(mean_vftp(runtime, 0, 2), 2.0);
-}
 
 TEST(Speeddown, GrossAndNet) {
   SpeeddownMeasurement m;

@@ -255,6 +255,14 @@ struct MaxDoBatchCase {
   std::uint32_t gamma_steps;
 };
 
+// Names the case in the test list (and so in ctest's discovered names).
+// gtest's fallback prints the struct's raw bytes, and its padding bytes are
+// uninitialised, so those names changed from one run to the next.
+void PrintTo(const MaxDoBatchCase& c, std::ostream* os) {
+  *os << (c.backend == EnergyBackend::kFlat ? "flat" : "cell_list")
+      << "_gamma" << c.gamma_steps;
+}
+
 class MaxDoBatchGamma : public ::testing::TestWithParam<MaxDoBatchCase> {
  protected:
   ReducedProtein receptor = proteins::generate_protein(1, 60, 1.0, 71);

@@ -21,6 +21,19 @@ struct Fixture {
     d.x = receptor.bounding_radius() + ligand.bounding_radius() + 4.0;
     return d;
   }
+
+  /// Minimises `lig` from `from` on the flat-sweep engine backend, whose
+  /// nominal pair counts are the paper's n1 * n2 cost law.
+  MinimizationResult run(const ReducedProtein& lig, const Dof6& from,
+                         WorkCounter* work = nullptr) const {
+    const DockingEngine engine(receptor, lig, energy,
+                               {EnergyBackend::kFlat});
+    DockingEngine::Scratch scratch = engine.make_scratch();
+    return minimize(engine, from, params, scratch, work);
+  }
+  MinimizationResult run(WorkCounter* work = nullptr) const {
+    return run(ligand, start(), work);
+  }
 };
 
 TEST(Minimizer, NeverIncreasesEnergy) {
@@ -29,8 +42,7 @@ TEST(Minimizer, NeverIncreasesEnergy) {
       interaction_energy(f.receptor, f.ligand, f.start().to_transform(),
                          f.energy)
           .total();
-  const MinimizationResult res =
-      minimize(f.receptor, f.ligand, f.start(), f.energy, f.params);
+  const MinimizationResult res = f.run();
   EXPECT_LE(res.energy.total(), initial + 1e-9);
 }
 
@@ -40,15 +52,14 @@ TEST(Minimizer, ImprovesFromSeparatedStart) {
       interaction_energy(f.receptor, f.ligand, f.start().to_transform(),
                          f.energy)
           .total();
-  const MinimizationResult res =
-      minimize(f.receptor, f.ligand, f.start(), f.energy, f.params);
+  const MinimizationResult res = f.run();
   EXPECT_LT(res.energy.total(), initial);
 }
 
 TEST(Minimizer, Deterministic) {
   Fixture f;
-  const auto a = minimize(f.receptor, f.ligand, f.start(), f.energy, f.params);
-  const auto b = minimize(f.receptor, f.ligand, f.start(), f.energy, f.params);
+  const auto a = f.run();
+  const auto b = f.run();
   EXPECT_EQ(a.energy.total(), b.energy.total());
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.pose.x, b.pose.x);
@@ -58,8 +69,7 @@ TEST(Minimizer, Deterministic) {
 TEST(Minimizer, RespectsIterationBudget) {
   Fixture f;
   f.params.max_iterations = 5;
-  const auto res =
-      minimize(f.receptor, f.ligand, f.start(), f.energy, f.params);
+  const auto res = f.run();
   EXPECT_LE(res.iterations, 5u);
 }
 
@@ -67,7 +77,7 @@ TEST(Minimizer, WorkCounterCountsEvaluations) {
   Fixture f;
   f.params.max_iterations = 3;
   WorkCounter work;
-  minimize(f.receptor, f.ligand, f.start(), f.energy, f.params, &work);
+  f.run(&work);
   // Per iteration: 12 gradient evals + 1 trial; +1 initial evaluation.
   EXPECT_GE(work.evaluations, 1u + 3u);
   EXPECT_LE(work.evaluations, 1u + 3u * 13u);
@@ -78,12 +88,12 @@ TEST(Minimizer, WorkCounterCountsEvaluations) {
 TEST(Minimizer, WorkScalesWithProteinSizes) {
   Fixture f;
   WorkCounter small_work;
-  minimize(f.receptor, f.ligand, f.start(), f.energy, f.params, &small_work);
+  f.run(&small_work);
   const ReducedProtein big = proteins::generate_protein(3, 120, 1.0, 13);
   Dof6 start;
   start.x = f.receptor.bounding_radius() + big.bounding_radius() + 4.0;
   WorkCounter big_work;
-  minimize(f.receptor, big, start, f.energy, f.params, &big_work);
+  f.run(big, start, &big_work);
   // Pair terms per evaluation scale with n1 * n2.
   EXPECT_EQ(small_work.pair_terms % (60u * 40u), 0u);
   EXPECT_EQ(big_work.pair_terms % (60u * 120u), 0u);
@@ -92,22 +102,17 @@ TEST(Minimizer, WorkScalesWithProteinSizes) {
 TEST(Minimizer, ConvergedFlagOnTightTolerance) {
   Fixture f;
   f.params.energy_tolerance = 1e6;  // any accepted step converges
-  const auto res =
-      minimize(f.receptor, f.ligand, f.start(), f.energy, f.params);
+  const auto res = f.run();
   EXPECT_TRUE(res.converged);
 }
 
 TEST(Minimizer, RejectsBadParams) {
   Fixture f;
   f.params.max_iterations = 0;
-  EXPECT_THROW(
-      minimize(f.receptor, f.ligand, f.start(), f.energy, f.params),
-      std::logic_error);
+  EXPECT_THROW(f.run(), std::logic_error);
   f.params = MinimizerParams{};
   f.params.shrink = 1.5;
-  EXPECT_THROW(
-      minimize(f.receptor, f.ligand, f.start(), f.energy, f.params),
-      std::logic_error);
+  EXPECT_THROW(f.run(), std::logic_error);
 }
 
 class MinimizerStartSweep : public ::testing::TestWithParam<int> {};
@@ -126,7 +131,7 @@ TEST_P(MinimizerStartSweep, EnergyNonIncreasingFromAnyStart) {
   const double initial =
       interaction_energy(f.receptor, f.ligand, start.to_transform(), f.energy)
           .total();
-  const auto res = minimize(f.receptor, f.ligand, start, f.energy, f.params);
+  const auto res = f.run(f.ligand, start);
   EXPECT_LE(res.energy.total(), initial + 1e-9);
 }
 

@@ -186,31 +186,19 @@ TEST(FaultSchedule, BackoffGrowsAndCaps) {
   plan.outages.push_back({0.0, 1.0});  // anything to activate the schedule
   plan.backoff_initial_seconds = 60.0;
   plan.backoff_cap_seconds = 960.0;
-  FaultSchedule s(plan, util::Rng(42));
+  const FaultSchedule s(plan, util::Rng(42));
+  util::Rng device_rng(7);
   // Jitter is in [0.75, 1.25), so bands never overlap between attempts.
-  const double d0 = s.backoff_delay(0);
+  const double d0 = s.backoff_delay(0, device_rng);
   EXPECT_GE(d0, 45.0);
   EXPECT_LT(d0, 75.0);
-  const double d2 = s.backoff_delay(2);
+  const double d2 = s.backoff_delay(2, device_rng);
   EXPECT_GE(d2, 180.0);
   EXPECT_LT(d2, 300.0);
   // Far past the cap: 60 * 2^30 >> 960.
-  const double d30 = s.backoff_delay(30);
+  const double d30 = s.backoff_delay(30, device_rng);
   EXPECT_GE(d30, 720.0);
   EXPECT_LT(d30, 1200.0);
-}
-
-TEST(FaultSchedule, CorruptionTagsAreUniqueAndNonzero) {
-  FaultPlan plan;
-  plan.corruption_rate = 1.0;
-  FaultSchedule s(plan, util::Rng(42));
-  std::uint64_t prev = 0;
-  for (int i = 0; i < 1000; ++i) {
-    const std::uint64_t tag = s.draw_corruption_tag();
-    EXPECT_NE(tag, 0u);
-    EXPECT_NE(tag, prev);
-    prev = tag;
-  }
 }
 
 TEST(FaultSchedule, StragglerMembershipIsDeterministicAndProportional) {

@@ -124,6 +124,22 @@ TEST(Invariants, SilentErrorCampaign) {
             0.01 * static_cast<double>(r.counters.workunits_completed));
 }
 
+TEST(Invariants, SilentErrorsNeverAgreeInQuorum) {
+  // Device-model silent errors on every device under quorum 2 throughout:
+  // two corrupt copies of one workunit must never validate each other, so
+  // nothing corrupt is assimilated.
+  CampaignConfig config;
+  config.scale = 0.005;
+  config.devices.silent_error_rate = 0.3;
+  config.server.validation.quorum2_until = 1e12;
+  config.server.validation.spot_check_fraction = 0.0;
+  config.max_weeks = 80.0;
+  const CampaignReport r = run_campaign(config);
+  check_invariants(r);
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(r.counters.corrupt_assimilated, 0u);
+}
+
 TEST(Invariants, Phase2Campaign) {
   Phase2Scenario scenario;
   scenario.proteins_simulated = 60;

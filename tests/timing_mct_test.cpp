@@ -65,6 +65,14 @@ TEST(MctMatrix, TopTenReceptorsDominateLikeThePaper) {
   EXPECT_LT(share, 0.55);
 }
 
+TEST(Concentration, PaperWorkloadSkew) {
+  // Fig. 7's lag, analytically: finishing the cheapest 85 % of receptors
+  // (142 of 168) completes well under 60 % of the computation.
+  const double cheapest_85 =
+      1.0 - paper_matrix().top_k_receptor_share(paper_benchmark(), 168 - 142);
+  EXPECT_LT(cheapest_85, 0.60);
+}
+
 TEST(MctMatrix, TopKShareMonotoneInK) {
   const auto& m = paper_matrix();
   double prev = 0.0;

@@ -3,9 +3,10 @@
 
 Runs the campaign-week and event-queue benchmarks from bench_kernels,
 compares each real_time against the committed BENCH_kernels.json snapshot
-and fails when any benchmark regresses past the gate ratio. The fresh JSON
-is written out so CI can upload it as an artifact (and so a maintainer can
-refresh the snapshot from a trusted box).
+and fails when any benchmark regresses past the gate ratio or when a gated
+snapshot row is missing from the run. The fresh JSON is written out so CI
+can upload it as an artifact (and so a maintainer can refresh the snapshot
+from a trusted box).
 
 Usage:
   tools/bench_gate.py [--bench build/bench/bench_kernels]
@@ -19,6 +20,7 @@ the event queue, a debug assert left in the docking kernel), not 5% drift.
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -42,8 +44,8 @@ FILTER = ("^BM_CampaignWeek$|^BM_EventQueue/|^BM_CampaignSharded/"
 # scalar (see EXPERIMENTS.md); 1.4 is the "batching still works at all"
 # floor, not the performance claim.
 SPEEDUPS = [
-    ("BM_MaxDoPosition/engine:1/atoms:1200/batch:0",
-     "BM_MaxDoPosition/engine:1/atoms:1200/batch:1", 1.4),
+    ("BM_MaxDoPosition/atoms:1200/batch:0",
+     "BM_MaxDoPosition/atoms:1200/batch:1", 1.4),
     ("BM_MinimizeBatch/batch:0/atoms:1200/lanes:10",
      "BM_MinimizeBatch/batch:1/atoms:1200/lanes:10", 1.3),
 ]
@@ -120,6 +122,13 @@ def main():
     # run shows the baseline and current values without re-opening the JSON.
     failures = []
     missing = []
+    # A gated snapshot row the run did not produce was deleted or renamed:
+    # fail by name instead of silently gating fewer rows.
+    gated = re.compile(FILTER)
+    for name in sorted(baseline):
+        if gated.search(name) and name not in fresh:
+            failures.append(f"{name}: gated baseline row missing from run")
+            print(f"  FAIL   {name}: gated baseline row missing from run")
     for name in sorted(fresh):
         now = fresh[name]
         base = baseline.get(name)
