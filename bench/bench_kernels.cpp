@@ -247,29 +247,6 @@ void BM_EventCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EventCancel)->ArgName("timers")->Arg(10'000)->Arg(100'000);
 
-// Periodic series cost: `series` concurrent recurring timers (the metric
-// gauges and completion ticks), advanced 256 mean periods per iteration.
-// The engine re-arms each node in place. items == occurrences fired.
-void BM_SchedulePeriodic(benchmark::State& state) {
-  const auto series = static_cast<std::size_t>(state.range(0));
-  sim::Simulation sim;
-  util::Rng rng(13);
-  std::uint64_t fired = 0;
-  for (std::size_t i = 0; i < series; ++i) {
-    sim.schedule_periodic(rng.uniform(0.0, 1.0), rng.uniform(0.5, 1.5),
-                          [&fired](double) {
-                            ++fired;
-                            return true;
-                          });
-  }
-  for (auto _ : state) {
-    sim.run_until(sim.now() + 256.0);
-  }
-  benchmark::DoNotOptimize(fired);
-  state.SetItemsProcessed(static_cast<std::int64_t>(sim.processed_events()));
-}
-BENCHMARK(BM_SchedulePeriodic)->ArgName("series")->Arg(256);
-
 // One simulated week of the Fig. 6(a) campaign scenario end to end
 // (workload build + fleet + DES) at the benches' standard scale: the
 // macro number the kernel work is in service of. items == results the

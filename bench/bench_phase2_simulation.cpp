@@ -66,8 +66,8 @@ int main() {
                                    : "-",
                row.report.completed
                    ? util::Table::cell(row.report.completion_weeks, 1)
-                   : (">" +
-                      util::Table::cell(row.report.completion_weeks, 0))});
+                   : std::string(">").append(
+                         util::Table::cell(row.report.completion_weeks, 0))});
   }
   std::printf("%s\n", table.render().c_str());
 

@@ -11,20 +11,16 @@ namespace hcmd::client {
 VolunteerFleet::VolunteerFleet(sim::Simulation& simulation,
                                UplinkMailbox& uplink,
                                const server::ShareSchedule& schedule,
-                               sim::MetricSet& metrics, AgentConfig config)
+                               obs::Registry& registry, AgentConfig config)
     : sim_(simulation), uplink_(uplink), schedule_(schedule),
-      metrics_(metrics), config_(config),
-      // Mirror the campaign meter geometry so the engine can merge the
-      // shard bins straight into the MetricSet series.
-      hcmd_runtime_(metrics.meter_series(metric::kHcmdRuntime).origin(),
-                    metrics.meter_series(metric::kHcmdRuntime).width()),
-      wcg_runtime_(metrics.meter_series(metric::kWcgRuntime).origin(),
-                   metrics.meter_series(metric::kWcgRuntime).width()),
-      id_work_requests_(metrics.counter_id(metric::kWorkRequests)),
-      id_work_denied_(metrics.counter_id(metric::kWorkDenied)),
-      id_other_project_(metrics.counter_id(metric::kOtherProject)),
-      id_long_pauses_(metrics.counter_id(metric::kLongPauses)),
-      id_device_deaths_(metrics.counter_id(metric::kDeviceDeaths)) {}
+      registry_(registry), config_(config),
+      hcmd_runtime_(0.0, util::kSecondsPerWeek),
+      wcg_runtime_(0.0, util::kSecondsPerWeek),
+      id_work_requests_(registry.intern_counter(metric::kWorkRequests)),
+      id_work_denied_(registry.intern_counter(metric::kWorkDenied)),
+      id_other_project_(registry.intern_counter(metric::kOtherProject)),
+      id_long_pauses_(registry.intern_counter(metric::kLongPauses)),
+      id_device_deaths_(registry.intern_counter(metric::kDeviceDeaths)) {}
 
 void VolunteerFleet::reserve_devices(std::size_t n) {
   specs_.reserve(n);
@@ -156,7 +152,7 @@ void VolunteerFleet::on_death(std::uint32_t d) {
   if (phases_[d] == Phase::kComputing)
     settle_segment(d, /*interrupted=*/true);
   phases_[d] = Phase::kDead;
-  metrics_.count(id_device_deaths_);
+  registry_.add(id_device_deaths_);
   if (tracer_)
     tracer_->record(obs::TraceCat::kDevice, obs::TraceEv::kDevDeath,
                     sim_.now(), d, work_[d].active ? 1u : 0u);
@@ -204,7 +200,7 @@ void VolunteerFleet::request_work(std::uint32_t d) {
   // An earlier request is still riding to the barrier; its answer will put
   // the device back to work.
   if (pending_request_[d]) return;
-  metrics_.count(id_work_requests_);
+  registry_.add(id_work_requests_);
 
   const double share = schedule_.share_at(sim_.now());
   const bool want_hcmd = rngs_[d].bernoulli(share) && !server_complete_;
@@ -239,7 +235,7 @@ void VolunteerFleet::request_work(std::uint32_t d) {
 }
 
 void VolunteerFleet::start_other_project(std::uint32_t d) {
-  metrics_.count(id_other_project_);
+  registry_.add(id_other_project_);
   WorkItem item;
   item.active = true;
   item.is_hcmd = false;
@@ -290,7 +286,7 @@ void VolunteerFleet::deliver_denial(std::uint32_t d, bool project_complete) {
     return;
   }
   // Everything is issued and outstanding; come back later.
-  metrics_.count(id_work_denied_);
+  registry_.add(id_work_denied_);
   if (phases_[d] == Phase::kIdle) {
     const double retry =
         config_.work_request_retry_hours * util::kSecondsPerHour;
@@ -327,7 +323,7 @@ void VolunteerFleet::begin_segment(std::uint32_t d) {
 
 void VolunteerFleet::trigger_long_pause(std::uint32_t d) {
   if (phases_[d] != Phase::kComputing || !work_[d].active) return;
-  metrics_.count(id_long_pauses_);
+  registry_.add(id_long_pauses_);
   if (tracer_)
     tracer_->record(obs::TraceCat::kDevice, obs::TraceEv::kDevLongPause,
                     sim_.now(), d,
@@ -416,31 +412,22 @@ void VolunteerFleet::on_complete(std::uint32_t d) {
 void VolunteerFleet::post_result(std::uint32_t d, std::uint64_t result_id,
                                  server::ResultReport report) {
   if (faults_on()) {
-    if (faults_->draw_loss(fault_rngs_[d])) {
+    const std::uint32_t gid = specs_[d].id;
+    const faults::ResultFate fate =
+        faults_->draw_result_fate(gid, report.silent_error, fault_rngs_[d]);
+    if (fate == faults::ResultFate::kLost) {
       // Dropped in flight: the server never sees it, and the deadline tick
       // recovers the workunit via re-issue.
-      faults_->note_loss(sim_.now(), specs_[d].id, result_id);
+      faults_->note_loss(sim_.now(), gid, result_id);
       return;
     }
-    if (faults_->draw_corruption(fault_rngs_[d])) {
+    if (fate != faults::ResultFate::kClean) {
       report.silent_error = true;
-      // (global id, per-device counter): unique fleet-wide and independent
-      // of shard count, unlike a tag drawn from a shared stream.
-      report.corruption_tag =
-          (static_cast<std::uint64_t>(specs_[d].id) << 32) |
-          ++corruption_seq_[d];
-      faults_->note_corrupt(sim_.now(), specs_[d].id, result_id);
-    }
-    if (!report.silent_error && faults_->is_saboteur(specs_[d].id) &&
-        faults_->draw_saboteur_corruption(fault_rngs_[d])) {
-      // A hostile host corrupts its own payload. Tags follow the same
-      // (global id, per-device counter) scheme, so two saboteur copies of
-      // the same workunit still never agree with each other.
-      report.silent_error = true;
-      report.corruption_tag =
-          (static_cast<std::uint64_t>(specs_[d].id) << 32) |
-          ++corruption_seq_[d];
-      faults_->note_saboteur_corrupt(sim_.now(), specs_[d].id, result_id);
+      report.corruption_tag = faults::corruption_tag(gid, ++corruption_seq_[d]);
+      if (fate == faults::ResultFate::kCorrupted)
+        faults_->note_corrupt(sim_.now(), gid, result_id);
+      else
+        faults_->note_saboteur_corrupt(sim_.now(), gid, result_id);
     }
   }
 

@@ -40,9 +40,9 @@
 
 #include "client/uplink.hpp"
 #include "faults/schedule.hpp"
+#include "obs/registry.hpp"
 #include "server/server.hpp"
 #include "server/share_schedule.hpp"
-#include "sim/metrics.hpp"
 #include "sim/simulation.hpp"
 #include "util/exact_sum.hpp"
 #include "util/rng.hpp"
@@ -60,16 +60,8 @@ struct AgentConfig {
   double work_request_retry_hours = 6.0;
 };
 
-/// Metric names the fleet emits into the campaign MetricSet.
+/// Registry counters the fleet emits (interned once at construction).
 namespace metric {
-inline constexpr const char* kHcmdRuntime = "hcmd_runtime_seconds";
-inline constexpr const char* kWcgRuntime = "wcg_runtime_seconds";
-inline constexpr const char* kHcmdResults = "hcmd_results_received";
-inline constexpr const char* kHcmdUsefulResults = "hcmd_results_useful";
-inline constexpr const char* kHcmdUsefulRefSeconds =
-    "hcmd_useful_reference_seconds";
-inline constexpr const char* kHcmdCredit = "hcmd_credit_granted";
-// Counters (pre-resolved to registry ids at fleet construction).
 inline constexpr const char* kWorkRequests = "fleet.work_requests";
 inline constexpr const char* kWorkDenied = "fleet.work_denied_retries";
 inline constexpr const char* kOtherProject = "fleet.other_project_workunits";
@@ -80,12 +72,12 @@ inline constexpr const char* kDeviceDeaths = "fleet.device_deaths";
 class VolunteerFleet {
  public:
   /// The fleet posts all server traffic to `uplink` and accrues its
-  /// run-time meters into shard-local exact bins (merged by the engine).
-  /// Registry counters go through `metrics` directly — the registry's
-  /// striped counters are thread-safe and sum exactly at any shard count.
+  /// run-time meters into shard-local exact weekly bins (merged by the
+  /// engine). Counters go to `registry` directly — its striped counters
+  /// are thread-safe and sum exactly at any shard count.
   VolunteerFleet(sim::Simulation& simulation, UplinkMailbox& uplink,
                  const server::ShareSchedule& schedule,
-                 sim::MetricSet& metrics, AgentConfig config = {});
+                 obs::Registry& registry, AgentConfig config = {});
 
   VolunteerFleet(const VolunteerFleet&) = delete;
   VolunteerFleet& operator=(const VolunteerFleet&) = delete;
@@ -144,8 +136,8 @@ class VolunteerFleet {
   };
   ChurnResult mass_churn(double death_fraction);
 
-  /// Shard-local exact run-time meters (weekly bins). The engine merges
-  /// the shards and writes the totals into the campaign MetricSet.
+  /// Shard-local exact run-time meters (weekly bins from t = 0). The
+  /// engine merges the shards into the campaign's weekly series.
   const util::ExactBinnedSeries& hcmd_runtime_series() const {
     return hcmd_runtime_;
   }
@@ -238,7 +230,7 @@ class VolunteerFleet {
   sim::Simulation& sim_;
   UplinkMailbox& uplink_;
   const server::ShareSchedule& schedule_;
-  sim::MetricSet& metrics_;
+  obs::Registry& registry_;
   AgentConfig config_;
   obs::Tracer* tracer_ = nullptr;
   faults::FaultSchedule* faults_ = nullptr;

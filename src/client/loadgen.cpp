@@ -178,26 +178,19 @@ class FarmThread {
         report.result_id = r.assignment.result_id;
         report.reported_runtime = r.assignment.reference_seconds / d.speed;
         report.reference_seconds = r.assignment.reference_seconds;
-        if (faults_.draw_loss(d.rng)) {
+        const faults::ResultFate fate =
+            faults_.draw_result_fate(d.gid, /*already_corrupt=*/false, d.rng);
+        if (fate == faults::ResultFate::kLost) {
           // The finished result evaporates before upload; only the server's
           // deadline pass can recover the workunit.
           ++stats_.reports_lost;
           d.phase = Device::Phase::kIdle;
           break;
         }
-        if (faults_.draw_corruption(d.rng)) {
+        if (fate != faults::ResultFate::kClean) {
           report.silent_error = true;
           report.corruption_tag =
-              (static_cast<std::uint64_t>(d.gid) << 32) |
-              ++d.corruption_counter;
-          ++stats_.reports_corrupted;
-        }
-        if (!report.silent_error && faults_.is_saboteur(d.gid) &&
-            faults_.draw_saboteur_corruption(d.rng)) {
-          report.silent_error = true;
-          report.corruption_tag =
-              (static_cast<std::uint64_t>(d.gid) << 32) |
-              ++d.corruption_counter;
+              faults::corruption_tag(d.gid, ++d.corruption_counter);
           ++stats_.reports_corrupted;
         }
         report.seq = ++d.seq;

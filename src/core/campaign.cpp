@@ -10,7 +10,6 @@
 #include "obs/profile.hpp"
 #include "server/credit.hpp"
 #include "dedicated/grid.hpp"
-#include "sim/metrics.hpp"
 #include "util/duration.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -150,10 +149,11 @@ CampaignReport run_campaign(const CampaignConfig& config,
   server_cfg.seed ^= config.seed * 0x9e3779b97f4a7c15ULL;
   server::ProjectServer project(std::move(catalog), server_cfg);
 
-  // Metric bins for the whole horizon are reserved up front; the weekly
-  // meter appends never allocate mid-run.
-  sim::MetricSet metrics(kSecondsPerWeek, config.max_weeks * kSecondsPerWeek);
-  project.set_instruments(instruments.tracer, &metrics.registry());
+  // Weekly bins for the whole horizon are reserved up front; the weekly
+  // appends never allocate mid-run.
+  obs::Registry registry;
+  WeeklySeries weekly(config.max_weeks * kSecondsPerWeek);
+  project.set_instruments(instruments.tracer, &registry);
   util::Rng rng(config.seed);
   util::Rng fleet_rng = rng.fork("fleet");
   util::Rng agent_rng_root = rng.fork("agents");
@@ -229,7 +229,7 @@ CampaignReport run_campaign(const CampaignConfig& config,
   engine_opts.shards = config.shards;
   engine_opts.tracer = instruments.tracer;
   engine_opts.agent = config.agent;
-  ShardEngine engine(project, schedule, metrics, config.faults,
+  ShardEngine engine(project, schedule, registry, weekly, config.faults,
                      rng.fork("faults"), engine_opts);
   engine.reserve_devices(specs.size());
   // Fig. 8 buffer: one entry per received HCMD result. A completed run
@@ -300,7 +300,7 @@ CampaignReport run_campaign(const CampaignConfig& config,
     }
   }
   // Fold shard tracers and the exact per-shard run-time bins into the
-  // MetricSet before reduction reads the weekly series.
+  // weekly series before reduction reads them.
   engine.finalize();
   phase_zone.emplace(kZoneReduce);
 
@@ -315,8 +315,8 @@ CampaignReport run_campaign(const CampaignConfig& config,
   // --- series and aggregates ---
   const auto weeks = static_cast<std::size_t>(
       std::ceil(report.completion_weeks - 1e-9));
-  auto rescaled_series = [&](const char* name, double divisor) {
-    const auto& s = metrics.series(name);
+  auto rescaled_series = [&](const util::TimeBinnedSeries& s,
+                             double divisor) {
     std::vector<double> out;
     out.reserve(weeks);
     for (std::size_t i = 0; i < weeks; ++i)
@@ -324,14 +324,11 @@ CampaignReport run_campaign(const CampaignConfig& config,
     return out;
   };
   report.hcmd_vftp_weekly =
-      rescaled_series(client::metric::kHcmdRuntime, kSecondsPerWeek);
-  report.wcg_vftp_weekly =
-      rescaled_series(client::metric::kWcgRuntime, kSecondsPerWeek);
-  report.results_received_weekly =
-      rescaled_series(client::metric::kHcmdResults, 1.0);
-  report.results_useful_weekly =
-      rescaled_series(client::metric::kHcmdUsefulResults, 1.0);
-  report.credit_weekly = rescaled_series(client::metric::kHcmdCredit, 1.0);
+      rescaled_series(weekly.hcmd_runtime, kSecondsPerWeek);
+  report.wcg_vftp_weekly = rescaled_series(weekly.wcg_runtime, kSecondsPerWeek);
+  report.results_received_weekly = rescaled_series(weekly.results, 1.0);
+  report.results_useful_weekly = rescaled_series(weekly.useful_results, 1.0);
+  report.credit_weekly = rescaled_series(weekly.credit, 1.0);
   for (double c : report.credit_weekly) report.total_credit += c;
   report.credit_reference_processors = server::credit_vftp(
       report.total_credit,
@@ -379,11 +376,10 @@ CampaignReport run_campaign(const CampaignConfig& config,
     report.runtime_hours_hist.add(r / util::kSecondsPerHour);
 
   // --- telemetry snapshot: drain the registry into the report ---
-  const obs::Registry& reg = metrics.registry();
-  for (const auto& name : reg.counter_names())
-    report.telemetry_counters.push_back({name, reg.total(name)});
-  for (const auto& name : reg.histogram_names()) {
-    const obs::LogHistogram* h = reg.histogram(reg.find(name));
+  for (const auto& name : registry.counter_names())
+    report.telemetry_counters.push_back({name, registry.total(name)});
+  for (const auto& name : registry.histogram_names()) {
+    const obs::LogHistogram* h = registry.histogram(registry.find(name));
     if (!h) continue;
     TelemetryHistogram th;
     th.name = name;

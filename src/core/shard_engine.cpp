@@ -11,8 +11,8 @@
 
 namespace hcmd::core {
 
-using sim::kTimeInfinity;
 using util::kSecondsPerDay;
+using util::kSecondsPerWeek;
 
 namespace {
 
@@ -23,33 +23,39 @@ constexpr double kEpochSeconds = 3600.0;
 
 }  // namespace
 
+WeeklySeries::WeeklySeries(double horizon)
+    : hcmd_runtime(0.0, kSecondsPerWeek),
+      wcg_runtime(0.0, kSecondsPerWeek),
+      results(0.0, kSecondsPerWeek),
+      useful_results(0.0, kSecondsPerWeek),
+      credit(0.0, kSecondsPerWeek) {
+  for (util::TimeBinnedSeries* s :
+       {&hcmd_runtime, &wcg_runtime, &results, &useful_results, &credit})
+    s->reserve_through(horizon);
+}
+
 ShardEngine::Shard::Shard(const server::ShareSchedule& schedule,
-                          sim::MetricSet& metrics,
+                          obs::Registry& registry,
                           const faults::FaultPlan& plan,
                           const util::Rng& faults_rng, obs::Tracer* tracer,
                           const client::AgentConfig& agent)
-    : faults(plan, faults_rng), fleet(sim, mailbox, schedule, metrics, agent) {
-  faults.set_instruments(tracer, &metrics.registry());
+    : faults(plan, faults_rng),
+      fleet(sim, mailbox, schedule, registry, agent) {
+  faults.set_instruments(tracer, &registry);
   fleet.set_fault_schedule(&faults);
   fleet.set_tracer(tracer);
 }
 
 ShardEngine::ShardEngine(server::ProjectServer& project,
                          const server::ShareSchedule& schedule,
-                         sim::MetricSet& metrics,
+                         obs::Registry& registry, WeeklySeries& weekly,
                          const faults::FaultPlan& fault_plan,
                          util::Rng faults_rng, ShardEngineOptions options)
-    : project_(project), metrics_(metrics), options_(options),
+    : project_(project), weekly_(weekly), options_(options),
       server_faults_(fault_plan, faults_rng), faults_rng_(faults_rng),
-      hcmd_results_(metrics.meter_series(client::metric::kHcmdResults)),
-      hcmd_useful_results_(
-          metrics.meter_series(client::metric::kHcmdUsefulResults)),
-      hcmd_useful_ref_seconds_(
-          metrics.meter_series(client::metric::kHcmdUsefulRefSeconds)),
-      hcmd_credit_(metrics.meter_series(client::metric::kHcmdCredit)) {
+      replayer_(project, server_faults_, options.tracer) {
   HCMD_ASSERT_MSG(options_.shards >= 1, "shard count must be >= 1");
-  server_faults_.set_instruments(options_.tracer, &metrics.registry());
-  project_.set_fault_schedule(&server_faults_);
+  server_faults_.set_instruments(options_.tracer, &registry);
 
   shards_.reserve(options_.shards);
   for (std::uint32_t s = 0; s < options_.shards; ++s) {
@@ -61,7 +67,7 @@ ShardEngine::ShardEngine(server::ProjectServer& project,
       own = std::make_unique<obs::Tracer>(options_.tracer->options());
       shard_tracer = own.get();
     }
-    shards_.push_back(std::make_unique<Shard>(schedule, metrics, fault_plan,
+    shards_.push_back(std::make_unique<Shard>(schedule, registry, fault_plan,
                                               faults_rng, shard_tracer,
                                               options_.agent));
     shards_.back()->own_tracer = std::move(own);
@@ -132,22 +138,11 @@ void ShardEngine::add_device(const volunteer::DeviceSpec& spec,
   ++device_count_;
 }
 
-void ShardEngine::schedule_control(double t, std::function<void()> fn) {
-  HCMD_ASSERT_MSG(!events_reserved_,
-                  "control items must be registered before the run starts");
-  controls_.push_back({t, next_control_seq_++, std::move(fn)});
-}
-
 void ShardEngine::run_until(double until) {
   if (!events_reserved_) {
     // Warm-start each shard's event arena near its expected high-water mark
     // (each live device keeps a few timers pending).
     for (auto& s : shards_) s->sim.reserve_events(s->fleet.size() * 2);
-    std::stable_sort(controls_.begin(), controls_.end(),
-                     [](const ControlItem& a, const ControlItem& b) {
-                       if (a.time != b.time) return a.time < b.time;
-                       return a.seq < b.seq;
-                     });
     events_reserved_ = true;
   }
   while (now_ < until) {
@@ -187,8 +182,8 @@ void ShardEngine::process_barrier(double t) {
     for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(msgs.size());
          ++i) {
       msg_order_.push_back(
-          {{msgs[i].time, server::MergeLane::kMessage,
-            shards_[s]->fleet.spec(msgs[i].device).id, msgs[i].seq},
+          {{msgs[i].time, shards_[s]->fleet.spec(msgs[i].device).id,
+            msgs[i].seq},
            s, i});
     }
   }
@@ -197,67 +192,14 @@ void ShardEngine::process_barrier(double t) {
               return server::merge_before(a.key, b.key);
             });
 
-  // --- deadlines due this epoch, ascending (time, id) ---
-  due_scratch_.clear();
-  deadlines_.pop_due(t, due_scratch_);
-
-  // --- replay the union in ascending (time, lane) order; lanes order
-  // equal-time items control < deadline < message, mirroring the sequential
-  // engine's setup-events-first convention ---
-  std::size_t di = 0;
-  std::size_t mi = 0;
-  const bool outages_possible = server_faults_.active();
-  while (true) {
-    const bool has_c =
-        next_control_ < controls_.size() && controls_[next_control_].time <= t;
-    const bool has_d = di < due_scratch_.size();
-    const bool has_m = mi < msg_order_.size();
-    if (!has_c && !has_d && !has_m) break;
-    const double tc = has_c ? controls_[next_control_].time : kTimeInfinity;
-    const double td = has_d ? due_scratch_[di].time : kTimeInfinity;
-    const double tm = has_m ? msg_order_[mi].key.time : kTimeInfinity;
-
-    if (has_c && tc <= td && tc <= tm) {
-      controls_[next_control_++].fn();
-      continue;
-    }
-    if (has_d && td <= tm) {
-      const server::DeadlineBook::Due due = due_scratch_[di++];
-      if (outages_possible && server_faults_.server_down(due.time)) {
-        // The server is dark: no transitioner pass runs. Defer the tick to
-        // the moment the outage lifts; the deferred pass sees a time past
-        // the original deadline, so the timeout still registers then —
-        // unless the result is reported first, which disarms it.
-        server_faults_.note_deadline_deferred(due.time, due.result_id);
-        const double resume = server_faults_.outage_end_after(due.time);
-        if (resume <= t) {
-          const server::DeadlineBook::Due moved{resume, due.result_id};
-          auto pos = std::upper_bound(
-              due_scratch_.begin() + static_cast<std::ptrdiff_t>(di),
-              due_scratch_.end(), moved,
-              [](const server::DeadlineBook::Due& a,
-                 const server::DeadlineBook::Due& b) {
-                if (a.time != b.time) return a.time < b.time;
-                return a.result_id < b.result_id;
-              });
-          due_scratch_.insert(pos, moved);
-        } else {
-          deadlines_.arm(due.result_id, resume);
-        }
-        continue;
-      }
-      const bool timed_out = project_.handle_deadline(due.result_id, due.time);
-      if (options_.tracer != nullptr)
-        options_.tracer->record(obs::TraceCat::kServer,
-                                obs::TraceEv::kSrvTransitionerPass, due.time,
-                                static_cast<std::uint32_t>(due.result_id),
-                                timed_out ? 1u : 0u);
-      continue;
-    }
-    const MessageRef& ref = msg_order_[mi++];
+  // --- replay them with the due control items and deadline ticks ---
+  replayer_.open(t);
+  for (const MessageRef& ref : msg_order_) {
+    replayer_.fire_until(ref.key.time);
     process_message(ref.shard,
                     shards_[ref.shard]->mailbox.messages()[ref.index]);
   }
+  replayer_.fire_until(t);
 
   for (auto& s : shards_) s->mailbox.clear();
 
@@ -274,7 +216,7 @@ void ShardEngine::process_message(std::uint32_t shard,
     auto assignment = project_.request_work(gid, m.time);
     if (assignment.has_value()) {
       // Transitioner deadline tick, independent of the device's fate.
-      deadlines_.arm(assignment->result_id, assignment->deadline);
+      replayer_.arm(assignment->result_id, assignment->deadline);
       sh.fleet.deliver_assignment(m.device, *assignment);
     } else {
       sh.fleet.deliver_denial(m.device, project_.complete());
@@ -289,17 +231,16 @@ void ShardEngine::process_message(std::uint32_t shard,
   // The result is in: retire its deadline tick eagerly instead of letting a
   // dead entry ride the book for another week and a half. (A no-op for late
   // uploads whose tick already fired.)
-  deadlines_.disarm(m.result_id);
-  hcmd_results_.add(m.time, 1.0);
+  replayer_.disarm(m.result_id);
+  weekly_.results.add(m.time, 1.0);
   if (!m.report.computation_error) {
     // Section 8's points scheme: runtime x agent benchmark score.
-    hcmd_credit_.add(m.time, server::claimed_credit(sh.fleet.spec(m.device),
-                                                    m.report.reported_runtime));
+    weekly_.credit.add(m.time, server::claimed_credit(
+                                   sh.fleet.spec(m.device),
+                                   m.report.reported_runtime));
   }
-  if (project_.counters().workunits_completed > completed_before) {
-    hcmd_useful_results_.add(m.time, 1.0);
-    hcmd_useful_ref_seconds_.add(m.time, m.report.reference_seconds);
-  }
+  if (project_.counters().workunits_completed > completed_before)
+    weekly_.useful_results.add(m.time, 1.0);
   runtime_device_.push_back(gid);
   runtime_value_.push_back(m.report.reported_runtime);
   if (!was_complete && project_.complete()) completion_raw_ = m.time;
@@ -318,29 +259,24 @@ void ShardEngine::finalize() {
     for (auto& s : shards_)
       if (s->own_tracer) options_.tracer->absorb(*s->own_tracer);
   }
-  // Fold the shard-local exact run-time bins into the campaign meter
-  // series. ExactSum addition is associative, so the totals are the same
-  // for every shard count — including 1 — and the reduction downstream
-  // reads metrics.series(name) exactly as before.
-  const auto write = [this](const char* name, auto&& series_of) {
-    util::TimeBinnedSeries& dst = metrics_.meter_series(name);
-    util::ExactBinnedSeries merged(dst.origin(), dst.width());
-    for (const auto& s : shards_) merged.merge(series_of(s->fleet));
+  // Fold the shard-local exact run-time bins into the weekly series.
+  // ExactSum addition is associative, so the totals are the same for every
+  // shard count, including 1.
+  util::ExactBinnedSeries hcmd(0.0, kSecondsPerWeek);
+  util::ExactBinnedSeries wcg(0.0, kSecondsPerWeek);
+  for (const auto& s : shards_) {
+    hcmd.merge(s->fleet.hcmd_runtime_series());
+    wcg.merge(s->fleet.wcg_runtime_series());
+  }
+  const auto fold = [](const util::ExactBinnedSeries& merged,
+                       util::TimeBinnedSeries& dst) {
     for (std::size_t i = 0; i < merged.size(); ++i) {
       const double v = merged.value(i);
-      if (v != 0.0)
-        dst.add(dst.origin() + (static_cast<double>(i) + 0.5) * dst.width(),
-                v);
+      if (v != 0.0) dst.add(dst.bin_mid(i), v);
     }
   };
-  write(client::metric::kHcmdRuntime, [](const client::VolunteerFleet& f)
-            -> const util::ExactBinnedSeries& {
-    return f.hcmd_runtime_series();
-  });
-  write(client::metric::kWcgRuntime, [](const client::VolunteerFleet& f)
-            -> const util::ExactBinnedSeries& {
-    return f.wcg_runtime_series();
-  });
+  fold(hcmd, weekly_.hcmd_runtime);
+  fold(wcg, weekly_.wcg_runtime);
 }
 
 std::uint64_t ShardEngine::processed_events() const {

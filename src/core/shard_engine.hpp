@@ -10,10 +10,10 @@
 //   * while a shard advances, its devices never touch the ProjectServer —
 //     work requests and result returns go into the shard's UplinkMailbox
 //     (client/uplink.hpp) stamped with the simulation time they happened at;
-//   * at the epoch barrier T_b the engine drains every mailbox, merges the
-//     messages with the due deadline ticks (server/deadline_book.hpp) and
-//     the due control items (Fig. 7 snapshots, churn spikes, outage
-//     markers), and replays the union against the single logical server in
+//   * at the epoch barrier T_b the engine drains every mailbox, sorts the
+//     messages and replays them through server::Replayer, which merges in
+//     the due deadline ticks and control items (Fig. 7 snapshots, churn
+//     spikes, outage markers), against the single logical server in
 //     ascending (time, lane, key) order, answering requests back into the
 //     shards (deliver_assignment / deliver_denial);
 //   * every ordering key is built from shard-count-independent quantities —
@@ -38,23 +38,40 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "client/fleet.hpp"
 #include "client/uplink.hpp"
 #include "faults/plan.hpp"
 #include "faults/schedule.hpp"
+#include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "server/deadline_book.hpp"
 #include "server/merge_order.hpp"
+#include "server/replayer.hpp"
 #include "server/server.hpp"
 #include "server/share_schedule.hpp"
-#include "sim/metrics.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hcmd::core {
+
+/// The campaign's weekly series, binned by week from t = 0. The engine
+/// appends the server-side ones at barriers, in merged order, and folds
+/// the fleets' exact run-time bins into the run-time ones at finalize().
+struct WeeklySeries {
+  /// A finite `horizon` reserves every series through it, so the weekly
+  /// appends never allocate mid-run.
+  explicit WeeklySeries(double horizon = 0.0);
+
+  util::TimeBinnedSeries hcmd_runtime;
+  util::TimeBinnedSeries wcg_runtime;
+  util::TimeBinnedSeries results;
+  util::TimeBinnedSeries useful_results;
+  util::TimeBinnedSeries credit;
+};
 
 struct ShardEngineOptions {
   /// Number of fleet partitions (>= 1). One shard reproduces the sequential
@@ -74,13 +91,14 @@ struct ShardEngineOptions {
 class ShardEngine {
  public:
   /// The engine owns the shard simulations and fleets; the caller owns the
-  /// server, schedule and metrics. `faults_rng` must be the stream
+  /// server, schedule, registry and series. `faults_rng` must be the stream
   /// dedicated to fault draws (campaigns pass root.fork("faults")); every
   /// per-shard FaultSchedule instance is constructed from a copy, so
   /// straggler classification and outage windows agree across shards.
   ShardEngine(server::ProjectServer& project,
-              const server::ShareSchedule& schedule, sim::MetricSet& metrics,
-              const faults::FaultPlan& fault_plan, util::Rng faults_rng,
+              const server::ShareSchedule& schedule, obs::Registry& registry,
+              WeeklySeries& weekly, const faults::FaultPlan& fault_plan,
+              util::Rng faults_rng,
               ShardEngineOptions options);
 
   ShardEngine(const ShardEngine&) = delete;
@@ -99,9 +117,10 @@ class ShardEngine {
   // --- engine-level control items -----------------------------------------
   /// Runs `fn` in the barrier merge at time `t` — ordered against messages
   /// and deadlines by time (control first among equals), so the callback
-  /// observes the server exactly as the sequential engine's event at `t`
-  /// did. Register before running past `t`.
-  void schedule_control(double t, std::function<void()> fn);
+  /// did. Register before the first run_until.
+  void schedule_control(double t, std::function<void()> fn) {
+    replayer_.schedule_control(t, std::move(fn));
+  }
 
   // --- run ----------------------------------------------------------------
   /// Advances all shards to `until` in hourly epoch steps, processing a
@@ -118,8 +137,8 @@ class ShardEngine {
   double completion_time_daily() const;
 
   /// Merges per-shard state into the caller-visible sinks: shard tracers
-  /// into the main tracer, exact weekly run-time bins into the MetricSet
-  /// meter series. Call once, after the last run_until.
+  /// into the main tracer, exact weekly run-time bins into the weekly
+  /// series. Call once, after the last run_until.
   void finalize();
 
   // --- reduction accessors ------------------------------------------------
@@ -142,7 +161,7 @@ class ShardEngine {
     return shards_[shard]->fleet;
   }
   /// Armed transitioner deadlines (test introspection).
-  std::size_t deadlines_armed() const { return deadlines_.armed(); }
+  std::size_t deadlines_armed() const { return replayer_.armed(); }
 
  private:
   struct Shard {
@@ -153,15 +172,9 @@ class ShardEngine {
     /// Private tracer when K > 1 and tracing is on (absorbed at finalize).
     std::unique_ptr<obs::Tracer> own_tracer;
 
-    Shard(const server::ShareSchedule& schedule, sim::MetricSet& metrics,
+    Shard(const server::ShareSchedule& schedule, obs::Registry& registry,
           const faults::FaultPlan& plan, const util::Rng& faults_rng,
           obs::Tracer* tracer, const client::AgentConfig& agent);
-  };
-
-  struct ControlItem {
-    double time = 0.0;
-    std::uint64_t seq = 0;  ///< registration order breaks time ties
-    std::function<void()> fn;
   };
 
   /// Sort key for one drained uplink message: the shared merge order
@@ -178,33 +191,23 @@ class ShardEngine {
   void process_message(std::uint32_t shard, const client::UplinkMessage& m);
 
   server::ProjectServer& project_;
-  sim::MetricSet& metrics_;
+  WeeklySeries& weekly_;
   ShardEngineOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Server-side fault instance: deadline deferrals, outage/churn notes —
   /// events that belong to the barrier, not to any shard.
   faults::FaultSchedule server_faults_;
   util::Rng faults_rng_;  ///< per-device fault streams fork from this
-  server::DeadlineBook deadlines_;
+  /// Control lane, transitioner deadlines and outage deferral.
+  server::Replayer replayer_;
   std::unique_ptr<util::ThreadPool> pool_;  ///< created lazily for K > 1
-
-  std::vector<ControlItem> controls_;  ///< sorted (time, seq); drained front
-  std::size_t next_control_ = 0;
   /// Per-spike churn outcomes, slot spike*K + shard: each shard writes its
   /// own slot while advancing; the spike's control item aggregates them.
   std::vector<client::VolunteerFleet::ChurnResult> spike_results_;
 
   // Barrier scratch, reused across epochs (no per-epoch allocation in
   // steady state).
-  std::vector<server::DeadlineBook::Due> due_scratch_;
   std::vector<MessageRef> msg_order_;
-
-  // Server-side weekly series (appended at barriers only, in merged order,
-  // so plain TimeBinnedSeries suffices).
-  util::TimeBinnedSeries& hcmd_results_;
-  util::TimeBinnedSeries& hcmd_useful_results_;
-  util::TimeBinnedSeries& hcmd_useful_ref_seconds_;
-  util::TimeBinnedSeries& hcmd_credit_;
 
   // Fig. 8 buffers, keyed by global device id, in merged receive order.
   std::vector<std::uint32_t> runtime_device_;
@@ -213,7 +216,6 @@ class ShardEngine {
   double now_ = 0.0;
   double completion_raw_ = -1.0;
   std::size_t device_count_ = 0;
-  std::uint64_t next_control_seq_ = 0;
   bool events_reserved_ = false;
 };
 

@@ -60,6 +60,17 @@ double FaultSchedule::backoff_delay(std::uint32_t attempt,
   return base * rng.uniform(0.75, 1.25);
 }
 
+ResultFate FaultSchedule::draw_result_fate(std::uint32_t device_id,
+                                           bool already_corrupt,
+                                           util::Rng& rng) const {
+  if (rng.bernoulli(plan_.loss_rate)) return ResultFate::kLost;
+  if (rng.bernoulli(plan_.corruption_rate)) return ResultFate::kCorrupted;
+  if (!already_corrupt && is_saboteur(device_id) &&
+      rng.bernoulli(plan_.saboteur_corruption_rate))
+    return ResultFate::kSabotaged;
+  return ResultFate::kClean;
+}
+
 bool FaultSchedule::is_straggler(std::uint32_t device_id) const {
   if (plan_.straggler_fraction <= 0.0) return false;
   util::SplitMix64 h(straggler_salt_ ^

@@ -60,6 +60,22 @@ struct FaultCounters {
   }
 };
 
+/// What the fault layer does to one returned result.
+enum class ResultFate : std::uint8_t {
+  kClean,      ///< delivered as the device produced it
+  kLost,       ///< dropped before it reaches the server
+  kCorrupted,  ///< injected silent corruption
+  kSabotaged,  ///< corrupted by a saboteur device
+};
+
+/// Tag of a fault-corrupted result: (global device id, per-device counter).
+/// Unique fleet-wide and independent of shard count, so two corrupt copies
+/// of one workunit never agree in quorum.
+inline std::uint64_t corruption_tag(std::uint32_t device_id,
+                                    std::uint64_t seq) {
+  return (static_cast<std::uint64_t>(device_id) << 32) | seq;
+}
+
 class FaultSchedule {
  public:
   /// Inert schedule: `active()` is false and every query is a no-op.
@@ -88,20 +104,14 @@ class FaultSchedule {
 
   // --- per-result draws from a caller-owned stream ------------------------
   // The plan supplies the rates, the device supplies the stream.
-  bool draw_corruption(util::Rng& rng) const {
-    return rng.bernoulli(plan_.corruption_rate);
-  }
-  bool draw_loss(util::Rng& rng) const {
-    return rng.bernoulli(plan_.loss_rate);
-  }
+  /// The fate of one returned result. Draws in a fixed order, stopping at
+  /// the first hit: loss, injected corruption, then saboteur corruption
+  /// (saboteur devices only, and only while the result is still clean;
+  /// `already_corrupt` says the device model corrupted it first).
+  ResultFate draw_result_fate(std::uint32_t device_id, bool already_corrupt,
+                              util::Rng& rng) const;
   bool draw_churn_death(double fraction, util::Rng& rng) const {
     return rng.bernoulli(fraction);
-  }
-  /// Per-result corruption draw for a saboteur device. Callers must gate on
-  /// `is_saboteur` first so honest devices make no extra draws and inert
-  /// plans stay bit-exact.
-  bool draw_saboteur_corruption(util::Rng& rng) const {
-    return rng.bernoulli(plan_.saboteur_corruption_rate);
   }
 
   // --- straggler classification (event-stream independent) ----------------

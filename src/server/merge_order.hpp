@@ -8,37 +8,30 @@
 //   lane 1  deadline ticks  keyed by result id
 //   lane 2  messages        keyed by (global device id, per-device seq)
 //
-// Every component is independent of how the traffic was partitioned (shard
-// count, worker count, connection assignment), which is what makes the
-// sharded simulation bit-identical at any K — and what lets the wire
-// service reuse the identical discipline: within one drain batch, requests
-// apply in the same order no matter which worker thread carried them.
+// server::Replayer runs lanes 0 and 1 ahead of each message; MergeKey
+// orders the messages among themselves. Every component is independent of
+// how the traffic was partitioned (shard count, worker count, connection
+// assignment), which is what makes the sharded simulation bit-identical at
+// any K — and what lets the wire service reuse the identical discipline:
+// within one drain batch, requests apply in the same order no matter which
+// worker thread carried them.
 #pragma once
 
 #include <cstdint>
 
 namespace hcmd::server {
 
-enum class MergeLane : std::uint8_t {
-  kControl = 0,
-  kDeadline = 1,
-  kMessage = 2,
-};
-
+/// Sort key of one message (lane 2).
 struct MergeKey {
   double time = 0.0;
-  MergeLane lane = MergeLane::kMessage;
-  std::uint32_t gid = 0;   ///< global device id (result id for deadlines,
-                           ///< registration seq for controls)
-  std::uint64_t seq = 0;   ///< per-device monotone message counter
+  std::uint32_t gid = 0;  ///< global device id
+  std::uint64_t seq = 0;  ///< per-device monotone message counter
 };
 
-/// Strict weak ordering over merge keys: (time, lane, gid, seq)
-/// lexicographically. Equal-time items order control < deadline < message,
-/// mirroring the sequential engine's setup-events-first convention.
+/// Strict weak ordering over message keys: (time, gid, seq)
+/// lexicographically.
 inline bool merge_before(const MergeKey& a, const MergeKey& b) {
   if (a.time != b.time) return a.time < b.time;
-  if (a.lane != b.lane) return a.lane < b.lane;
   if (a.gid != b.gid) return a.gid < b.gid;
   return a.seq < b.seq;
 }

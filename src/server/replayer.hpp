@@ -1,0 +1,92 @@
+// The one replay loop in front of the logical project server.
+//
+// Everything that reaches the ProjectServer is applied in batches: shard
+// mailboxes drained at an epoch barrier (core::ShardEngine) and RPCs
+// drained from the network workers (GridService). A batch ending at time t
+// interleaves three lanes in the merge order of server/merge_order.hpp:
+//
+//   control items   scripted callbacks (Fig. 7 snapshots, churn spikes,
+//                   outage markers), in (time, registration) order;
+//   deadline ticks  the transitioner ticks due by t, in (time, id) order;
+//   messages        supplied by the caller, already sorted.
+//
+// Both callers drive it the same way:
+//
+//   replayer.open(t);
+//   for each message m in merge order:
+//     replayer.fire_until(m.time);  then apply m
+//   replayer.fire_until(t);
+//
+// so equal-time items run control < deadline < message. `open` pops every
+// tick due by t up front: a report applied later in the batch disarms its
+// result in the book but cannot stop a tick already popped, which then
+// runs as a no-op transitioner pass.
+//
+// Outage deferral: a tick that falls inside a fault-plan outage runs no
+// transitioner pass. It is noted and moved to the moment the outage lifts:
+// into this batch, in (time, id) order, when that is at or before t, and
+// back into the book otherwise. The deferred pass sees a time past the
+// original deadline, so the timeout still registers then, unless the
+// result is reported first.
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <vector>
+
+#include "faults/schedule.hpp"
+#include "obs/trace.hpp"
+#include "server/deadline_book.hpp"
+#include "server/server.hpp"
+
+namespace hcmd::server {
+
+class Replayer {
+ public:
+  /// `faults` is the server-side schedule (only an active one defers
+  /// ticks); `tracer`, when set, records every transitioner pass.
+  Replayer(ProjectServer& project, faults::FaultSchedule& faults,
+           obs::Tracer* tracer = nullptr)
+      : project_(project), faults_(faults), tracer_(tracer) {}
+
+  /// Runs `fn` in the batch that covers time `t`, ahead of the ticks and
+  /// messages at that time. Register every control before the first open.
+  void schedule_control(double t, std::function<void()> fn);
+
+  /// Arms (or re-arms, superseding) the transitioner tick for a result.
+  void arm(std::uint64_t result_id, double deadline) {
+    book_.arm(result_id, deadline);
+  }
+  /// Retires a result's tick (no-op once it fired or was popped by open).
+  void disarm(std::uint64_t result_id) { book_.disarm(result_id); }
+  std::size_t armed() const { return book_.armed(); }
+
+  /// Starts the batch ending at `t` and pops every tick due by then.
+  void open(double t);
+  /// Runs, in merge order, every control item and popped tick with
+  /// time <= t.
+  void fire_until(double t);
+
+ private:
+  struct Control {
+    double time = 0.0;
+    std::function<void()> fn;
+  };
+
+  void run_tick(DeadlineBook::Due due);
+
+  ProjectServer& project_;
+  faults::FaultSchedule& faults_;
+  obs::Tracer* tracer_;
+  DeadlineBook book_;
+  std::vector<Control> controls_;  ///< sorted by time at the first open
+  std::size_t next_control_ = 0;
+  bool opened_ = false;
+  double end_ = 0.0;  ///< the open batch's end time
+  /// Ticks popped for the open batch, (time, id) order; reused across
+  /// batches, so steady-state replay does not allocate.
+  std::vector<DeadlineBook::Due> due_;
+  std::size_t next_due_ = 0;
+};
+
+}  // namespace hcmd::server

@@ -63,12 +63,6 @@ std::uint64_t ProjectServer::issue(std::uint32_t wu_index,
 std::optional<Assignment> ProjectServer::request_work(std::uint32_t device_id,
                                                       double now) {
   last_now_ = now;
-  if (faults_ != nullptr && faults_->active() && faults_->server_down(now)) {
-    // Outage window: the scheduler is dark and issues nothing. The client
-    // side backs off and retries (see VolunteerFleet).
-    faults_->note_outage_denied(now, device_id);
-    return std::nullopt;
-  }
   if (registry_)
     registry_->observe(hist_reissue_depth_,
                        static_cast<double>(reissue_queue_.size()));

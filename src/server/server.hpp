@@ -27,7 +27,6 @@
 #include <optional>
 #include <vector>
 
-#include "faults/schedule.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "packaging/workunit.hpp"
@@ -198,11 +197,6 @@ class ProjectServer {
   /// bit-identically.
   void set_instruments(obs::Tracer* tracer, obs::Registry* registry);
 
-  /// Attaches the campaign's fault schedule (optional, may be nullptr).
-  /// While an outage window is open the scheduler refuses to issue work
-  /// (`request_work` returns nullopt). An inert schedule changes nothing.
-  void set_fault_schedule(faults::FaultSchedule* faults) { faults_ = faults; }
-
   /// True when every catalogue workunit is assimilated.
   bool complete() const {
     return counters_.workunits_completed == catalog_.size();
@@ -318,9 +312,6 @@ class ProjectServer {
   bool endgame_dirty_ = true;
   std::size_t next_unsent_ = 0;
   ServerCounters counters_;
-
-  /// Optional fault injector; consulted only when active.
-  faults::FaultSchedule* faults_ = nullptr;
 
   // --- telemetry sinks (optional; decisions never read them) ---
   obs::Tracer* tracer_ = nullptr;

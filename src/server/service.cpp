@@ -58,10 +58,9 @@ GridService::GridService(std::vector<packaging::Workunit> catalog,
     throw ConfigError("service: slo_budget_fraction must be in (0, 1]");
   faults_.set_instruments(nullptr, &registry_);
   project_.set_instruments(nullptr, &registry_);
-  // The fault schedule is deliberately NOT attached to the project server:
-  // the service refuses outage-window traffic itself (so it can answer with
-  // an explicit Busy + retry-after instead of an indistinguishable NoWork)
-  // and notes the denial exactly once, the way request_work would have.
+  // The service refuses outage-window traffic itself, with an explicit
+  // Busy + retry-after instead of an indistinguishable NoWork, and notes
+  // each denial once.
   ctr_requests_ = registry_.intern_counter("rpc.requests");
   ctr_assignments_ = registry_.intern_counter("rpc.assignments");
   ctr_no_work_ = registry_.intern_counter("rpc.no_work");
@@ -91,62 +90,16 @@ void GridService::process_batch(std::vector<WireRequest>& batch, double now,
               return merge_before(a.key(), b.key());
             });
 
-  due_scratch_.clear();
-  deadlines_.pop_due(now, due_scratch_);
-
-  // Two-pointer merge of the deadline lane against the message lane — the
-  // same replay loop the sharded engine runs at its epoch barrier, minus the
-  // control lane (wire mode has no scripted control events).
-  const bool outages_possible = faults_.active();
-  std::size_t di = 0;
-  std::size_t mi = 0;
-  while (di < due_scratch_.size() || mi < batch.size()) {
-    bool take_deadline;
-    if (di == due_scratch_.size()) {
-      take_deadline = false;
-    } else if (mi == batch.size()) {
-      take_deadline = true;
-    } else {
-      // Equal-time tie: lane order puts the deadline tick first, mirroring
-      // the barrier's td <= tm convention.
-      take_deadline = due_scratch_[di].time <= batch[mi].time;
-    }
-
-    if (take_deadline) {
-      const DeadlineBook::Due due = due_scratch_[di++];
-      if (outages_possible && faults_.server_down(due.time)) {
-        // The server is dark: no transitioner pass runs. Defer the tick to
-        // the moment the outage lifts (same policy as the epoch barrier):
-        // the deferred pass sees a time past the original deadline, so the
-        // timeout still registers then — unless the result is reported
-        // first, which disarms it.
-        faults_.note_deadline_deferred(due.time, due.result_id);
-        const double resume = faults_.outage_end_after(due.time);
-        if (resume <= now) {
-          const DeadlineBook::Due moved{resume, due.result_id};
-          auto pos = std::upper_bound(
-              due_scratch_.begin() + static_cast<std::ptrdiff_t>(di),
-              due_scratch_.end(), moved,
-              [](const DeadlineBook::Due& a, const DeadlineBook::Due& b) {
-                if (a.time != b.time) return a.time < b.time;
-                return a.result_id < b.result_id;
-              });
-          due_scratch_.insert(pos, moved);
-        } else {
-          deadlines_.arm(due.result_id, resume);
-        }
-        continue;
-      }
-      project_.handle_deadline(due.result_id, due.time);
-      continue;
-    }
-
-    const WireRequest& m = batch[mi++];
+  // The sharded engine's barrier replay, minus the control lane (wire mode
+  // has no scripted control events).
+  replayer_.open(now);
+  for (const WireRequest& m : batch) {
+    replayer_.fire_until(m.time);
     apply(m, out);
     if (m.verb == proto::Verb::kRequestWork)
       registry_.observe(hist_issue_wait_, std::max(0.0, now - m.time));
   }
-
+  replayer_.fire_until(now);
   now_ = std::max(now_, now);
 }
 
@@ -267,9 +220,9 @@ void GridService::apply(const WireRequest& m, std::vector<WireResponse>& out) {
   switch (m.verb) {
     case proto::Verb::kRequestWork: {
       if (faults_.active() && faults_.server_down(m.time)) {
-        // Same refusal, same counter, as the in-process scheduler's
-        // nullopt path — but explicit on the wire so the client can
-        // distinguish "come back after the outage" from "no work left".
+        // The simulated fleet never asks while the server is down; a wire
+        // client is told so explicitly, to tell "come back after the
+        // outage" from "no work left".
         faults_.note_outage_denied(m.time, m.device);
         respond_busy(m, out);
         return;
@@ -277,7 +230,7 @@ void GridService::apply(const WireRequest& m, std::vector<WireResponse>& out) {
       const std::optional<Assignment> a = project_.request_work(m.device, m.time);
       if (a.has_value()) {
         registry_.add(ctr_assignments_);
-        deadlines_.arm(a->result_id, a->deadline);
+        replayer_.arm(a->result_id, a->deadline);
         proto::Assignment wire;
         wire.device = m.device;
         wire.seq = m.seq;
@@ -329,7 +282,7 @@ void GridService::apply(const WireRequest& m, std::vector<WireResponse>& out) {
       } else {
         // The result is in: retire its deadline tick eagerly (no-op for
         // late uploads whose tick already fired).
-        deadlines_.disarm(m.result_id);
+        replayer_.disarm(m.result_id);
       }
       proto::ReportAck ack;
       ack.device = m.device;

@@ -4,16 +4,12 @@
 // owns meaning. It is single-threaded by contract — only the dedicated
 // service thread calls into it — and processes traffic in *batches*: the
 // net layer drains every worker's MPSC uplink queue, hands the batch over,
-// and the service replays it in the same deterministic (time, lane, key)
-// merge order the sharded campaign engine uses at its epoch barriers
-// (server/merge_order.hpp):
+// and the service sorts it by (time, device, seq) and replays it through
+// the server::Replayer the sharded campaign engine uses at its epoch
+// barriers, interleaved with the deadline ticks due in the batch window.
 //
-//   lane 1: result-deadline ticks due in this batch window (DeadlineBook —
-//           the same component the epoch barrier drains);
-//   lane 2: RPC messages, keyed by (global device id, per-device seq).
-//
-// So wire mode is a frontend over the identical store + merge machinery the
-// simulator proved out, not a second scheduler: given the same (time,
+// So wire mode is a frontend over the identical store + replay machinery
+// the simulator proved out, not a second scheduler: given the same (time,
 // device, seq)-stamped traffic, the service applies it to the
 // WorkunitRecord store in the same order a simulation barrier would.
 //
@@ -40,9 +36,9 @@
 #include "faults/schedule.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "server/deadline_book.hpp"
 #include "server/merge_order.hpp"
 #include "server/protocol.hpp"
+#include "server/replayer.hpp"
 #include "server/server.hpp"
 #include "util/rng.hpp"
 
@@ -100,7 +96,7 @@ struct WireRequest {
   // --- kGetMetrics payload ---
   proto::MetricsFormat metrics_format = proto::MetricsFormat::kPrometheus;
 
-  MergeKey key() const { return {time, MergeLane::kMessage, device, seq}; }
+  MergeKey key() const { return {time, device, seq}; }
 };
 
 /// One encoded response frame, routed back by connection token. The verb /
@@ -185,7 +181,7 @@ class GridService {
   obs::Tracer& tracer() { return tracer_; }
   const obs::Tracer& tracer() const { return tracer_; }
   std::uint64_t rpc_requests() const { return rpc_requests_; }
-  std::size_t deadlines_armed() const { return deadlines_.armed(); }
+  std::size_t deadlines_armed() const { return replayer_.armed(); }
   double last_batch_time() const { return now_; }
 
  private:
@@ -206,7 +202,7 @@ class GridService {
   ServiceConfig config_;
   ProjectServer project_;
   faults::FaultSchedule faults_;
-  DeadlineBook deadlines_;
+  Replayer replayer_{project_, faults_};
   obs::Registry registry_;
   obs::Tracer tracer_;
   std::function<double()> clock_;
@@ -217,9 +213,6 @@ class GridService {
   double dequeue_time_ = 0.0;  ///< current batch's drain stamp (t_dequeue)
   std::uint64_t rpc_requests_ = 0;
   std::uint32_t span_countdown_ = 1;  ///< 1-in-span_sample_every cursor
-
-  // Batch scratch, reused across drains.
-  std::vector<DeadlineBook::Due> due_scratch_;
 
   // Interned once at construction; the hot path is indexed adds only.
   obs::MetricId ctr_requests_;

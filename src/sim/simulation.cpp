@@ -22,7 +22,6 @@ std::uint32_t Simulation::grow_arena() {
   HCMD_ASSERT_MSG(meta_.size() < kSlotMask, "event arena exhausted");
   const auto slot = static_cast<std::uint32_t>(meta_.size());
   meta_.emplace_back();
-  periods_.push_back(0.0);
   if ((slot >> kChunkBits) == chunks_.size())
     chunks_.emplace_back(new Payload[kChunkSize]);
   return slot;
@@ -61,7 +60,6 @@ void Simulation::reserve_events(std::size_t n) {
     // as organic growth.
     const std::size_t first = meta_.size();
     meta_.resize(n);
-    periods_.resize(n, 0.0);
     const std::size_t want_chunks = (n + kChunkSize - 1) >> kChunkBits;
     chunks_.reserve(want_chunks);
     while (chunks_.size() < want_chunks)
@@ -91,7 +89,6 @@ bool Simulation::step() {
   // cache line is usually cold. Request it before the pop's sift, whose
   // O(log n) memory traffic fully hides the fetch.
   __builtin_prefetch(&payload(slot));
-  __builtin_prefetch(&periods_[slot]);
 #endif
   heap_.pop();
   HCMD_ASSERT(top.time >= now_);
@@ -99,23 +96,11 @@ bool Simulation::step() {
 
   meta_[slot].pos = kFiringMark;
   // Payload chunks are pointer-stable, so the callable runs *in place* even
-  // if it schedules events and grows the arena. meta_/periods_ may
-  // reallocate during the callback, so references into them are not held
-  // across it.
-  const bool again = payload(slot).fn(now_);
+  // if it schedules events and grows the arena. meta_ may reallocate during
+  // the callback, so no reference into it is held across it.
+  payload(slot).fn();
   ++processed_;
-
-  if (periods_[slot] > 0.0 && again && meta_[slot].pos == kFiringMark) {
-    // Periodic series: re-arm the same slot in place with a fresh seq (the
-    // next occurrence orders FIFO after everything the callback scheduled,
-    // exactly like re-pushing did in the priority_queue engine). The heap
-    // push's index observer flips `pos` back to a heap position.
-    HCMD_ASSERT_MSG(next_seq_ < kMaxSeq, "event sequence space exhausted");
-    heap_.push(
-        Entry{now_ + periods_[slot], (next_seq_++ << kSlotBits) | slot});
-  } else {
-    release_slot(slot);
-  }
+  release_slot(slot);
   return true;
 }
 

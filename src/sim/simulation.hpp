@@ -8,24 +8,22 @@
 //
 // Throughput design (this is the kernel every campaign artefact runs on):
 //  * callables live in a small-buffer move-only `util::SmallFn` — the
-//    lambdas the agent/server/metrics processes schedule capture at most a
-//    few pointers and stay inline, so scheduling performs no heap
-//    allocation;
+//    callables the fleet and the engine schedule capture at most a few
+//    pointers and stay inline, so scheduling performs no heap allocation;
 //  * event state lives in a pooled arena of generation-stamped slots with
 //    free-list reuse. An `EventHandle` is {engine, slot, generation}: 16
 //    bytes, trivially copyable, and stale handles (the slot was reused)
 //    fail the generation check instead of keeping dead state alive. The
 //    arena is split hot/cold: 8-byte slot metadata (heap position +
 //    generation) in one dense array — the only thing the heap's sift
-//    traffic touches — and the 72-byte callable payload in pointer-stable
+//    traffic touches — and the 64-byte callable payload in pointer-stable
 //    chunks, touched once at schedule and once at fire. Chunk stability
 //    also means callables fire *in place*: no move-out, even though a
 //    callback may grow the arena mid-fire;
 //  * the ready queue is an indexed 4-ary implicit heap over 16-byte
 //    (time, key) entries, where key packs (seq, slot); child groups are
 //    cache-line-aligned. Cancels remove their entry eagerly in O(log n) —
-//    no tombstone buildup in deadline-heavy runs — and `schedule_periodic`
-//    re-arms its arena slot in place.
+//    no tombstone buildup in deadline-heavy runs.
 // In steady state (arena and heap at their high-water mark) schedule,
 // cancel and fire are all allocation-free.
 //
@@ -35,7 +33,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -52,15 +49,14 @@ inline constexpr SimTime kTimeInfinity =
 
 class Simulation;
 
-/// Handle used to cancel a scheduled event (or a whole periodic series).
+/// Handle used to cancel a scheduled event.
 /// Cheap to copy; cancelling twice or cancelling a fired event is a no-op.
 /// A handle must not be *used* after its Simulation is destroyed (copying
 /// and destroying it remain fine).
 class EventHandle {
  public:
   EventHandle() = default;
-  /// True if the event (or the series' next occurrence) has neither fired
-  /// nor been cancelled.
+  /// True if the event has neither fired nor been cancelled.
   bool pending() const;
   /// Cancels if still pending. Returns true if it was pending.
   bool cancel();
@@ -97,27 +93,10 @@ class CompactEventHandle {
   std::uint32_t generation_ = 0;
 };
 
-namespace detail {
-
-/// Wraps a one-shot `void()` callable in the periodic signature the arena
-/// stores; returning false means "do not re-arm". Same size as the wrapped
-/// callable, so inline storage is preserved.
-template <typename F>
-struct OneShotAdapter {
-  F fn;
-  bool operator()(SimTime) {
-    fn();
-    return false;
-  }
-};
-
-}  // namespace detail
-
 /// The event loop.
 class Simulation {
  public:
-  /// Every stored callable runs as bool(now); one-shots are adapted.
-  using EventFn = util::SmallFn<bool(SimTime), 48>;
+  using EventFn = util::SmallFn<void(), 48>;
 
   Simulation() = default;
   Simulation(const Simulation&) = delete;
@@ -130,8 +109,14 @@ class Simulation {
   template <typename F>
   EventHandle schedule_at(SimTime t, F&& fn) {
     HCMD_ASSERT_MSG(t >= now_, "cannot schedule an event in the past");
-    return arm(t, /*period=*/0.0,
-               detail::OneShotAdapter<std::decay_t<F>>{std::forward<F>(fn)});
+    HCMD_ASSERT_MSG(next_seq_ < kMaxSeq, "event sequence space exhausted");
+    const std::uint32_t slot =
+        free_head_ != kNullIndex ? pop_free_slot() : grow_arena();
+    // Constructed directly into the slot's payload (no SmallFn moves).
+    payload(slot).fn = std::forward<F>(fn);
+    const std::uint32_t generation = meta_[slot].generation;
+    heap_.push(Entry{t, (next_seq_++ << kSlotBits) | slot});
+    return EventHandle(this, slot, generation);
   }
 
   /// Schedules `fn()` to run `delay` seconds from now (delay >= 0).
@@ -139,19 +124,6 @@ class Simulation {
   EventHandle schedule_in(SimTime delay, F&& fn) {
     HCMD_ASSERT(delay >= 0.0);
     return schedule_at(now_ + delay, std::forward<F>(fn));
-  }
-
-  /// Schedules `fn(now)` every `period` seconds starting at `start`. The
-  /// callback returns false to stop recurring. The returned handle cancels
-  /// the whole series; the series re-arms its pooled slot in place (no
-  /// allocation per occurrence).
-  template <typename F>
-  EventHandle schedule_periodic(SimTime start, SimTime period, F&& fn) {
-    static_assert(std::is_invocable_r_v<bool, std::decay_t<F>&, SimTime>,
-                  "periodic callbacks must be callable as bool(SimTime)");
-    HCMD_ASSERT(period > 0.0);
-    HCMD_ASSERT(start >= now_);
-    return arm(start, period, std::forward<F>(fn));
   }
 
   /// Runs until the queue is empty or the clock passes `until`. Events at
@@ -185,7 +157,7 @@ class Simulation {
   /// `Meta::pos` value while the slot's callable is mid-fire. Distinct from
   /// any heap position or free-list link (links are slot ids < 2^24).
   static constexpr std::uint32_t kFiringMark = kNullIndex - 1;
-  // Payload chunk size: 512 slots x 72 B callable+period = 36 KiB.
+  // Payload chunk size: 512 slots x 64 B callable = 32 KiB.
   static constexpr std::uint32_t kChunkBits = 9;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
 
@@ -217,8 +189,7 @@ class Simulation {
   /// Cold per-slot payload, touched at schedule and fire only: exactly one
   /// cache line per slot (SmallFn<..., 48> is 64 bytes). Lives in
   /// pointer-stable chunks: callbacks may grow the arena while their own
-  /// payload is mid-invocation. The period lives in a separate dense
-  /// array (periods_) so the payload keeps its one-line footprint.
+  /// payload is mid-invocation.
   struct alignas(64) Payload {
     EventFn fn;
   };
@@ -238,20 +209,6 @@ class Simulation {
     return chunks_[slot >> kChunkBits][slot & (kChunkSize - 1)];
   }
 
-  /// Schedules `fn` (callable as bool(SimTime)) at time `t`; constructs the
-  /// callable directly into the slot's payload (no SmallFn moves).
-  template <typename F>
-  EventHandle arm(SimTime t, double period, F&& fn) {
-    HCMD_ASSERT_MSG(next_seq_ < kMaxSeq, "event sequence space exhausted");
-    const std::uint32_t slot =
-        free_head_ != kNullIndex ? pop_free_slot() : grow_arena();
-    payload(slot).fn = std::forward<F>(fn);
-    periods_[slot] = period;
-    const std::uint32_t generation = meta_[slot].generation;
-    heap_.push(Entry{t, (next_seq_++ << kSlotBits) | slot});
-    return EventHandle(this, slot, generation);
-  }
-
   std::uint32_t pop_free_slot() {
     const std::uint32_t slot = free_head_;
     free_head_ = meta_[slot].pos;
@@ -267,7 +224,6 @@ class Simulation {
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::vector<Meta> meta_;
-  std::vector<double> periods_;  ///< per-slot period; <= 0 means one-shot
   std::vector<std::unique_ptr<Payload[]>> chunks_;
   std::uint32_t free_head_ = kNullIndex;
   util::DaryHeap<Entry, EntryLess, 4, TouchIndex> heap_{EntryLess{},

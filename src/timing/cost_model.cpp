@@ -30,9 +30,9 @@ double CostModel::noise(std::uint32_t receptor_id,
   char* p = tag;
   std::memcpy(p, "cost:", 5);
   p += 5;
-  p = std::to_chars(p, tag + sizeof(tag), receptor_id).ptr;
+  p = std::to_chars(p, tag + sizeof(tag) - 1, receptor_id).ptr;
   *p++ = ':';
-  p = std::to_chars(p, tag + sizeof(tag), ligand_id).ptr;
+  p = std::to_chars(p, tag + sizeof(tag) - 1, ligand_id).ptr;
   *p++ = ':';
   p = std::to_chars(p, tag + sizeof(tag), params_.seed).ptr;
   util::Rng rng(util::hash64(

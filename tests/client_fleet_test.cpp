@@ -32,7 +32,8 @@ std::vector<packaging::Workunit> make_catalog(std::size_t n,
 /// single shard reproduces the sequential engine; `shards` exercises the
 /// partitioned path through the identical machinery.
 struct Harness {
-  sim::MetricSet metrics{kSecondsPerWeek};
+  obs::Registry registry;
+  core::WeeklySeries weekly;
   server::ShareSchedule schedule;
   server::ProjectServer project;
   core::ShardEngine engine;
@@ -43,7 +44,7 @@ struct Harness {
                    AgentConfig agent_cfg = {}, std::uint32_t shards = 1)
       : schedule(share),
         project(make_catalog(workunits, ref_seconds), server_cfg),
-        engine(project, schedule, metrics, faults::FaultPlan{},
+        engine(project, schedule, registry, weekly, faults::FaultPlan{},
                util::Rng(2007).fork("faults"),
                make_options(agent_cfg, shards)) {}
 
@@ -132,9 +133,9 @@ TEST(Fleet, RuntimeMetricsAccumulate) {
   Harness h(3);
   h.add(Harness::reliable_device(0));
   h.run(2.0 * kSecondsPerWeek);
-  h.engine.finalize();  // folds the exact run-time bins into the MetricSet
-  const auto& hcmd_series = h.metrics.series(metric::kHcmdRuntime);
-  const auto& wcg_series = h.metrics.series(metric::kWcgRuntime);
+  h.engine.finalize();  // folds the exact run-time bins into the series
+  const auto& hcmd_series = h.weekly.hcmd_runtime;
+  const auto& wcg_series = h.weekly.wcg_runtime;
   ASSERT_GT(hcmd_series.size(), 0u);
   double hcmd_total = 0.0, wcg_total = 0.0;
   for (std::size_t i = 0; i < hcmd_series.size(); ++i)
@@ -157,7 +158,7 @@ TEST(Fleet, ShareZeroMeansOtherProjectsOnly) {
   EXPECT_FALSE(h.project.complete());
   EXPECT_EQ(h.project.counters().results_received, 0u);
   // But the device crunched other-project work the whole time.
-  const auto& wcg = h.metrics.series(metric::kWcgRuntime);
+  const auto& wcg = h.weekly.wcg_runtime;
   double total = 0.0;
   for (std::size_t i = 0; i < wcg.size(); ++i) total += wcg.value(i);
   EXPECT_GT(total, 0.9 * kSecondsPerWeek);
@@ -240,7 +241,7 @@ TEST(Fleet, UsefulResultMetricsMatchServerCounters) {
   Harness h(4);
   h.add(Harness::reliable_device(0));
   h.run(3.0 * kSecondsPerWeek);
-  const auto& useful = h.metrics.series(metric::kHcmdUsefulResults);
+  const auto& useful = h.weekly.useful_results;
   double total = 0.0;
   for (std::size_t i = 0; i < useful.size(); ++i) total += useful.value(i);
   EXPECT_DOUBLE_EQ(total,

@@ -66,5 +66,32 @@ TEST(CampaignGolden, VftpAndCreditSeriesBitExact) {
   EXPECT_EQ(r.results_received_weekly[3], 20500.0);
 }
 
+// The default campaign with a server outage over the first deadline
+// wave (ticks fall 240 h after a result is sent). 86 transitioner ticks
+// land in the outage: 84 are re-armed past their barrier and 2 fire after
+// the outage ends at 1968.5 h, inside the 1969 h barrier that popped them.
+// Captured with %.17g before the barrier and the wire service shared one
+// replay loop; identical at one and four shards.
+TEST(CampaignGolden, OutageDefersDeadlineTicksBitExact) {
+  for (const std::uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    CampaignConfig config;
+    config.scale = 0.01;
+    config.shards = shards;
+    config.faults.outages = {{1800.0 * 3600.0, 1968.5 * 3600.0}};
+    const CampaignReport r = run_campaign(config);
+    EXPECT_EQ(r.faults.counters.deadline_deferrals, 86u);
+    EXPECT_EQ(r.faults.counters.outage_denied_requests, 4953u);
+    EXPECT_EQ(r.faults.counters.deferred_uploads, 459u);
+    EXPECT_EQ(r.completion_weeks, 27.428571428571427);
+    EXPECT_EQ(r.counters.results_sent, 47958u);
+    EXPECT_EQ(r.counters.results_received, 47525u);
+    EXPECT_EQ(r.counters.results_timed_out, 1370u);
+    EXPECT_EQ(r.counters.workunits_completed, 34567u);
+    EXPECT_EQ(r.counters.reported_runtime_seconds, 2453206172.0800285);
+    EXPECT_EQ(r.events_processed, 601833u);
+  }
+}
+
 }  // namespace
 }  // namespace hcmd::core

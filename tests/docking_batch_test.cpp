@@ -69,6 +69,13 @@ struct BatchCase {
   EnergyBackend backend;
 };
 
+// Names the case for ctest, like MaxDoBatchCase's PrintTo below: gtest's
+// fallback prints the raw bytes, uninitialised padding included.
+void PrintTo(const BatchCase& c, std::ostream* os) {
+  *os << (c.backend == EnergyBackend::kFlat ? "flat" : "cell_list")
+      << "_lanes" << c.lanes;
+}
+
 class BatchBitIdentity : public ::testing::TestWithParam<BatchCase> {};
 
 TEST_P(BatchBitIdentity, EnergyBatchMatchesScalarPerLane) {

@@ -37,7 +37,8 @@ std::vector<packaging::Workunit> make_catalog(std::size_t n,
 /// schedule per shard plus the server-side instance) and schedules the
 /// plan's spike/outage events itself, exactly as the campaign layer runs.
 struct Harness {
-  sim::MetricSet metrics{kSecondsPerWeek};
+  obs::Registry registry;
+  core::WeeklySeries weekly;
   server::ShareSchedule schedule;
   server::ProjectServer project;
   core::ShardEngine engine;
@@ -48,7 +49,7 @@ struct Harness {
                    std::uint32_t shards = 1)
       : schedule(always_hcmd()),
         project(make_catalog(workunits, ref_seconds), server_cfg),
-        engine(project, schedule, metrics, plan,
+        engine(project, schedule, registry, weekly, plan,
                util::Rng(2007).fork("faults"), make_options(shards)) {}
 
   /// Faults-free control harness (an inert plan attaches nothing).

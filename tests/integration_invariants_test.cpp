@@ -18,7 +18,9 @@ void check_invariants(const CampaignReport& r) {
   EXPECT_EQ(c.results_received, c.results_valid + c.results_quorum_extra +
                                     c.results_invalid + c.results_redundant +
                                     c.results_pending);
-  if (r.completed) EXPECT_EQ(c.results_pending, 0u);
+  if (r.completed) {
+    EXPECT_EQ(c.results_pending, 0u);
+  }
 
   // Everything received was sent. (Timed-out instances may still be
   // received later, so sent >= received always, with the gap being

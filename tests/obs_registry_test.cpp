@@ -91,7 +91,7 @@ TEST(Registry, ConcurrentAddsAggregate) {
 TEST(Registry, CapacityThrowsPastLimit) {
   Registry r;
   for (std::size_t i = 0; i < Registry::kMaxCounters; ++i)
-    r.intern_counter("c" + std::to_string(i));
+    r.intern_counter(std::string("c").append(std::to_string(i)));
   EXPECT_THROW(r.intern_counter("one-too-many"), ConfigError);
 }
 

@@ -1,6 +1,6 @@
 // Asserts the DES core's zero-allocation guarantee: once the arena and
-// heap are at their high-water mark, schedule / cancel / fire (one-shot
-// and periodic) perform no heap allocation at all.
+// heap are at their high-water mark, schedule / cancel / fire perform no
+// heap allocation at all.
 //
 // This test overrides the global allocation functions to count calls, so
 // it lives in its own binary: the counters see every allocation in the
@@ -108,23 +108,6 @@ TEST(SimulationAllocation, SteadyStateCancelIsAllocationFree) {
   }
   EXPECT_EQ(window.count(), 0u)
       << "schedule/cancel churn allocated in steady state";
-}
-
-TEST(SimulationAllocation, PeriodicReArmIsAllocationFree) {
-  Simulation sim;
-  std::uint64_t ticks = 0;
-  for (int s = 0; s < 64; ++s) {
-    sim.schedule_periodic(0.5 + 0.01 * s, 1.0, [&ticks](SimTime) {
-      ++ticks;
-      return true;
-    });
-  }
-  sim.run_until(10.0);  // high-water mark reached
-
-  AllocationWindow window;
-  sim.run_until(10'000.0);  // ~640k in-place re-arms
-  EXPECT_EQ(window.count(), 0u) << "periodic re-arm allocated";
-  EXPECT_GT(ticks, 600'000u);
 }
 
 TEST(SimulationAllocation, ReserveEventsMakesColdBurstAllocationFree) {

@@ -13,7 +13,7 @@
 namespace hcmd::sim {
 namespace {
 
-/// Runs a randomized schedule/cancel/periodic workload of ~1e6 operations
+/// Runs a randomized schedule/cancel/run workload of ~1e6 operations
 /// and returns a trace fingerprint: a running hash of (event id, fire time)
 /// in dispatch order. Two runs with the same seed must agree bit-exactly.
 struct StressResult {
@@ -50,16 +50,6 @@ StressResult run_stress(std::uint64_t seed, std::size_t ops) {
       const std::uint64_t id = next_id++;
       const SimTime t = sim.now() + rng.uniform(0.0, 1000.0);
       handles.push_back(sim.schedule_at(t, [&mix, id, t] { mix(id, t); }));
-    } else if (pick < 0.55) {
-      // Periodic series with a bounded number of occurrences.
-      const std::uint64_t id = next_id++;
-      auto remaining = static_cast<int>(rng.uniform(1.0, 6.0));
-      handles.push_back(sim.schedule_periodic(
-          sim.now() + rng.uniform(0.0, 50.0), rng.uniform(0.5, 20.0),
-          [&mix, id, remaining](SimTime t) mutable {
-            mix(id, t);
-            return --remaining > 0;
-          }));
     } else if (pick < 0.75 && !handles.empty()) {
       // Cancel a random outstanding handle (may already be spent).
       const auto idx =
@@ -76,7 +66,7 @@ StressResult run_stress(std::uint64_t seed, std::size_t ops) {
 }
 
 TEST(SimulationStress, RandomizedMixReplaysBitIdentically) {
-  // ~1e6 randomized schedule/cancel/periodic/run operations; the dispatch
+  // ~1e6 randomized schedule/cancel/run operations; the dispatch
   // trace (ids and times, in order) must be bit-identical across replays.
   const StressResult a = run_stress(17, 1'000'000);
   const StressResult b = run_stress(17, 1'000'000);
@@ -168,6 +158,7 @@ TEST(SimulationArena, CancelledSlotReuseKeepsGenerationsDistinct) {
   // `a`'s slot was recycled for `b`; the spent handle must not touch it.
   EXPECT_FALSE(a.pending());
   EXPECT_FALSE(a.cancel());
+  EXPECT_TRUE(b.pending());
   sim.run_until();
   EXPECT_TRUE(b_fired);
 }
@@ -188,29 +179,6 @@ TEST(SimulationArena, ReserveEventsPreservesBehaviour) {
     return order;
   };
   EXPECT_EQ(run(false), run(true));
-}
-
-TEST(SimulationStress, PeriodicSeriesSurviveHeavyChurn) {
-  // A periodic series keeps its cadence while 50k one-shots come and go
-  // around it, and its handle stays valid (same slot, re-armed in place).
-  Simulation sim;
-  util::Rng rng(23);
-  int ticks = 0;
-  EventHandle series = sim.schedule_periodic(0.5, 1.0, [&ticks](SimTime) {
-    ++ticks;
-    return true;
-  });
-  for (int i = 0; i < 50'000; ++i) {
-    sim.schedule_at(sim.now() + rng.uniform(0.0, 2.0), [] {});
-    if (i % 2 == 0) sim.step();
-  }
-  sim.run_until(1000.0);
-  EXPECT_TRUE(series.pending());  // still armed for its next occurrence
-  EXPECT_EQ(ticks, 1000);
-  EXPECT_TRUE(series.cancel());
-  const auto processed = sim.processed_events();
-  sim.run_until(1001.5);
-  EXPECT_EQ(sim.processed_events(), processed);  // series really stopped
 }
 
 }  // namespace

@@ -109,46 +109,6 @@ TEST(Simulation, StepRunsExactlyOne) {
   EXPECT_FALSE(s.step());
 }
 
-TEST(Simulation, PeriodicFiresRepeatedly) {
-  Simulation s;
-  std::vector<double> times;
-  s.schedule_periodic(1.0, 2.0, [&](SimTime t) {
-    times.push_back(t);
-    return times.size() < 4;
-  });
-  s.run_until(100.0);
-  EXPECT_EQ(times, (std::vector<double>{1.0, 3.0, 5.0, 7.0}));
-}
-
-TEST(Simulation, PeriodicCancelStopsSeries) {
-  Simulation s;
-  int count = 0;
-  EventHandle h = s.schedule_periodic(0.0, 1.0, [&](SimTime) {
-    ++count;
-    return true;
-  });
-  s.run_until(4.5);
-  EXPECT_EQ(count, 5);  // t = 0,1,2,3,4
-  EXPECT_TRUE(h.cancel());
-  s.run_until(10.0);
-  EXPECT_EQ(count, 5);
-}
-
-TEST(Simulation, PeriodicInterleavesWithOneShots) {
-  Simulation s;
-  std::vector<std::pair<char, double>> log;
-  s.schedule_periodic(0.5, 1.0, [&](SimTime t) {
-    log.emplace_back('p', t);
-    return t < 3.0;
-  });
-  s.schedule_at(1.0, [&] { log.emplace_back('o', s.now()); });
-  s.run_until();
-  ASSERT_EQ(log.size(), 5u);
-  EXPECT_EQ(log[0], std::make_pair('p', 0.5));
-  EXPECT_EQ(log[1], std::make_pair('o', 1.0));
-  EXPECT_EQ(log[2], std::make_pair('p', 1.5));
-}
-
 TEST(Simulation, ProcessedEventCount) {
   Simulation s;
   for (int i = 0; i < 17; ++i) s.schedule_at(i, [] {});

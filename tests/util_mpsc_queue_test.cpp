@@ -120,9 +120,7 @@ TEST(MpscQueue, DrainThenMergeSortIsDeterministic) {
         for (std::uint64_t i = 0; i < kPerProducer; ++i) {
           // Device gid == producer, per-device monotone seq, coarse time
           // stamps that collide across producers to exercise tie-breaks.
-          q.push(hcmd::server::MergeKey{static_cast<double>(i / 16),
-                                        hcmd::server::MergeLane::kMessage, p,
-                                        i});
+          q.push(hcmd::server::MergeKey{static_cast<double>(i / 16), p, i});
         }
       });
     }
