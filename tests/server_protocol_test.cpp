@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
@@ -435,6 +436,210 @@ TEST(Protocol, IncompleteFrameReturnsNullopt) {
       EXPECT_EQ(off, 0u);
     }
   }
+}
+
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  static const char* const kDigits = "0123456789abcdef";
+  std::string s;
+  for (const std::uint8_t b : bytes) {
+    s.push_back(kDigits[b >> 4]);
+    s.push_back(kDigits[b & 0xF]);
+  }
+  return s;
+}
+
+/// One frame of a verb as this build encodes it, next to the hex protocol
+/// 1.1 puts on the wire for it.
+struct Pinned {
+  const char* name;
+  std::vector<std::uint8_t> encoded;
+  const char* hex;
+};
+
+template <class M>
+Pinned pin(const char* name, const M& m, const char* hex) {
+  Pinned p{name, {}, hex};
+  proto::encode(m, p.encoded);
+  return p;
+}
+
+/// Every verb once, plus the 1.1 tail forms: the flags byte on the three
+/// fleet requests and the span block on the five fleet responses. Field
+/// values follow the round-trip cases above.
+std::vector<Pinned> pinned_frames() {
+  const proto::SpanBlock span{1.5, 1.625, 2.0, 2.25};
+  std::vector<Pinned> v;
+
+  proto::RequestWork rw;
+  rw.device = 0xDEADBEEFu;
+  rw.seq = 0x0123456789ABCDEFull;
+  v.push_back(pin("request_work", rw, "0d00000001efbeaddeefcdab8967452301"));
+  rw.flags = proto::kFlagWantSpan;
+  v.push_back(pin("request_work+flags", rw,
+      "0e00000001efbeaddeefcdab896745230101"));
+
+  proto::ReportResult rr;
+  rr.device = 7;
+  rr.seq = 9001;
+  rr.result_id = 123456789;
+  rr.reported_runtime = 86400.125;
+  rr.reference_seconds = 14400.0;
+  rr.corruption_tag = (7ull << 32) | 3u;
+  rr.silent_error = true;
+  v.push_back(pin("report_result", rr,
+      "2e0000000207000000292300000000000015cd5b0700000000000000000218f5"
+      "40000000000020cc40030000000700000002"));
+  // The other error bit, so both bits of the packed byte are pinned.
+  rr.silent_error = false;
+  rr.computation_error = true;
+  rr.flags = proto::kFlagWantSpan;
+  v.push_back(pin("report_result+flags", rr,
+      "2f0000000207000000292300000000000015cd5b0700000000000000000218f5"
+      "40000000000020cc4003000000070000000101"));
+
+  proto::GetStatus gs;
+  gs.device = 2;
+  gs.seq = 3;
+  v.push_back(pin("get_status", gs, "0d00000003020000000300000000000000"));
+  gs.flags = proto::kFlagWantSpan;
+  v.push_back(pin("get_status+flags", gs,
+      "0e0000000302000000030000000000000001"));
+
+  proto::Assignment a;
+  a.device = 3;
+  a.seq = 44;
+  a.result_id = 991;
+  a.workunit = 123456;
+  a.receptor = 167;
+  a.ligand = 42;
+  a.isep_begin = 100;
+  a.isep_end = 164;
+  a.reference_seconds = 14400.5;
+  a.deadline = 864000.0;
+  v.push_back(pin("assignment", a,
+      "3500000004030000002c00000000000000df0300000000000040e20100a7002a"
+      "0064000000a4000000000000004020cc4000000000005e2a41"));
+  a.span = span;
+  v.push_back(pin("assignment+span", a,
+      "5500000004030000002c00000000000000df0300000000000040e20100a7002a"
+      "0064000000a4000000000000004020cc4000000000005e2a41000000000000f8"
+      "3f000000000000fa3f00000000000000400000000000000240"));
+
+  proto::NoWork nw;
+  nw.device = 1;
+  nw.seq = 2;
+  nw.project_complete = true;
+  v.push_back(pin("no_work", nw, "0e0000000501000000020000000000000001"));
+  nw.span = span;
+  v.push_back(pin("no_work+span", nw,
+      "2e0000000501000000020000000000000001000000000000f83f000000000000"
+      "fa3f00000000000000400000000000000240"));
+
+  proto::Busy busy;
+  busy.device = 5;
+  busy.seq = 6;
+  busy.retry_after = 245000.0;
+  v.push_back(pin("busy", busy,
+      "15000000060500000006000000000000000000000040e80d41"));
+  busy.span = span;
+  v.push_back(pin("busy+span", busy,
+      "35000000060500000006000000000000000000000040e80d41000000000000f8"
+      "3f000000000000fa3f00000000000000400000000000000240"));
+
+  proto::ReportAck ack;
+  ack.device = 8;
+  ack.seq = 9;
+  ack.state = ResultState::kRedundant;
+  ack.duplicate = true;
+  v.push_back(pin("report_ack", ack, "0f000000070800000009000000000000000301"));
+  ack.span = span;
+  v.push_back(pin("report_ack+span", ack,
+      "2f000000070800000009000000000000000301000000000000f83f0000000000"
+      "00fa3f00000000000000400000000000000240"));
+
+  proto::Status st;
+  st.device = 0;
+  st.seq = 1;
+  st.results_sent = 10;
+  st.results_received = 9;
+  st.results_valid = 8;
+  st.results_invalid = 1;
+  st.results_timed_out = 2;
+  st.workunits_completed = 7;
+  st.workunits_total = 100;
+  st.outage_denied = 3;
+  st.rpc_requests = 20;
+  st.now = 1234.5;
+  st.complete = true;
+  st.uptime_seconds = 12.5;
+  st.rpc_assignments = 1;
+  st.rpc_no_work = 2;
+  st.rpc_busy = 3;
+  st.rpc_reports = 4;
+  st.rpc_duplicate_reports = 5;
+  st.rpc_status = 6;
+  st.rpc_errors = 7;
+  st.policy = 1;
+  v.push_back(pin("status", st,
+      "9f000000080000000001000000000000000a0000000000000009000000000000"
+      "0008000000000000000100000000000000020000000000000007000000000000"
+      "0064000000000000000300000000000000140000000000000000000000004a93"
+      "4001000000000000294001000000000000000200000000000000030000000000"
+      "0000040000000000000005000000000000000600000000000000070000000000"
+      "000001"));
+  st.span = span;
+  v.push_back(pin("status+span", st,
+      "bf000000080000000001000000000000000a0000000000000009000000000000"
+      "0008000000000000000100000000000000020000000000000007000000000000"
+      "0064000000000000000300000000000000140000000000000000000000004a93"
+      "4001000000000000294001000000000000000200000000000000030000000000"
+      "0000040000000000000005000000000000000600000000000000070000000000"
+      "000001000000000000f83f000000000000fa3f00000000000000400000000000"
+      "000240"));
+
+  proto::ErrorMsg err;
+  err.device = 10;
+  err.seq = 11;
+  err.code = proto::ErrorCode::kUnknownResult;
+  v.push_back(pin("error", err, "0e000000090a0000000b0000000000000003"));
+
+  proto::GetMetrics gm;
+  gm.device = 1;
+  gm.seq = 2;
+  gm.format = proto::MetricsFormat::kJson;
+  v.push_back(pin("get_metrics", gm, "0e0000000a01000000020000000000000001"));
+
+  proto::Metrics me;
+  me.device = 1;
+  me.seq = 2;
+  me.text = "hcmd_rpc_requests_total 9\n";
+  v.push_back(pin("metrics", me,
+      "2c0000000b010000000200000000000000001a00000068636d645f7270635f72"
+      "657175657374735f746f74616c20390a"));
+
+  proto::DumpDiagnostics dd;
+  dd.device = 9;
+  dd.seq = 10;
+  v.push_back(pin("dump_diagnostics", dd,
+      "0d0000000c090000000a00000000000000"));
+
+  proto::DiagnosticsAck da;
+  da.device = 9;
+  da.seq = 10;
+  da.events = 16384;
+  da.path = "flight-1234.jsonl";
+  v.push_back(pin("diagnostics_ack", da,
+      "2a0000000d090000000a00000000000000004000000000000011000000666c69"
+      "6768742d313233342e6a736f6e6c"));
+  return v;
+}
+
+// The bytes on the wire are the protocol: a codec change that moves any
+// field, tail or verb byte of any message fails here.
+TEST(Protocol, EveryVerbMatchesItsPinnedBytes) {
+  const std::vector<Pinned> frames = pinned_frames();
+  ASSERT_EQ(frames.size(), 21u);
+  for (const Pinned& p : frames) EXPECT_EQ(to_hex(p.encoded), p.hex) << p.name;
 }
 
 }  // namespace
