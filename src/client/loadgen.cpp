@@ -173,11 +173,12 @@ class FarmThread {
         d.attempt = 0;
         // "Compute" instantly: a load generator compresses crunch time to
         // zero but keeps the accounting the device model would report.
+        const proto::Assignment& a = r.get<proto::Assignment>();
         proto::ReportResult report;
         report.device = d.gid;
-        report.result_id = r.assignment.result_id;
-        report.reported_runtime = r.assignment.reference_seconds / d.speed;
-        report.reference_seconds = r.assignment.reference_seconds;
+        report.result_id = a.result_id;
+        report.reported_runtime = a.reference_seconds / d.speed;
+        report.reference_seconds = a.reference_seconds;
         const faults::ResultFate fate =
             faults_.draw_result_fate(d.gid, /*already_corrupt=*/false, d.rng);
         if (fate == faults::ResultFate::kLost) {
@@ -201,8 +202,9 @@ class FarmThread {
         stats_.issue_latency.record(rtt);
         ++stats_.no_work;
         d.attempt = 0;
-        d.phase = r.no_work.project_complete ? Device::Phase::kDone
-                                             : Device::Phase::kIdle;
+        d.phase = r.get<proto::NoWork>().project_complete
+                      ? Device::Phase::kDone
+                      : Device::Phase::kIdle;
         break;
       case proto::Verb::kBusy: {
         // The server is in an outage window: back off on the same capped
@@ -222,7 +224,7 @@ class FarmThread {
       case proto::Verb::kReportAck:
         stats_.report_latency.record(rtt);
         ++stats_.acks;
-        if (r.ack.duplicate) ++stats_.duplicate_acks;
+        if (r.get<proto::ReportAck>().duplicate) ++stats_.duplicate_acks;
         d.attempt = 0;
         d.pending_report = false;
         d.phase = Device::Phase::kIdle;
@@ -375,7 +377,7 @@ LoadgenReport run_loadgen(const LoadgenOptions& options) {
   const WireReply r = status_client.recv_reply();
   if (r.verb != proto::Verb::kStatus)
     throw ConfigError("loadgen: unexpected get_status reply");
-  report.server_status = r.status;
+  report.server_status = r.get<proto::Status>();
 
   return report;
 }

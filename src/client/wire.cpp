@@ -86,59 +86,25 @@ bool WireClient::extract(WireReply& out) {
     return false;
   }
   roff_ = off;
+  if (!proto::decode_any(*f, out.msg))
+    throw ParseError("wire: request verb in a response stream");
   out.verb = f->verb;
-  switch (f->verb) {
-    case proto::Verb::kAssignment:
-      out.assignment = proto::decode_assignment(*f);
-      out.device = out.assignment.device;
-      out.seq = out.assignment.seq;
-      return true;
-    case proto::Verb::kNoWork:
-      out.no_work = proto::decode_no_work(*f);
-      out.device = out.no_work.device;
-      out.seq = out.no_work.seq;
-      return true;
-    case proto::Verb::kBusy:
-      out.busy = proto::decode_busy(*f);
-      out.device = out.busy.device;
-      out.seq = out.busy.seq;
-      return true;
-    case proto::Verb::kReportAck:
-      out.ack = proto::decode_report_ack(*f);
-      out.device = out.ack.device;
-      out.seq = out.ack.seq;
-      return true;
-    case proto::Verb::kStatus:
-      out.status = proto::decode_status(*f);
-      out.device = out.status.device;
-      out.seq = out.status.seq;
-      return true;
-    case proto::Verb::kError:
-      out.error = proto::decode_error(*f);
-      out.device = out.error.device;
-      out.seq = out.error.seq;
-      return true;
-    case proto::Verb::kMetrics:
-      out.metrics = proto::decode_metrics(*f);
-      out.device = out.metrics.device;
-      out.seq = out.metrics.seq;
-      return true;
-    case proto::Verb::kDiagnosticsAck:
-      out.diagnostics = proto::decode_diagnostics_ack(*f);
-      out.device = out.diagnostics.device;
-      out.seq = out.diagnostics.seq;
-      return true;
-    default:
-      throw ParseError("wire: request verb in a response stream");
-  }
+  std::visit(
+      [&out](const auto& m) {
+        out.device = m.device;
+        out.seq = m.seq;
+      },
+      out.msg);
+  return true;
 }
 
 std::optional<WireReply> WireClient::poll_reply() {
-  WireReply r;
-  if (extract(r)) return r;
+  // Decoded in place: every path returns `r`, so it is never copied.
+  std::optional<WireReply> r(std::in_place);
+  if (extract(*r)) return r;
   fill(/*blocking=*/false);
-  if (extract(r)) return r;
-  return std::nullopt;
+  if (!extract(*r)) r.reset();
+  return r;
 }
 
 WireReply WireClient::recv_reply() {

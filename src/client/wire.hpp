@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "server/protocol.hpp"
@@ -24,32 +25,31 @@ namespace hcmd::client {
 
 namespace proto = hcmd::server::proto;
 
-/// One decoded response frame; `verb` selects the live member. The echoed
-/// (device, seq) routing pair is hoisted for convenience.
+/// One decoded response frame. The echoed (device, seq) routing pair and
+/// the verb are hoisted out of the message for matching.
 struct WireReply {
   proto::Verb verb = proto::Verb::kError;
   std::uint32_t device = 0;
   std::uint64_t seq = 0;
-  proto::Assignment assignment;
-  proto::NoWork no_work;
-  proto::Busy busy;
-  proto::ReportAck ack;
-  proto::Status status;
-  proto::ErrorMsg error;
-  proto::Metrics metrics;
-  proto::DiagnosticsAck diagnostics;
+  proto::Reply msg;
 
-  /// The server-side span echo of whichever message is live (present only
-  /// when the request set proto::kFlagWantSpan and the server has spans on).
+  /// The message, which must be an M (std::bad_variant_access otherwise).
+  template <class M>
+  const M& get() const {
+    return std::get<M>(msg);
+  }
+
+  /// The server-side span echo of the message (present only when the
+  /// request set proto::kFlagWantSpan and the server has spans on).
   std::optional<proto::SpanBlock> span() const {
-    switch (verb) {
-      case proto::Verb::kAssignment: return assignment.span;
-      case proto::Verb::kNoWork: return no_work.span;
-      case proto::Verb::kBusy: return busy.span;
-      case proto::Verb::kReportAck: return ack.span;
-      case proto::Verb::kStatus: return status.span;
-      default: return std::nullopt;
-    }
+    return std::visit(
+        [](const auto& m) -> std::optional<proto::SpanBlock> {
+          if constexpr (requires { m.span; })
+            return m.span;
+          else
+            return std::nullopt;
+        },
+        msg);
   }
 };
 
@@ -63,11 +63,12 @@ class WireClient {
   WireClient(const WireClient&) = delete;
   WireClient& operator=(const WireClient&) = delete;
 
-  void queue(const proto::RequestWork& m) { enqueue(m); }
-  void queue(const proto::ReportResult& m) { enqueue(m); }
-  void queue(const proto::GetStatus& m) { enqueue(m); }
-  void queue(const proto::GetMetrics& m) { enqueue(m); }
-  void queue(const proto::DumpDiagnostics& m) { enqueue(m); }
+  /// Appends one request frame to the send buffer.
+  template <typename M>
+  void queue(const M& m) {
+    proto::encode(m, out_);
+    ++queued_frames_;
+  }
 
   /// Writes every queued frame (blocking until the kernel takes them).
   void flush();
@@ -83,12 +84,6 @@ class WireClient {
   std::uint64_t sent_frames() const { return sent_frames_; }
 
  private:
-  template <typename M>
-  void enqueue(const M& m) {
-    proto::encode(m, out_);
-    ++queued_frames_;
-  }
-
   bool extract(WireReply& out);
   /// Pulls available bytes into the read buffer; `blocking` waits for at
   /// least one byte. Throws ConfigError when the server closed the stream.

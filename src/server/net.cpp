@@ -32,6 +32,13 @@ constexpr std::uint64_t kEventTag = ~std::uint64_t{0} - 1;
 constexpr int kPollMillis = 1;     ///< bounds MPSC gaps + idle deadline lag
 constexpr int kMaxEpollEvents = 64;
 
+/// Per-worker flight-recorder ring capacity, in span events.
+constexpr std::size_t kFlightCapacity = std::size_t{1} << 14;
+
+/// Error-budget fraction of the latency SLO: the share of request_work
+/// RPCs that may miss the objective before the burn gauge passes 1.
+constexpr double kSloBudgetFraction = 0.001;
+
 std::uint64_t make_token(std::uint32_t worker, std::uint32_t gen,
                          std::uint32_t slot) {
   return (static_cast<std::uint64_t>(worker) << 48) |
@@ -114,7 +121,7 @@ struct GridServer::Worker {
     std::uint16_t verb;
   };
   std::vector<AdmitRec> admit_scratch;
-  /// Countdown cursors for 1-in-span_sample_every statistics (worker
+  /// Countdown cursors for 1-in-kSpanSampleEvery statistics (worker
   /// thread only; independent streams so admit and write sampling don't
   /// beat). Countdowns instead of modulo: a divide per RPC is real money
   /// on this path. Start at 1 so the first event always records.
@@ -227,8 +234,6 @@ GridServer::GridServer(std::vector<packaging::Workunit> catalog,
   if (net_.workers == 0) net_.workers = 1;
   if (!(net_.time_scale > 0.0))
     throw ConfigError("serve: time_scale must be positive");
-  if (net_.flight_capacity == 0)
-    throw ConfigError("serve: flight_capacity must be positive");
   if (net_.metrics_port > 65535)
     throw ConfigError("serve: metrics_port out of range");
   // The HTTP listener serves the snapshotter's cached strings, so it needs
@@ -236,7 +241,6 @@ GridServer::GridServer(std::vector<packaging::Workunit> catalog,
   if (net_.metrics_port >= 0 && !(net_.snapshot_period > 0.0))
     net_.snapshot_period = 1.0;
   spans_ = service_.config().spans;
-  span_every_ = service_.config().span_sample_every;
 }
 
 GridServer::~GridServer() { stop(); }
@@ -345,7 +349,7 @@ void GridServer::start() {
     w->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
     w->event_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
     obs::Tracer::Options to;
-    to.capacity = net_.flight_capacity;
+    to.capacity = kFlightCapacity;
     to.sample_every = {};  // only the RPC category below
     to.sample_every[static_cast<std::size_t>(obs::TraceCat::kRpc)] = 1;
     w->span.tracer = obs::Tracer(to);
@@ -425,67 +429,6 @@ void GridServer::accept_ready(Worker& w) {
   }
 }
 
-namespace {
-
-/// Decodes one framed request into a WireRequest. Returns false (and sets
-/// `code`) for response verbs or unknown verbs; throws ParseError on a bad
-/// payload for a known request verb.
-bool decode_request(const proto::Frame& f, WireRequest& m,
-                    proto::ErrorCode& code) {
-  switch (f.verb) {
-    case proto::Verb::kRequestWork: {
-      const proto::RequestWork r = proto::decode_request_work(f);
-      m.verb = f.verb;
-      m.device = r.device;
-      m.seq = r.seq;
-      m.flags = r.flags;
-      return true;
-    }
-    case proto::Verb::kReportResult: {
-      const proto::ReportResult r = proto::decode_report_result(f);
-      m.verb = f.verb;
-      m.device = r.device;
-      m.seq = r.seq;
-      m.flags = r.flags;
-      m.result_id = r.result_id;
-      m.reported_runtime = r.reported_runtime;
-      m.reference_seconds = r.reference_seconds;
-      m.corruption_tag = r.corruption_tag;
-      m.computation_error = r.computation_error;
-      m.silent_error = r.silent_error;
-      return true;
-    }
-    case proto::Verb::kGetStatus: {
-      const proto::GetStatus r = proto::decode_get_status(f);
-      m.verb = f.verb;
-      m.device = r.device;
-      m.seq = r.seq;
-      m.flags = r.flags;
-      return true;
-    }
-    case proto::Verb::kGetMetrics: {
-      const proto::GetMetrics r = proto::decode_get_metrics(f);
-      m.verb = f.verb;
-      m.device = r.device;
-      m.seq = r.seq;
-      m.metrics_format = r.format;
-      return true;
-    }
-    case proto::Verb::kDumpDiagnostics: {
-      const proto::DumpDiagnostics r = proto::decode_dump_diagnostics(f);
-      m.verb = f.verb;
-      m.device = r.device;
-      m.seq = r.seq;
-      return true;
-    }
-    default:
-      code = proto::ErrorCode::kUnknownVerb;
-      return false;
-  }
-}
-
-}  // namespace
-
 void GridServer::worker_loop(Worker& w) {
   epoll_event events[kMaxEpollEvents];
   while (!stopping_.load(std::memory_order_acquire)) {
@@ -509,8 +452,8 @@ void GridServer::worker_loop(Worker& w) {
       Worker::Conn& c = w.conns[slot];
       if (!c.open || (c.gen & 0xFFFFu) != gen) continue;  // conn died
       c.wbuf.insert(c.wbuf.end(), r.bytes.begin(), r.bytes.end());
-      if (spans_ && span_every_ != 0 && --w.mark_countdown == 0) {
-        w.mark_countdown = span_every_;
+      if (spans_ && --w.mark_countdown == 0) {
+        w.mark_countdown = kSpanSampleEvery;
         c.marks.push_back(Worker::WriteMark{c.wbuf.size(), write_start,
                                             r.verb, r.device});
       }
@@ -580,10 +523,12 @@ void GridServer::worker_loop(Worker& w) {
           c.roff = off;
           frames_in_.fetch_add(1, std::memory_order_relaxed);
           WireRequest m;
+          // A verb outside proto::Request (a response verb or no verb at
+          // all) is kUnknownVerb; a request verb with a bad payload throws.
           proto::ErrorCode code = proto::ErrorCode::kUnknownVerb;
           bool ok = false;
           try {
-            ok = decode_request(*f, m, code);
+            ok = proto::decode_any(*f, m.msg);
           } catch (const ParseError&) {
             code = proto::ErrorCode::kBadFrame;
           }
@@ -596,11 +541,11 @@ void GridServer::worker_loop(Worker& w) {
               // clock read per frame would cost more than the width of the
               // stage it measures.
               m.t_enqueue = t_read;
-              if (span_every_ != 0 && --w.admit_countdown == 0) {
-                w.admit_countdown = span_every_;
+              if (--w.admit_countdown == 0) {
+                w.admit_countdown = kSpanSampleEvery;
                 w.admit_scratch.push_back(Worker::AdmitRec{
-                    m.device, static_cast<std::uint32_t>(m.conn),
-                    static_cast<std::uint16_t>(m.verb)});
+                    m.device(), static_cast<std::uint32_t>(m.conn),
+                    static_cast<std::uint16_t>(f->verb)});
               }
             }
             w.uplink.push(std::move(m));
@@ -726,14 +671,13 @@ std::string GridServer::render_metrics(proto::MetricsFormat format) {
   // SLO burn: violations consumed relative to the budget the objective
   // grants (budget = requests x budget_fraction). 1.0 = budget exactly
   // spent; > 1 = burning error budget.
-  const ServiceConfig& cfg = service_.config();
   const auto violations =
       static_cast<double>(service_.registry().total("slo.latency_violations"));
   const auto requests =
       static_cast<double>(service_.registry().total("rpc.requests"));
-  const double budget =
-      std::max(1.0, requests * cfg.slo_budget_fraction);
-  e.add_gauge("slo.latency_objective_seconds", cfg.slo_latency_seconds);
+  const double budget = std::max(1.0, requests * kSloBudgetFraction);
+  e.add_gauge("slo.latency_objective_seconds",
+              service_.config().slo_latency_seconds);
   e.add_gauge("slo.burn_rate", violations / budget);
 
   return format == proto::MetricsFormat::kJson ? e.json() : e.prometheus();

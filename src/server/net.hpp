@@ -9,10 +9,10 @@
 //                      spreads accepts without a handoff queue and a
 //                      connection lives its whole life on one worker.
 //                      Workers do IO and framing only: they slice frames
-//                      out of the read buffer, decode request verbs into
-//                      WireRequests stamped with the arrival time, and push
-//                      them onto their own MPSC uplink queue. They never
-//                      touch the workunit store.
+//                      out of the read buffer, decode each into the
+//                      proto::Request of a WireRequest stamped with the
+//                      arrival time, and push it onto their own MPSC
+//                      uplink queue. They never touch the workunit store.
 //
 //   1 service thread   drains every worker's uplink queue, replays the
 //                      union through GridService::process_batch — the
@@ -68,8 +68,6 @@ struct NetOptions {
   /// listener serves, plus the SLO burn computation). <= 0 disables the
   /// snapshotter; it is forced on (at 1 s) when metrics_port is set.
   double snapshot_period = 1.0;
-  /// Per-worker flight-recorder ring capacity, in span events.
-  std::size_t flight_capacity = std::size_t{1} << 14;
   /// Flight-record dumps are written as `<prefix>-<epoch-ms>.jsonl`.
   std::string flight_prefix = "flight";
 };
@@ -178,8 +176,6 @@ class GridServer {
 
   /// Cached service_.config().spans: the workers' per-frame test.
   bool spans_ = true;
-  /// Cached service_.config().span_sample_every: 1-in-N span statistics.
-  std::uint32_t span_every_ = 16;
 
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> closed_{0};

@@ -1,7 +1,7 @@
 #include "server/protocol.hpp"
 
-#include <cstring>
-#include <string_view>
+#include <bit>
+#include <type_traits>
 
 #include "util/error.hpp"
 
@@ -9,45 +9,31 @@ namespace hcmd::server::proto {
 
 namespace {
 
-/// Appends little-endian scalars to a byte vector.
+/// Appends one frame to a byte vector: length placeholder and verb up
+/// front, then little-endian fields, then the length patched by finish().
 class Writer {
  public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {
-    // Length placeholder, patched by finish().
-    frame_start_ = out_.size();
-    out_.insert(out_.end(), 4, 0);
+  Writer(std::vector<std::uint8_t>& out, Verb verb)
+      : out_(out), frame_start_(out.size()) {
+    const std::uint8_t head[5] = {0, 0, 0, 0, static_cast<std::uint8_t>(verb)};
+    out_.insert(out_.end(), head, head + 5);
   }
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v));
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
+  template <class... Ts>
+  void operator()(const Ts&... vs) {
+    (put(vs), ...);
   }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  /// Optional flags byte on 1.1 requests: written only when nonzero.
+  void tail(std::uint8_t flags) {
+    if (flags != 0) put(flags);
   }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  /// Optional 32-byte span block on 1.1 responses: written when present.
+  void tail(const std::optional<SpanBlock>& s) {
+    if (s) (*this)(s->t_read, s->t_enqueue, s->t_dequeue, s->t_decision);
   }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  /// u32 length + raw bytes (the variable-size payloads of 1.1 verbs).
-  void bytes(std::string_view v) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    out_.insert(out_.end(), v.begin(), v.end());
-  }
-  /// Optional 32-byte response tail (protocol 1.1 span echo).
-  void span(const std::optional<SpanBlock>& s) {
-    if (!s) return;
-    f64(s->t_read);
-    f64(s->t_enqueue);
-    f64(s->t_dequeue);
-    f64(s->t_decision);
+  /// Two flags packed into one byte (bit 0, bit 1).
+  void bits(bool b0, bool b1) {
+    put(static_cast<std::uint8_t>((b0 ? 1u : 0u) | (b1 ? 2u : 0u)));
   }
 
   void finish() {
@@ -55,94 +41,112 @@ class Writer {
     HCMD_ASSERT_MSG(body > 0 && body <= kMaxFrameBytes,
                     "frame body out of range");
     const auto len = static_cast<std::uint32_t>(body);
-    for (int i = 0; i < 4; ++i)
-      out_[frame_start_ + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(len >> (8 * i));
+    for (std::size_t i = 0; i < 4; ++i)
+      out_[frame_start_ + i] = static_cast<std::uint8_t>(len >> (8 * i));
   }
 
  private:
+  template <class T>
+  void put(const T& v) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      put(static_cast<std::uint32_t>(v.size()));
+      out_.insert(out_.end(), v.begin(), v.end());
+    } else if constexpr (std::is_same_v<T, double>) {
+      put(std::bit_cast<std::uint64_t>(v));
+    } else if constexpr (std::is_same_v<T, bool>) {
+      put(static_cast<std::uint8_t>(v ? 1 : 0));
+    } else if constexpr (std::is_enum_v<T>) {
+      put(static_cast<std::underlying_type_t<T>>(v));
+    } else {
+      static_assert(std::is_unsigned_v<T>);
+      // One insert per field: a push_back per byte re-checks capacity
+      // every byte.
+      std::uint8_t b[sizeof(T)];
+      for (std::size_t i = 0; i < sizeof(T); ++i)
+        b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+      out_.insert(out_.end(), b, b + sizeof(T));
+    }
+  }
+
   std::vector<std::uint8_t>& out_;
   std::size_t frame_start_;
 };
 
-/// Reads little-endian scalars from a frame payload; throws on underrun
-/// and requires the payload to be fully consumed (no trailing bytes — a
-/// layout mismatch between peers must fail loudly, not silently truncate).
+/// Reads little-endian fields from a frame payload into a default-constructed
+/// message; throws on underrun and requires the payload to be fully consumed
+/// (no trailing bytes — a layout mismatch between peers must fail loudly,
+/// not silently truncate).
 class Reader {
  public:
   Reader(const Frame& f, const char* what)
       : p_(f.payload), n_(f.size), what_(what) {}
 
-  std::uint8_t u8() {
-    need(1);
-    return p_[pos_++];
+  template <class... Ts>
+  void operator()(Ts&... vs) {
+    (get(vs), ...);
   }
-  std::uint16_t u16() {
-    need(2);
-    std::uint16_t v = static_cast<std::uint16_t>(
-        p_[pos_] | (static_cast<std::uint16_t>(p_[pos_ + 1]) << 8));
-    pos_ += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(p_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(p_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    pos_ += 8;
-    return v;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  std::string bytes() {
-    const std::uint32_t len = u32();
-    need(len);
-    std::string v(reinterpret_cast<const char*>(p_ + pos_), len);
-    pos_ += len;
-    return v;
-  }
-
-  std::size_t remaining() const { return n_ - pos_; }
-
   /// Optional trailing flags byte on 1.1 requests: exactly one byte left
   /// means flags; zero means a 1.0 frame; anything else is a layout
   /// mismatch that done() will reject.
-  std::uint8_t tail_flags() { return remaining() == 1 ? u8() : 0; }
-
+  void tail(std::uint8_t& flags) {
+    if (n_ - pos_ == 1) get(flags);
+  }
   /// Optional trailing span block on 1.1 responses (32 bytes or absent).
-  std::optional<SpanBlock> tail_span() {
-    if (remaining() != sizeof(double) * 4) return std::nullopt;
-    SpanBlock s;
-    s.t_read = f64();
-    s.t_enqueue = f64();
-    s.t_dequeue = f64();
-    s.t_decision = f64();
-    return s;
+  void tail(std::optional<SpanBlock>& s) {
+    if (n_ - pos_ != sizeof(double) * 4) return;
+    SpanBlock& b = s.emplace();
+    (*this)(b.t_read, b.t_enqueue, b.t_dequeue, b.t_decision);
+  }
+  void bits(bool& b0, bool& b1) {
+    std::uint8_t v = 0;
+    get(v);
+    b0 = (v & 1u) != 0;
+    b1 = (v & 2u) != 0;
   }
 
   void done() const {
-    if (pos_ != n_)
-      throw ParseError(std::string(what_) + ": trailing bytes in payload");
+    if (pos_ != n_) fail("trailing bytes in payload");
   }
 
  private:
+  template <class T>
+  void get(T& v) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      std::uint32_t len = 0;
+      get(len);
+      need(len);
+      v.assign(reinterpret_cast<const char*>(p_ + pos_), len);
+      pos_ += len;
+    } else if constexpr (std::is_same_v<T, double>) {
+      std::uint64_t raw = 0;
+      get(raw);
+      v = std::bit_cast<double>(raw);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      std::uint8_t b = 0;
+      get(b);
+      v = b != 0;
+    } else if constexpr (std::is_enum_v<T>) {
+      std::underlying_type_t<T> u = 0;
+      get(u);
+      v = static_cast<T>(u);
+    } else {
+      static_assert(std::is_unsigned_v<T>);
+      need(sizeof(T));
+      T x = 0;
+      for (std::size_t i = 0; i < sizeof(T); ++i)
+        x = static_cast<T>(x | (static_cast<T>(p_[pos_ + i]) << (8 * i)));
+      v = x;
+      pos_ += sizeof(T);
+    }
+  }
+
+  // The check stays inline on the hot path; only the throw is out of line.
   void need(std::size_t k) const {
-    if (pos_ + k > n_)
-      throw ParseError(std::string(what_) + ": truncated payload");
+    if (k > n_ - pos_) fail("truncated payload");
+  }
+  [[noreturn]] __attribute__((noinline, cold)) void fail(
+      const char* why) const {
+    throw ParseError(std::string(what_) + ": " + why);
   }
 
   const std::uint8_t* p_;
@@ -151,9 +155,20 @@ class Reader {
   const char* what_;
 };
 
-void check_verb(const Frame& f, Verb expect, const char* what) {
-  if (f.verb != expect)
-    throw ParseError(std::string(what) + ": wrong verb");
+/// Reads f's payload into `m`, which the caller has checked is the message
+/// f's verb names.
+template <class M>
+void read_payload(const Frame& f, M& m) {
+  Reader r(f, M::kName);
+  M::fields(r, m);
+  r.done();
+}
+
+template <class... Ms>
+bool decode_alternative(const Frame& f, std::variant<Ms...>& out) {
+  return ((f.verb == Ms::kVerb &&
+           (read_payload(f, out.template emplace<Ms>()), true)) ||
+          ...);
 }
 
 }  // namespace
@@ -162,9 +177,8 @@ std::optional<Frame> try_extract(const std::vector<std::uint8_t>& buf,
                                  std::size_t& offset) {
   if (buf.size() - offset < 4) return std::nullopt;
   std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i)
-    len |= static_cast<std::uint32_t>(buf[offset + static_cast<std::size_t>(i)])
-           << (8 * i);
+  for (std::size_t i = 0; i < 4; ++i)
+    len |= static_cast<std::uint32_t>(buf[offset + i]) << (8 * i);
   if (len == 0 || len > kMaxFrameBytes)
     throw ParseError("frame length " + std::to_string(len) +
                      " outside (0, " + std::to_string(kMaxFrameBytes) + "]");
@@ -178,347 +192,47 @@ std::optional<Frame> try_extract(const std::vector<std::uint8_t>& buf,
   return f;
 }
 
-// --- encoders --------------------------------------------------------------
-
-void encode(const RequestWork& m, std::vector<std::uint8_t>& out) {
-  Writer w(out);
-  w.u8(static_cast<std::uint8_t>(Verb::kRequestWork));
-  w.u32(m.device);
-  w.u64(m.seq);
-  if (m.flags != 0) w.u8(m.flags);
+template <class M>
+void encode(const M& m, std::vector<std::uint8_t>& out) {
+  Writer w(out, M::kVerb);
+  M::fields(w, m);
   w.finish();
 }
 
-void encode(const ReportResult& m, std::vector<std::uint8_t>& out) {
-  Writer w(out);
-  w.u8(static_cast<std::uint8_t>(Verb::kReportResult));
-  w.u32(m.device);
-  w.u64(m.seq);
-  w.u64(m.result_id);
-  w.f64(m.reported_runtime);
-  w.f64(m.reference_seconds);
-  w.u64(m.corruption_tag);
-  w.u8(static_cast<std::uint8_t>((m.computation_error ? 1u : 0u) |
-                                 (m.silent_error ? 2u : 0u)));
-  if (m.flags != 0) w.u8(m.flags);
-  w.finish();
-}
-
-void encode(const GetStatus& m, std::vector<std::uint8_t>& out) {
-  Writer w(out);
-  w.u8(static_cast<std::uint8_t>(Verb::kGetStatus));
-  w.u32(m.device);
-  w.u64(m.seq);
-  if (m.flags != 0) w.u8(m.flags);
-  w.finish();
-}
-
-void encode(const Assignment& m, std::vector<std::uint8_t>& out) {
-  Writer w(out);
-  w.u8(static_cast<std::uint8_t>(Verb::kAssignment));
-  w.u32(m.device);
-  w.u64(m.seq);
-  w.u64(m.result_id);
-  w.u32(m.workunit);
-  w.u16(m.receptor);
-  w.u16(m.ligand);
-  w.u32(m.isep_begin);
-  w.u32(m.isep_end);
-  w.f64(m.reference_seconds);
-  w.f64(m.deadline);
-  w.span(m.span);
-  w.finish();
-}
-
-void encode(const NoWork& m, std::vector<std::uint8_t>& out) {
-  Writer w(out);
-  w.u8(static_cast<std::uint8_t>(Verb::kNoWork));
-  w.u32(m.device);
-  w.u64(m.seq);
-  w.u8(m.project_complete ? 1 : 0);
-  w.span(m.span);
-  w.finish();
-}
-
-void encode(const Busy& m, std::vector<std::uint8_t>& out) {
-  Writer w(out);
-  w.u8(static_cast<std::uint8_t>(Verb::kBusy));
-  w.u32(m.device);
-  w.u64(m.seq);
-  w.f64(m.retry_after);
-  w.span(m.span);
-  w.finish();
-}
-
-void encode(const ReportAck& m, std::vector<std::uint8_t>& out) {
-  Writer w(out);
-  w.u8(static_cast<std::uint8_t>(Verb::kReportAck));
-  w.u32(m.device);
-  w.u64(m.seq);
-  w.u8(static_cast<std::uint8_t>(m.state));
-  w.u8(m.duplicate ? 1 : 0);
-  w.span(m.span);
-  w.finish();
-}
-
-void encode(const Status& m, std::vector<std::uint8_t>& out) {
-  Writer w(out);
-  w.u8(static_cast<std::uint8_t>(Verb::kStatus));
-  w.u32(m.device);
-  w.u64(m.seq);
-  w.u64(m.results_sent);
-  w.u64(m.results_received);
-  w.u64(m.results_valid);
-  w.u64(m.results_invalid);
-  w.u64(m.results_timed_out);
-  w.u64(m.workunits_completed);
-  w.u64(m.workunits_total);
-  w.u64(m.outage_denied);
-  w.u64(m.rpc_requests);
-  w.f64(m.now);
-  w.u8(m.complete ? 1 : 0);
-  w.f64(m.uptime_seconds);
-  w.u64(m.rpc_assignments);
-  w.u64(m.rpc_no_work);
-  w.u64(m.rpc_busy);
-  w.u64(m.rpc_reports);
-  w.u64(m.rpc_duplicate_reports);
-  w.u64(m.rpc_status);
-  w.u64(m.rpc_errors);
-  w.u8(m.policy);
-  w.span(m.span);
-  w.finish();
-}
-
-void encode(const ErrorMsg& m, std::vector<std::uint8_t>& out) {
-  Writer w(out);
-  w.u8(static_cast<std::uint8_t>(Verb::kError));
-  w.u32(m.device);
-  w.u64(m.seq);
-  w.u8(static_cast<std::uint8_t>(m.code));
-  w.finish();
-}
-
-void encode(const GetMetrics& m, std::vector<std::uint8_t>& out) {
-  Writer w(out);
-  w.u8(static_cast<std::uint8_t>(Verb::kGetMetrics));
-  w.u32(m.device);
-  w.u64(m.seq);
-  w.u8(static_cast<std::uint8_t>(m.format));
-  w.finish();
-}
-
-void encode(const Metrics& m, std::vector<std::uint8_t>& out) {
-  Writer w(out);
-  w.u8(static_cast<std::uint8_t>(Verb::kMetrics));
-  w.u32(m.device);
-  w.u64(m.seq);
-  w.u8(static_cast<std::uint8_t>(m.format));
-  w.bytes(m.text);
-  w.finish();
-}
-
-void encode(const DumpDiagnostics& m, std::vector<std::uint8_t>& out) {
-  Writer w(out);
-  w.u8(static_cast<std::uint8_t>(Verb::kDumpDiagnostics));
-  w.u32(m.device);
-  w.u64(m.seq);
-  w.finish();
-}
-
-void encode(const DiagnosticsAck& m, std::vector<std::uint8_t>& out) {
-  Writer w(out);
-  w.u8(static_cast<std::uint8_t>(Verb::kDiagnosticsAck));
-  w.u32(m.device);
-  w.u64(m.seq);
-  w.u64(m.events);
-  w.bytes(m.path);
-  w.finish();
-}
-
-// --- decoders --------------------------------------------------------------
-
-RequestWork decode_request_work(const Frame& f) {
-  check_verb(f, Verb::kRequestWork, "request_work");
-  Reader r(f, "request_work");
-  RequestWork m;
-  m.device = r.u32();
-  m.seq = r.u64();
-  m.flags = r.tail_flags();
-  r.done();
+template <class M>
+M decode(const Frame& f) {
+  if (f.verb != M::kVerb)
+    throw ParseError(std::string(M::kName) + ": wrong verb");
+  M m;
+  read_payload(f, m);
   return m;
 }
 
-ReportResult decode_report_result(const Frame& f) {
-  check_verb(f, Verb::kReportResult, "report_result");
-  Reader r(f, "report_result");
-  ReportResult m;
-  m.device = r.u32();
-  m.seq = r.u64();
-  m.result_id = r.u64();
-  m.reported_runtime = r.f64();
-  m.reference_seconds = r.f64();
-  m.corruption_tag = r.u64();
-  const std::uint8_t flags = r.u8();
-  m.computation_error = (flags & 1u) != 0;
-  m.silent_error = (flags & 2u) != 0;
-  m.flags = r.tail_flags();
-  r.done();
-  return m;
+template <class V>
+bool decode_any(const Frame& f, V& out) {
+  return decode_alternative(f, out);
 }
 
-GetStatus decode_get_status(const Frame& f) {
-  check_verb(f, Verb::kGetStatus, "get_status");
-  Reader r(f, "get_status");
-  GetStatus m;
-  m.device = r.u32();
-  m.seq = r.u64();
-  m.flags = r.tail_flags();
-  r.done();
-  return m;
-}
-
-Assignment decode_assignment(const Frame& f) {
-  check_verb(f, Verb::kAssignment, "assignment");
-  Reader r(f, "assignment");
-  Assignment m;
-  m.device = r.u32();
-  m.seq = r.u64();
-  m.result_id = r.u64();
-  m.workunit = r.u32();
-  m.receptor = r.u16();
-  m.ligand = r.u16();
-  m.isep_begin = r.u32();
-  m.isep_end = r.u32();
-  m.reference_seconds = r.f64();
-  m.deadline = r.f64();
-  m.span = r.tail_span();
-  r.done();
-  return m;
-}
-
-NoWork decode_no_work(const Frame& f) {
-  check_verb(f, Verb::kNoWork, "no_work");
-  Reader r(f, "no_work");
-  NoWork m;
-  m.device = r.u32();
-  m.seq = r.u64();
-  m.project_complete = r.u8() != 0;
-  m.span = r.tail_span();
-  r.done();
-  return m;
-}
-
-Busy decode_busy(const Frame& f) {
-  check_verb(f, Verb::kBusy, "busy");
-  Reader r(f, "busy");
-  Busy m;
-  m.device = r.u32();
-  m.seq = r.u64();
-  m.retry_after = r.f64();
-  m.span = r.tail_span();
-  r.done();
-  return m;
-}
-
-ReportAck decode_report_ack(const Frame& f) {
-  check_verb(f, Verb::kReportAck, "report_ack");
-  Reader r(f, "report_ack");
-  ReportAck m;
-  m.device = r.u32();
-  m.seq = r.u64();
-  m.state = static_cast<server::ResultState>(r.u8());
-  m.duplicate = r.u8() != 0;
-  m.span = r.tail_span();
-  r.done();
-  return m;
-}
-
-Status decode_status(const Frame& f) {
-  check_verb(f, Verb::kStatus, "status");
-  Reader r(f, "status");
-  Status m;
-  m.device = r.u32();
-  m.seq = r.u64();
-  m.results_sent = r.u64();
-  m.results_received = r.u64();
-  m.results_valid = r.u64();
-  m.results_invalid = r.u64();
-  m.results_timed_out = r.u64();
-  m.workunits_completed = r.u64();
-  m.workunits_total = r.u64();
-  m.outage_denied = r.u64();
-  m.rpc_requests = r.u64();
-  m.now = r.f64();
-  m.complete = r.u8() != 0;
-  m.uptime_seconds = r.f64();
-  m.rpc_assignments = r.u64();
-  m.rpc_no_work = r.u64();
-  m.rpc_busy = r.u64();
-  m.rpc_reports = r.u64();
-  m.rpc_duplicate_reports = r.u64();
-  m.rpc_status = r.u64();
-  m.rpc_errors = r.u64();
-  m.policy = r.u8();
-  m.span = r.tail_span();
-  r.done();
-  return m;
-}
-
-ErrorMsg decode_error(const Frame& f) {
-  check_verb(f, Verb::kError, "error");
-  Reader r(f, "error");
-  ErrorMsg m;
-  m.device = r.u32();
-  m.seq = r.u64();
-  m.code = static_cast<ErrorCode>(r.u8());
-  r.done();
-  return m;
-}
-
-GetMetrics decode_get_metrics(const Frame& f) {
-  check_verb(f, Verb::kGetMetrics, "get_metrics");
-  Reader r(f, "get_metrics");
-  GetMetrics m;
-  m.device = r.u32();
-  m.seq = r.u64();
-  m.format = static_cast<MetricsFormat>(r.u8());
-  r.done();
-  return m;
-}
-
-Metrics decode_metrics(const Frame& f) {
-  check_verb(f, Verb::kMetrics, "metrics");
-  Reader r(f, "metrics");
-  Metrics m;
-  m.device = r.u32();
-  m.seq = r.u64();
-  m.format = static_cast<MetricsFormat>(r.u8());
-  m.text = r.bytes();
-  r.done();
-  return m;
-}
-
-DumpDiagnostics decode_dump_diagnostics(const Frame& f) {
-  check_verb(f, Verb::kDumpDiagnostics, "dump_diagnostics");
-  Reader r(f, "dump_diagnostics");
-  DumpDiagnostics m;
-  m.device = r.u32();
-  m.seq = r.u64();
-  r.done();
-  return m;
-}
-
-DiagnosticsAck decode_diagnostics_ack(const Frame& f) {
-  check_verb(f, Verb::kDiagnosticsAck, "diagnostics_ack");
-  Reader r(f, "diagnostics_ack");
-  DiagnosticsAck m;
-  m.device = r.u32();
-  m.seq = r.u64();
-  m.events = r.u64();
-  m.path = r.bytes();
-  r.done();
-  return m;
-}
+// The templates are defined here, not in the header, so the Writer and
+// Reader stay out of every send site: one explicit instantiation per message.
+#define HCMD_PROTO_MESSAGE(M)                                     \
+  template void encode<M>(const M&, std::vector<std::uint8_t>&); \
+  template M decode<M>(const Frame&);
+HCMD_PROTO_MESSAGE(RequestWork)
+HCMD_PROTO_MESSAGE(ReportResult)
+HCMD_PROTO_MESSAGE(GetStatus)
+HCMD_PROTO_MESSAGE(GetMetrics)
+HCMD_PROTO_MESSAGE(DumpDiagnostics)
+HCMD_PROTO_MESSAGE(Assignment)
+HCMD_PROTO_MESSAGE(NoWork)
+HCMD_PROTO_MESSAGE(Busy)
+HCMD_PROTO_MESSAGE(ReportAck)
+HCMD_PROTO_MESSAGE(Status)
+HCMD_PROTO_MESSAGE(ErrorMsg)
+HCMD_PROTO_MESSAGE(Metrics)
+HCMD_PROTO_MESSAGE(DiagnosticsAck)
+#undef HCMD_PROTO_MESSAGE
+template bool decode_any<Request>(const Frame&, Request&);
+template bool decode_any<Reply>(const Frame&, Reply&);
 
 }  // namespace hcmd::server::proto

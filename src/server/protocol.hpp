@@ -39,17 +39,27 @@
 // never sees the tails it does not know. kGetMetrics/kDumpDiagnostics are
 // new verbs, which 1.0 servers answer with kError{kUnknownVerb}.
 //
-// Encoding and decoding are branchy-but-trivial byte shifts (no struct
-// punning, so the wire format is identical on any host endianness).
-// Decoders throw hcmd::ParseError on truncated or malformed payloads; the
-// frame extractor rejects oversized lengths before buffering, which is the
-// only flood-control a length-prefixed protocol needs.
+// Each message struct declares its layout once, as a field list:
+// `fields(io, m)` names the fields in wire order, `io.tail(...)` marks a
+// 1.1 optional tail and `io.bits(...)` packs two flags into one byte. One
+// encode and one decode template walk that list, so a message cannot be
+// written one way and read another. Scalars are byte shifts (no struct
+// punning, so the wire format is identical on any host endianness); a
+// string is a u32 length plus its bytes.
+//
+// Decoding is strict and throws hcmd::ParseError on a wrong verb, a
+// truncated payload or trailing bytes that fit no tail. decode_any()
+// decodes a frame into whichever alternative of Request or Reply its verb
+// names and returns false for a verb from the other direction or none.
+// The frame extractor rejects oversized lengths before buffering, which
+// is the only flood-control a length-prefixed protocol needs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "server/server.hpp"
@@ -113,13 +123,23 @@ struct SpanBlock {
 // --- message structs -------------------------------------------------------
 
 struct RequestWork {
+  static constexpr Verb kVerb = Verb::kRequestWork;
+  static constexpr const char* kName = "request_work";
   std::uint32_t device = 0;
   std::uint64_t seq = 0;
   /// kFlag* bits; encoded only when nonzero (1.0-compatible).
   std::uint8_t flags = 0;
+
+  template <class Io, class M>
+  static void fields(Io& io, M& m) {
+    io(m.device, m.seq);
+    io.tail(m.flags);
+  }
 };
 
 struct ReportResult {
+  static constexpr Verb kVerb = Verb::kReportResult;
+  static constexpr const char* kName = "report_result";
   std::uint32_t device = 0;
   std::uint64_t seq = 0;
   std::uint64_t result_id = 0;
@@ -130,6 +150,14 @@ struct ReportResult {
   bool silent_error = false;
   /// kFlag* bits; encoded only when nonzero (1.0-compatible).
   std::uint8_t flags = 0;
+
+  template <class Io, class M>
+  static void fields(Io& io, M& m) {
+    io(m.device, m.seq, m.result_id, m.reported_runtime, m.reference_seconds,
+       m.corruption_tag);
+    io.bits(m.computation_error, m.silent_error);
+    io.tail(m.flags);
+  }
 
   server::ResultReport to_report() const {
     server::ResultReport r;
@@ -143,13 +171,23 @@ struct ReportResult {
 };
 
 struct GetStatus {
+  static constexpr Verb kVerb = Verb::kGetStatus;
+  static constexpr const char* kName = "get_status";
   std::uint32_t device = 0;
   std::uint64_t seq = 0;
   /// kFlag* bits; encoded only when nonzero (1.0-compatible).
   std::uint8_t flags = 0;
+
+  template <class Io, class M>
+  static void fields(Io& io, M& m) {
+    io(m.device, m.seq);
+    io.tail(m.flags);
+  }
 };
 
 struct Assignment {
+  static constexpr Verb kVerb = Verb::kAssignment;
+  static constexpr const char* kName = "assignment";
   std::uint32_t device = 0;
   std::uint64_t seq = 0;
   std::uint64_t result_id = 0;
@@ -161,24 +199,49 @@ struct Assignment {
   double reference_seconds = 0.0;
   double deadline = 0.0;
   std::optional<SpanBlock> span;  ///< only when the request set kFlagWantSpan
+
+  template <class Io, class M>
+  static void fields(Io& io, M& m) {
+    io(m.device, m.seq, m.result_id, m.workunit, m.receptor, m.ligand,
+       m.isep_begin, m.isep_end, m.reference_seconds, m.deadline);
+    io.tail(m.span);
+  }
 };
 
 struct NoWork {
+  static constexpr Verb kVerb = Verb::kNoWork;
+  static constexpr const char* kName = "no_work";
   std::uint32_t device = 0;
   std::uint64_t seq = 0;
   bool project_complete = false;
   std::optional<SpanBlock> span;
+
+  template <class Io, class M>
+  static void fields(Io& io, M& m) {
+    io(m.device, m.seq, m.project_complete);
+    io.tail(m.span);
+  }
 };
 
 struct Busy {
+  static constexpr Verb kVerb = Verb::kBusy;
+  static constexpr const char* kName = "busy";
   std::uint32_t device = 0;
   std::uint64_t seq = 0;
   /// Hint: seconds (service time) until the outage window closes.
   double retry_after = 0.0;
   std::optional<SpanBlock> span;
+
+  template <class Io, class M>
+  static void fields(Io& io, M& m) {
+    io(m.device, m.seq, m.retry_after);
+    io.tail(m.span);
+  }
 };
 
 struct ReportAck {
+  static constexpr Verb kVerb = Verb::kReportAck;
+  static constexpr const char* kName = "report_ack";
   std::uint32_t device = 0;
   std::uint64_t seq = 0;
   server::ResultState state = server::ResultState::kInProgress;
@@ -186,9 +249,17 @@ struct ReportAck {
   /// network retry after a lost ack): the server state did not change.
   bool duplicate = false;
   std::optional<SpanBlock> span;
+
+  template <class Io, class M>
+  static void fields(Io& io, M& m) {
+    io(m.device, m.seq, m.state, m.duplicate);
+    io.tail(m.span);
+  }
 };
 
 struct Status {
+  static constexpr Verb kVerb = Verb::kStatus;
+  static constexpr const char* kName = "status";
   std::uint32_t device = 0;
   std::uint64_t seq = 0;
   std::uint64_t results_sent = 0;
@@ -215,40 +286,93 @@ struct Status {
   /// server::PolicyKind of the validation policy the server runs.
   std::uint8_t policy = 0;
   std::optional<SpanBlock> span;
+
+  template <class Io, class M>
+  static void fields(Io& io, M& m) {
+    io(m.device, m.seq, m.results_sent, m.results_received, m.results_valid,
+       m.results_invalid, m.results_timed_out, m.workunits_completed,
+       m.workunits_total, m.outage_denied, m.rpc_requests, m.now, m.complete,
+       m.uptime_seconds, m.rpc_assignments, m.rpc_no_work, m.rpc_busy,
+       m.rpc_reports, m.rpc_duplicate_reports, m.rpc_status, m.rpc_errors,
+       m.policy);
+    io.tail(m.span);
+  }
 };
 
 struct ErrorMsg {
+  static constexpr Verb kVerb = Verb::kError;
+  static constexpr const char* kName = "error";
   std::uint32_t device = 0;
   std::uint64_t seq = 0;
   ErrorCode code = ErrorCode::kBadFrame;
+
+  template <class Io, class M>
+  static void fields(Io& io, M& m) {
+    io(m.device, m.seq, m.code);
+  }
 };
 
 struct GetMetrics {
+  static constexpr Verb kVerb = Verb::kGetMetrics;
+  static constexpr const char* kName = "get_metrics";
   std::uint32_t device = 0;
   std::uint64_t seq = 0;
   MetricsFormat format = MetricsFormat::kPrometheus;
+
+  template <class Io, class M>
+  static void fields(Io& io, M& m) {
+    io(m.device, m.seq, m.format);
+  }
 };
 
 struct Metrics {
+  static constexpr Verb kVerb = Verb::kMetrics;
+  static constexpr const char* kName = "metrics";
   std::uint32_t device = 0;
   std::uint64_t seq = 0;
   MetricsFormat format = MetricsFormat::kPrometheus;
   /// Rendered exposition text; the server clamps it so the frame fits
   /// kMaxFrameBytes.
   std::string text;
+
+  template <class Io, class M>
+  static void fields(Io& io, M& m) {
+    io(m.device, m.seq, m.format, m.text);
+  }
 };
 
 struct DumpDiagnostics {
+  static constexpr Verb kVerb = Verb::kDumpDiagnostics;
+  static constexpr const char* kName = "dump_diagnostics";
   std::uint32_t device = 0;
   std::uint64_t seq = 0;
+
+  template <class Io, class M>
+  static void fields(Io& io, M& m) {
+    io(m.device, m.seq);
+  }
 };
 
 struct DiagnosticsAck {
+  static constexpr Verb kVerb = Verb::kDiagnosticsAck;
+  static constexpr const char* kName = "diagnostics_ack";
   std::uint32_t device = 0;
   std::uint64_t seq = 0;
   std::uint64_t events = 0;  ///< trace events written to the flight file
   std::string path;          ///< server-local path of the JSONL dump
+
+  template <class Io, class M>
+  static void fields(Io& io, M& m) {
+    io(m.device, m.seq, m.events, m.path);
+  }
 };
+
+/// Every message a client may send, and every message a server answers
+/// with. Together they name each message struct exactly once.
+using Request = std::variant<RequestWork, ReportResult, GetStatus, GetMetrics,
+                             DumpDiagnostics>;
+using Reply = std::variant<Assignment, NoWork, Busy, ReportAck, Status,
+                           ErrorMsg, Metrics, DiagnosticsAck>;
 
 // --- framing ---------------------------------------------------------------
 
@@ -266,36 +390,21 @@ struct Frame {
 std::optional<Frame> try_extract(const std::vector<std::uint8_t>& buf,
                                  std::size_t& offset);
 
-// --- encoders (append one frame to `out`) ----------------------------------
+// --- codec (defined for the message structs above) -------------------------
 
-void encode(const RequestWork& m, std::vector<std::uint8_t>& out);
-void encode(const ReportResult& m, std::vector<std::uint8_t>& out);
-void encode(const GetStatus& m, std::vector<std::uint8_t>& out);
-void encode(const Assignment& m, std::vector<std::uint8_t>& out);
-void encode(const NoWork& m, std::vector<std::uint8_t>& out);
-void encode(const Busy& m, std::vector<std::uint8_t>& out);
-void encode(const ReportAck& m, std::vector<std::uint8_t>& out);
-void encode(const Status& m, std::vector<std::uint8_t>& out);
-void encode(const ErrorMsg& m, std::vector<std::uint8_t>& out);
-void encode(const GetMetrics& m, std::vector<std::uint8_t>& out);
-void encode(const Metrics& m, std::vector<std::uint8_t>& out);
-void encode(const DumpDiagnostics& m, std::vector<std::uint8_t>& out);
-void encode(const DiagnosticsAck& m, std::vector<std::uint8_t>& out);
+/// Appends one frame carrying `m` to `out`.
+template <class M>
+void encode(const M& m, std::vector<std::uint8_t>& out);
 
-// --- decoders (throw ParseError on size/layout mismatch) -------------------
+/// Decodes a frame of M's verb. Throws ParseError on a wrong verb or a
+/// payload that does not match M's layout.
+template <class M>
+M decode(const Frame& f);
 
-RequestWork decode_request_work(const Frame& f);
-ReportResult decode_report_result(const Frame& f);
-GetStatus decode_get_status(const Frame& f);
-Assignment decode_assignment(const Frame& f);
-NoWork decode_no_work(const Frame& f);
-Busy decode_busy(const Frame& f);
-ReportAck decode_report_ack(const Frame& f);
-Status decode_status(const Frame& f);
-ErrorMsg decode_error(const Frame& f);
-GetMetrics decode_get_metrics(const Frame& f);
-Metrics decode_metrics(const Frame& f);
-DumpDiagnostics decode_dump_diagnostics(const Frame& f);
-DiagnosticsAck decode_diagnostics_ack(const Frame& f);
+/// Decodes `f` into the alternative of `out` (Request or Reply) whose verb
+/// it carries. Returns false, leaving `out` alone, when no alternative has
+/// that verb; throws ParseError when the payload does not match.
+template <class V>
+bool decode_any(const Frame& f, V& out);
 
 }  // namespace hcmd::server::proto

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <string>
 #include <utility>
+#include <variant>
 
 #include "obs/exposition.hpp"
 #include "util/error.hpp"
@@ -14,6 +15,14 @@ namespace {
 
 /// Flight-recorder ring size (events) for the service-side tracer.
 constexpr std::size_t kTraceCapacity = std::size_t{1} << 14;
+
+/// One visitor from a set of per-alternative lambdas.
+template <class... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+template <class... Fs>
+Overloaded(Fs...) -> Overloaded<Fs...>;
 
 }  // namespace
 
@@ -50,12 +59,8 @@ GridService::GridService(std::vector<packaging::Workunit> catalog,
         o.sample_every = {0, 0, 0, 0, 0, 1};
         return o;
       }()) {
-  if (config_.max_devices == 0)
-    throw ConfigError("service: max_devices must be positive");
   if (config_.slo_latency_seconds <= 0.0)
     throw ConfigError("service: slo_latency_seconds must be positive");
-  if (config_.slo_budget_fraction <= 0.0 || config_.slo_budget_fraction > 1.0)
-    throw ConfigError("service: slo_budget_fraction must be in (0, 1]");
   faults_.set_instruments(nullptr, &registry_);
   project_.set_instruments(nullptr, &registry_);
   // The service refuses outage-window traffic itself, with an explicit
@@ -96,7 +101,7 @@ void GridService::process_batch(std::vector<WireRequest>& batch, double now,
   for (const WireRequest& m : batch) {
     replayer_.fire_until(m.time);
     apply(m, out);
-    if (m.verb == proto::Verb::kRequestWork)
+    if (std::holds_alternative<proto::RequestWork>(m.msg))
       registry_.observe(hist_issue_wait_, std::max(0.0, now - m.time));
   }
   replayer_.fire_until(now);
@@ -119,20 +124,22 @@ __attribute__((noinline)) void GridService::note_span(const WireRequest& m,
                                                       double t_read,
                                                       double t_deq,
                                                       double t_dec) {
-  span_countdown_ = config_.span_sample_every;
-  const auto cls = static_cast<std::size_t>(rpc_class(m.verb));
+  span_countdown_ = kSpanSampleEvery;
+  const auto cls = static_cast<std::size_t>(rpc_class(m.verb()));
   registry_.observe(hist_queue_wait_[cls], t_deq - t_read);
   registry_.observe(hist_service_[cls], t_dec - t_deq);
   const double wait_us = (t_deq - t_read) * 1e6;
   tracer_.record(
-      obs::TraceCat::kRpc, obs::TraceEv::kRpcDecide, t_dec, m.device,
+      obs::TraceCat::kRpc, obs::TraceEv::kRpcDecide, t_dec, m.device(),
       static_cast<std::uint32_t>(std::min(wait_us, 4.0e9)),
-      static_cast<std::uint16_t>(m.verb));
+      static_cast<std::uint16_t>(m.verb()));
 }
 
 template <typename Msg>
 void GridService::send(const WireRequest& m, std::vector<WireResponse>& out,
                        Msg msg) {
+  msg.device = m.device();
+  msg.seq = m.seq();
   // Monotone re-clamp of the timeline: directly-constructed requests may
   // carry a zero t_enqueue, and the injected wall clock may race the batch
   // stamp by a cycle; the published span is always ordered.
@@ -144,15 +151,14 @@ void GridService::send(const WireRequest& m, std::vector<WireResponse>& out,
 
   if (config_.spans) {
     // Exact lane: the SLO ledger is a compare on stamps already in hand.
-    if (m.verb == proto::Verb::kRequestWork &&
+    if (std::holds_alternative<proto::RequestWork>(m.msg) &&
         t_dec - t_read > config_.slo_latency_seconds)
       registry_.add(ctr_slo_violations_);
     // Sampled lane: countdown instead of modulo (no divide per RPC); the
     // slow path resets the cursor and records.
-    if (config_.span_sample_every != 0 && --span_countdown_ == 0)
-      note_span(m, t_read, t_deq, t_dec);
+    if (--span_countdown_ == 0) note_span(m, t_read, t_deq, t_dec);
     if constexpr (requires { msg.span; }) {
-      if ((m.flags & proto::kFlagWantSpan) != 0)
+      if ((m.flags() & proto::kFlagWantSpan) != 0)
         msg.span = proto::SpanBlock{t_read, t_enq, t_deq, t_dec};
     }
   }
@@ -160,9 +166,9 @@ void GridService::send(const WireRequest& m, std::vector<WireResponse>& out,
   out.emplace_back();
   WireResponse& r = out.back();
   r.conn = m.conn;
-  r.verb = m.verb;  // the *request* verb: the write-time attribution key
-  r.device = m.device;
-  r.seq = m.seq;
+  r.verb = m.verb();  // the *request* verb: the write-time attribution key
+  r.device = msg.device;
+  r.seq = msg.seq;
   r.t_decision = t_dec;
   proto::encode(msg, r.bytes);
 }
@@ -171,8 +177,6 @@ void GridService::respond_busy(const WireRequest& m,
                                std::vector<WireResponse>& out) {
   registry_.add(ctr_busy_);
   proto::Busy busy;
-  busy.device = m.device;
-  busy.seq = m.seq;
   busy.retry_after = faults_.outage_end_after(m.time) - m.time;
   send(m, out, busy);
 }
@@ -205,160 +209,130 @@ void GridService::apply(const WireRequest& m, std::vector<WireResponse>& out) {
   const auto error = [&](proto::ErrorCode code) {
     registry_.add(ctr_errors_);
     proto::ErrorMsg e;
-    e.device = m.device;
-    e.seq = m.seq;
     e.code = code;
     send(m, out, e);
   };
 
-  if (m.device >= config_.max_devices &&
-      m.verb != proto::Verb::kGetStatus) {
+  if (m.device() >= kMaxDevices &&
+      !std::holds_alternative<proto::GetStatus>(m.msg)) {
     error(proto::ErrorCode::kBadFrame);
     return;
   }
 
-  switch (m.verb) {
-    case proto::Verb::kRequestWork: {
-      if (faults_.active() && faults_.server_down(m.time)) {
-        // The simulated fleet never asks while the server is down; a wire
-        // client is told so explicitly, to tell "come back after the
-        // outage" from "no work left".
-        faults_.note_outage_denied(m.time, m.device);
-        respond_busy(m, out);
-        return;
-      }
-      const std::optional<Assignment> a = project_.request_work(m.device, m.time);
-      if (a.has_value()) {
-        registry_.add(ctr_assignments_);
-        replayer_.arm(a->result_id, a->deadline);
-        proto::Assignment wire;
-        wire.device = m.device;
-        wire.seq = m.seq;
-        wire.result_id = a->result_id;
-        wire.workunit = a->workunit.id;
-        wire.receptor = a->workunit.receptor;
-        wire.ligand = a->workunit.ligand;
-        wire.isep_begin = a->workunit.isep_begin;
-        wire.isep_end = a->workunit.isep_end;
-        wire.reference_seconds = a->workunit.reference_seconds;
-        wire.deadline = a->deadline;
-        send(m, out, wire);
-      } else {
-        registry_.add(ctr_no_work_);
-        proto::NoWork wire;
-        wire.device = m.device;
-        wire.seq = m.seq;
-        wire.project_complete = project_.complete();
-        send(m, out, wire);
-      }
-      return;
-    }
+  std::visit(Overloaded{
+      [&](const proto::RequestWork& req) {
+        if (faults_.active() && faults_.server_down(m.time)) {
+          // The simulated fleet never asks while the server is down; a wire
+          // client is told so explicitly, to tell "come back after the
+          // outage" from "no work left".
+          faults_.note_outage_denied(m.time, req.device);
+          respond_busy(m, out);
+          return;
+        }
+        const std::optional<Assignment> a =
+            project_.request_work(req.device, m.time);
+        if (a.has_value()) {
+          registry_.add(ctr_assignments_);
+          replayer_.arm(a->result_id, a->deadline);
+          proto::Assignment wire;
+          wire.result_id = a->result_id;
+          wire.workunit = a->workunit.id;
+          wire.receptor = a->workunit.receptor;
+          wire.ligand = a->workunit.ligand;
+          wire.isep_begin = a->workunit.isep_begin;
+          wire.isep_end = a->workunit.isep_end;
+          wire.reference_seconds = a->workunit.reference_seconds;
+          wire.deadline = a->deadline;
+          send(m, out, wire);
+        } else {
+          registry_.add(ctr_no_work_);
+          proto::NoWork wire;
+          wire.project_complete = project_.complete();
+          send(m, out, wire);
+        }
+      },
 
-    case proto::Verb::kReportResult: {
-      if (faults_.active() && faults_.server_down(m.time)) {
-        // A dark server cannot accept returns either; the simulated fleet
-        // buffers its upload client-side and retries, and a wire client
-        // must do the same.
-        respond_busy(m, out);
-        return;
-      }
-      if (m.result_id >= project_.counters().results_sent) {
-        error(proto::ErrorCode::kUnknownResult);
-        return;
-      }
-      registry_.add(ctr_reports_);
-      server::ResultReport report;
-      report.computation_error = m.computation_error;
-      report.silent_error = m.silent_error;
-      report.reported_runtime = m.reported_runtime;
-      report.reference_seconds = m.reference_seconds;
-      report.corruption_tag = m.corruption_tag;
-      bool duplicate = false;
-      const ResultState state =
-          project_.report_result_idempotent(m.result_id, m.time, report,
-                                            &duplicate);
-      if (duplicate) {
-        registry_.add(ctr_duplicate_reports_);
-      } else {
-        // The result is in: retire its deadline tick eagerly (no-op for
-        // late uploads whose tick already fired).
-        replayer_.disarm(m.result_id);
-      }
-      proto::ReportAck ack;
-      ack.device = m.device;
-      ack.seq = m.seq;
-      ack.state = state;
-      ack.duplicate = duplicate;
-      send(m, out, ack);
-      return;
-    }
+      [&](const proto::ReportResult& r) {
+        if (faults_.active() && faults_.server_down(m.time)) {
+          // A dark server cannot accept returns either; the simulated
+          // fleet buffers its upload client-side and retries, and a wire
+          // client must do the same.
+          respond_busy(m, out);
+          return;
+        }
+        if (r.result_id >= project_.counters().results_sent) {
+          error(proto::ErrorCode::kUnknownResult);
+          return;
+        }
+        registry_.add(ctr_reports_);
+        bool duplicate = false;
+        const ResultState state = project_.report_result_idempotent(
+            r.result_id, m.time, r.to_report(), &duplicate);
+        if (duplicate) {
+          registry_.add(ctr_duplicate_reports_);
+        } else {
+          // The result is in: retire its deadline tick eagerly (no-op for
+          // late uploads whose tick already fired).
+          replayer_.disarm(r.result_id);
+        }
+        proto::ReportAck ack;
+        ack.state = state;
+        ack.duplicate = duplicate;
+        send(m, out, ack);
+      },
 
-    case proto::Verb::kGetStatus: {
-      registry_.add(ctr_status_);
-      const ServerCounters& c = project_.counters();
-      proto::Status s;
-      s.device = m.device;
-      s.seq = m.seq;
-      s.results_sent = c.results_sent;
-      s.results_received = c.results_received;
-      s.results_valid = c.results_valid;
-      s.results_invalid = c.results_invalid;
-      s.results_timed_out = c.results_timed_out;
-      s.workunits_completed = c.workunits_completed;
-      s.workunits_total = project_.catalog().size();
-      s.outage_denied = faults_.counters().outage_denied_requests;
-      s.rpc_requests = rpc_requests_;
-      s.now = std::max(now_, m.time);
-      s.complete = project_.complete();
-      s.uptime_seconds =
-          time_scale_ > 0.0 ? s.now / time_scale_ : s.now;
-      s.rpc_assignments = registry_.total(ctr_assignments_);
-      s.rpc_no_work = registry_.total(ctr_no_work_);
-      s.rpc_busy = registry_.total(ctr_busy_);
-      s.rpc_reports = registry_.total(ctr_reports_);
-      s.rpc_duplicate_reports = registry_.total(ctr_duplicate_reports_);
-      s.rpc_status = registry_.total(ctr_status_);
-      s.rpc_errors = registry_.total(ctr_errors_);
-      s.policy = static_cast<std::uint8_t>(config_.server.policy);
-      send(m, out, s);
-      return;
-    }
+      [&](const proto::GetStatus&) {
+        registry_.add(ctr_status_);
+        const ServerCounters& c = project_.counters();
+        proto::Status s;
+        s.results_sent = c.results_sent;
+        s.results_received = c.results_received;
+        s.results_valid = c.results_valid;
+        s.results_invalid = c.results_invalid;
+        s.results_timed_out = c.results_timed_out;
+        s.workunits_completed = c.workunits_completed;
+        s.workunits_total = project_.catalog().size();
+        s.outage_denied = faults_.counters().outage_denied_requests;
+        s.rpc_requests = rpc_requests_;
+        s.now = std::max(now_, m.time);
+        s.complete = project_.complete();
+        s.uptime_seconds = time_scale_ > 0.0 ? s.now / time_scale_ : s.now;
+        s.rpc_assignments = registry_.total(ctr_assignments_);
+        s.rpc_no_work = registry_.total(ctr_no_work_);
+        s.rpc_busy = registry_.total(ctr_busy_);
+        s.rpc_reports = registry_.total(ctr_reports_);
+        s.rpc_duplicate_reports = registry_.total(ctr_duplicate_reports_);
+        s.rpc_status = registry_.total(ctr_status_);
+        s.rpc_errors = registry_.total(ctr_errors_);
+        s.policy = static_cast<std::uint8_t>(config_.server.policy);
+        send(m, out, s);
+      },
 
-    case proto::Verb::kGetMetrics: {
-      registry_.add(ctr_metrics_);
-      proto::Metrics reply;
-      reply.device = m.device;
-      reply.seq = m.seq;
-      reply.format = m.metrics_format;
-      reply.text = metrics_provider_ ? metrics_provider_(m.metrics_format)
-                                     : default_metrics(m.metrics_format);
-      // Keep the frame under the protocol cap: verb + fixed fields + the
-      // length-prefixed text must fit kMaxFrameBytes.
-      constexpr std::size_t kHeadroom = 64;
-      if (reply.text.size() > proto::kMaxFrameBytes - kHeadroom)
-        reply.text.resize(proto::kMaxFrameBytes - kHeadroom);
-      send(m, out, reply);
-      return;
-    }
+      [&](const proto::GetMetrics& q) {
+        registry_.add(ctr_metrics_);
+        proto::Metrics reply;
+        reply.format = q.format;
+        reply.text = metrics_provider_ ? metrics_provider_(q.format)
+                                       : default_metrics(q.format);
+        // Keep the frame under the protocol cap: verb + fixed fields + the
+        // length-prefixed text must fit kMaxFrameBytes.
+        constexpr std::size_t kHeadroom = 64;
+        if (reply.text.size() > proto::kMaxFrameBytes - kHeadroom)
+          reply.text.resize(proto::kMaxFrameBytes - kHeadroom);
+        send(m, out, reply);
+      },
 
-    case proto::Verb::kDumpDiagnostics: {
-      registry_.add(ctr_diagnostics_);
-      const std::pair<std::string, std::uint64_t> dumped =
-          diagnostics_sink_ ? diagnostics_sink_()
-                            : default_diagnostics_dump();
-      proto::DiagnosticsAck ack;
-      ack.device = m.device;
-      ack.seq = m.seq;
-      ack.events = dumped.second;
-      ack.path = dumped.first;
-      send(m, out, ack);
-      return;
-    }
-
-    default:
-      error(proto::ErrorCode::kUnknownVerb);
-      return;
-  }
+      [&](const proto::DumpDiagnostics&) {
+        registry_.add(ctr_diagnostics_);
+        const std::pair<std::string, std::uint64_t> dumped =
+            diagnostics_sink_ ? diagnostics_sink_()
+                              : default_diagnostics_dump();
+        proto::DiagnosticsAck ack;
+        ack.events = dumped.second;
+        ack.path = dumped.first;
+        send(m, out, ack);
+      },
+  }, m.msg);
 }
 
 std::vector<packaging::Workunit> synthetic_catalog(std::uint32_t count,

@@ -30,6 +30,7 @@
 #include <functional>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "faults/plan.hpp"
@@ -44,30 +45,29 @@
 
 namespace hcmd::server {
 
+/// Devices with ids >= this are rejected (kBadFrame) instead of growing
+/// the per-device history arrays without bound on hostile input.
+inline constexpr std::uint32_t kMaxDevices = 1u << 24;
+
+/// Deterministic 1-in-N sampling for the span *statistics* (stage
+/// histograms and flight-recorder events). Counters, the SLO violation
+/// count and per-request span echoes stay exact regardless — sampling only
+/// thins the distribution estimates, which converge fine from a 1/16
+/// systematic sample at any realistic request rate, and it is what keeps
+/// spans-on within the 1.05x throughput gate.
+inline constexpr std::uint32_t kSpanSampleEvery = 16;
+
 struct ServiceConfig {
   ServerConfig server;
   faults::FaultPlan faults;
-  /// Devices with ids >= this are rejected (kBadFrame) instead of growing
-  /// the per-device history arrays without bound on hostile input.
-  std::uint32_t max_devices = 1u << 24;
   std::uint64_t seed = 0x5e44e3;
   /// Per-RPC span accounting: stage histograms, SLO tracking, and the span
   /// echo for clients that set kFlagWantSpan. Off = zero per-request cost
   /// beyond the existing counters (the bench gate's control arm).
   bool spans = true;
   /// Latency objective for request_work (server-side total, service
-  /// seconds) and the error-budget fraction it may miss; the snapshotter
-  /// turns these into an SLO burn gauge.
+  /// seconds); the snapshotter turns it into an SLO burn gauge.
   double slo_latency_seconds = 0.005;
-  double slo_budget_fraction = 0.001;
-  /// Deterministic 1-in-N sampling for the span *statistics* (stage
-  /// histograms and flight-recorder events). Counters, the SLO violation
-  /// count and per-request span echoes stay exact regardless — sampling
-  /// only thins the distribution estimates, which converge fine from a
-  /// 1/16 systematic sample at any realistic request rate, and it is what
-  /// keeps spans-on within the 1.05x throughput gate. 1 records every
-  /// RPC; 0 disables the statistics entirely (echoes still work).
-  std::uint32_t span_sample_every = 16;
 };
 
 /// One decoded RPC as it travels from a network worker to the service
@@ -76,27 +76,34 @@ struct ServiceConfig {
 struct WireRequest {
   double time = 0.0;  ///< span stamp: request fully read (t_read)
   std::uint64_t conn = 0;
-  proto::Verb verb = proto::Verb::kRequestWork;
-  std::uint32_t device = 0;
-  std::uint64_t seq = 0;
-  /// Span stamp: pushed onto the uplink queue. Defaults to `time` so
-  /// directly-constructed requests (tests, benches) carry a zero-width
-  /// enqueue stage rather than a bogus one. 0.0 also works: the span
-  /// echo re-clamps.
+  /// Span stamp: pushed onto the uplink queue. Directly-constructed
+  /// requests (tests, benches) may leave it 0.0: the span echo re-clamps
+  /// it to `time`.
   double t_enqueue = 0.0;
-  /// proto::kFlag* bits from the request's optional tail.
-  std::uint8_t flags = 0;
-  // --- kReportResult payload ---
-  std::uint64_t result_id = 0;
-  double reported_runtime = 0.0;
-  double reference_seconds = 0.0;
-  std::uint64_t corruption_tag = 0;
-  bool computation_error = false;
-  bool silent_error = false;
-  // --- kGetMetrics payload ---
-  proto::MetricsFormat metrics_format = proto::MetricsFormat::kPrometheus;
+  proto::Request msg;
 
-  MergeKey key() const { return {time, device, seq}; }
+  proto::Verb verb() const {
+    return std::visit([](const auto& r) { return r.kVerb; }, msg);
+  }
+  std::uint32_t device() const {
+    return std::visit([](const auto& r) { return r.device; }, msg);
+  }
+  std::uint64_t seq() const {
+    return std::visit([](const auto& r) { return r.seq; }, msg);
+  }
+  /// proto::kFlag* bits from the request's optional tail (0 for the verbs
+  /// that have none).
+  std::uint8_t flags() const {
+    return std::visit(
+        [](const auto& r) -> std::uint8_t {
+          if constexpr (requires { r.flags; })
+            return r.flags;
+          else
+            return 0;
+        },
+        msg);
+  }
+  MergeKey key() const { return {time, device(), seq()}; }
 };
 
 /// One encoded response frame, routed back by connection token. The verb /
@@ -188,7 +195,7 @@ class GridService {
   void apply(const WireRequest& m, std::vector<WireResponse>& out);
   void respond_busy(const WireRequest& m, std::vector<WireResponse>& out);
   /// The sampled span slow path (stage histogram observes + flight
-  /// event): runs 1-in-span_sample_every sends and resets the countdown.
+  /// event): runs 1-in-kSpanSampleEvery sends and resets the countdown.
   /// Out of line to keep send<Msg>()'s per-reply code to the cursor
   /// decrement and the SLO compare.
   void note_span(const WireRequest& m, double t_read, double t_deq,
@@ -212,7 +219,7 @@ class GridService {
   double now_ = 0.0;
   double dequeue_time_ = 0.0;  ///< current batch's drain stamp (t_dequeue)
   std::uint64_t rpc_requests_ = 0;
-  std::uint32_t span_countdown_ = 1;  ///< 1-in-span_sample_every cursor
+  std::uint32_t span_countdown_ = 1;  ///< 1-in-kSpanSampleEvery cursor
 
   // Interned once at construction; the hot path is indexed adds only.
   obs::MetricId ctr_requests_;

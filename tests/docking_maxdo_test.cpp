@@ -114,6 +114,8 @@ TEST(MaxDo, ResumeFromCheckpointMatchesUninterrupted) {
   ASSERT_EQ(resumed.records.size(), full.records.size());
   for (std::size_t i = 0; i < full.records.size(); ++i) {
     EXPECT_EQ(resumed.records[i].elj, full.records[i].elj);
+    EXPECT_EQ(resumed.records[i].eelec, full.records[i].eelec);
+    EXPECT_EQ(resumed.records[i].pose.x, full.records[i].pose.x);
     EXPECT_EQ(resumed.records[i].isep, full.records[i].isep);
   }
 }

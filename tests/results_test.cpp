@@ -1,193 +1,11 @@
-#include "results/result_file.hpp"
 #include "results/storage.hpp"
-#include "results/verification.hpp"
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "util/error.hpp"
 
 namespace hcmd::results {
 namespace {
-
-docking::DockingRecord record(std::uint32_t isep, std::uint32_t irot,
-                              double elj = -1.0, double eelec = -0.5) {
-  docking::DockingRecord r;
-  r.isep = isep;
-  r.irot = irot;
-  r.pose.x = 20.0;
-  r.elj = elj;
-  r.eelec = eelec;
-  return r;
-}
-
-ResultFile full_file(std::uint32_t receptor, std::uint32_t ligand,
-                     std::uint32_t begin, std::uint32_t end) {
-  ResultFile f;
-  f.receptor = receptor;
-  f.ligand = ligand;
-  f.isep_begin = begin;
-  f.isep_end = end;
-  for (std::uint32_t s = begin; s < end; ++s)
-    for (std::uint32_t r = 0; r < proteins::kNumRotationCouples; ++r)
-      f.records.push_back(record(s, r));
-  return f;
-}
-
-TEST(ResultFile, ExpectedLinesIsPositionsTimes21) {
-  const ResultFile f = full_file(0, 1, 0, 3);
-  EXPECT_EQ(f.expected_lines(), 63u);
-  EXPECT_EQ(f.records.size(), 63u);
-}
-
-TEST(ResultFile, SerializationRoundTrip) {
-  const ResultFile f = full_file(2, 5, 1, 4);
-  std::stringstream ss;
-  f.write(ss);
-  const ResultFile g = ResultFile::read(ss);
-  EXPECT_EQ(g.receptor, 2u);
-  EXPECT_EQ(g.ligand, 5u);
-  EXPECT_EQ(g.isep_begin, 1u);
-  EXPECT_EQ(g.isep_end, 4u);
-  ASSERT_EQ(g.records.size(), f.records.size());
-  EXPECT_EQ(g.records[10].isep, f.records[10].isep);
-  EXPECT_DOUBLE_EQ(g.records[10].elj, f.records[10].elj);
-}
-
-TEST(ResultFile, ReadRejectsGarbage) {
-  std::stringstream ss("not-a-result 1 2 3 4 5");
-  EXPECT_THROW(ResultFile::read(ss), hcmd::ParseError);
-}
-
-TEST(ResultFile, ByteSizeTracksRecordCount) {
-  const ResultFile small = full_file(0, 0, 0, 1);
-  const ResultFile big = full_file(0, 0, 0, 10);
-  EXPECT_GT(big.byte_size(), 5 * small.byte_size());
-}
-
-TEST(ResultFile, MakeFromCheckpointFiltersSlice) {
-  docking::MaxDoCheckpoint cp;
-  cp.next_isep = 6;
-  for (std::uint32_t s = 0; s < 6; ++s) cp.records.push_back(record(s, 0));
-  const ResultFile f = make_result_file(1, 2, 2, 5, cp);
-  EXPECT_EQ(f.records.size(), 3u);
-  EXPECT_EQ(f.records.front().isep, 2u);
-  EXPECT_EQ(f.records.back().isep, 4u);
-}
-
-TEST(ResultFile, MakeFromIncompleteCheckpointThrows) {
-  docking::MaxDoCheckpoint cp;
-  cp.next_isep = 3;
-  EXPECT_THROW(make_result_file(1, 2, 0, 5, cp), hcmd::Error);
-}
-
-TEST(Merge, CombinesSlicesSorted) {
-  const ResultFile a = full_file(1, 2, 3, 6);
-  const ResultFile b = full_file(1, 2, 0, 3);
-  const ResultFile merged = merge_files({a, b}, 6, true);
-  EXPECT_EQ(merged.isep_begin, 0u);
-  EXPECT_EQ(merged.isep_end, 6u);
-  ASSERT_EQ(merged.records.size(), 6u * proteins::kNumRotationCouples);
-  for (std::size_t i = 1; i < merged.records.size(); ++i) {
-    const auto& prev = merged.records[i - 1];
-    const auto& cur = merged.records[i];
-    EXPECT_TRUE(prev.isep < cur.isep ||
-                (prev.isep == cur.isep && prev.irot < cur.irot));
-  }
-}
-
-TEST(Merge, DetectsOverlap) {
-  const ResultFile a = full_file(1, 2, 0, 4);
-  const ResultFile b = full_file(1, 2, 3, 6);
-  EXPECT_THROW(merge_files({a, b}, 6, true), hcmd::Error);
-}
-
-TEST(Merge, DetectsGapWhenCompleteRequired) {
-  const ResultFile a = full_file(1, 2, 0, 2);
-  const ResultFile b = full_file(1, 2, 4, 6);
-  EXPECT_THROW(merge_files({a, b}, 6, true), hcmd::Error);
-  EXPECT_NO_THROW(merge_files({a, b}, 6, false));
-}
-
-TEST(Merge, RejectsMixedCouples) {
-  const ResultFile a = full_file(1, 2, 0, 3);
-  const ResultFile b = full_file(1, 3, 3, 6);
-  EXPECT_THROW(merge_files({a, b}, 6, true), hcmd::Error);
-}
-
-TEST(Verify, FileCountCheckPasses) {
-  std::vector<ResultFile> delivery;
-  for (std::uint32_t l = 0; l < 4; ++l)
-    delivery.push_back(full_file(0, l, 0, 2));
-  EXPECT_TRUE(check_file_count(delivery, 0, 4).ok);
-}
-
-TEST(Verify, FileCountCheckCatchesMissingAndDuplicate) {
-  std::vector<ResultFile> missing;
-  for (std::uint32_t l = 0; l < 3; ++l)
-    missing.push_back(full_file(0, l, 0, 2));
-  EXPECT_FALSE(check_file_count(missing, 0, 4).ok);
-
-  std::vector<ResultFile> duplicated;
-  duplicated.push_back(full_file(0, 1, 0, 2));
-  duplicated.push_back(full_file(0, 1, 0, 2));
-  EXPECT_FALSE(check_file_count(duplicated, 0, 2).ok);
-}
-
-TEST(Verify, FileCountCheckCatchesForeignReceptor) {
-  std::vector<ResultFile> delivery{full_file(3, 0, 0, 2)};
-  EXPECT_FALSE(check_file_count(delivery, 0, 1).ok);
-}
-
-TEST(Verify, LineCountCheck) {
-  ResultFile good = full_file(0, 0, 0, 2);
-  EXPECT_TRUE(check_line_counts({good}).ok);
-  good.records.pop_back();
-  const auto report = check_line_counts({good});
-  EXPECT_FALSE(report.ok);
-  ASSERT_EQ(report.failures.size(), 1u);
-  EXPECT_EQ(report.failures[0].first, CheckFailure::kLineCount);
-}
-
-TEST(Verify, ValueRangeCheckPassesPhysicalValues) {
-  EXPECT_TRUE(check_value_ranges(full_file(0, 0, 0, 2)).ok);
-}
-
-TEST(Verify, ValueRangeCheckCatchesBadEnergy) {
-  ResultFile f = full_file(0, 0, 0, 1);
-  f.records[0].elj = 1e9;  // beyond max_energy
-  const auto report = check_value_ranges(f);
-  EXPECT_FALSE(report.ok);
-  EXPECT_EQ(report.failures[0].first, CheckFailure::kValueRange);
-}
-
-TEST(Verify, ValueRangeCheckCatchesNonFinite) {
-  ResultFile f = full_file(0, 0, 0, 1);
-  f.records[0].eelec = std::nan("");
-  EXPECT_FALSE(check_value_ranges(f).ok);
-}
-
-TEST(Verify, ValueRangeCheckCatchesBadCoordinates) {
-  ResultFile f = full_file(0, 0, 0, 1);
-  f.records[0].pose.x = 1e4;
-  EXPECT_FALSE(check_value_ranges(f).ok);
-}
-
-TEST(Verify, ValueRangeCheckCatchesIndexOutOfSlice) {
-  ResultFile f = full_file(0, 0, 2, 4);
-  f.records[0].isep = 0;  // outside [2, 4)
-  EXPECT_FALSE(check_value_ranges(f).ok);
-}
-
-TEST(Verify, FullDeliveryPipeline) {
-  std::vector<ResultFile> delivery;
-  for (std::uint32_t l = 0; l < 3; ++l)
-    delivery.push_back(full_file(1, l, 0, 2));
-  EXPECT_TRUE(verify_delivery(delivery, 1, 3).ok);
-  delivery[1].records[0].elj = -1e9;
-  EXPECT_FALSE(verify_delivery(delivery, 1, 3).ok);
-}
 
 TEST(Storage, PaperScaleEstimate) {
   // "All these result files represents 123 Gb of text files (45 Gb

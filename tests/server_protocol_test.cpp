@@ -1,14 +1,17 @@
 // Wire protocol codec: round-trips for every verb, framing across partial
-// buffers, and loud failure on truncated/oversized/trailing-byte payloads.
+// buffers, loud failure on truncated/oversized/trailing-byte payloads, the
+// pinned bytes of every verb, and a deterministic mutation fuzz of decode.
 #include "server/protocol.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -29,7 +32,7 @@ TEST(Protocol, RequestWorkRoundTrip) {
   m.seq = 0x0123456789ABCDEFull;
   std::vector<std::uint8_t> buf;
   proto::encode(m, buf);
-  const proto::RequestWork d = proto::decode_request_work(extract_one(buf));
+  const auto d = proto::decode<proto::RequestWork>(extract_one(buf));
   EXPECT_EQ(d.device, m.device);
   EXPECT_EQ(d.seq, m.seq);
 }
@@ -46,7 +49,7 @@ TEST(Protocol, ReportResultRoundTrip) {
   m.silent_error = true;
   std::vector<std::uint8_t> buf;
   proto::encode(m, buf);
-  const proto::ReportResult d = proto::decode_report_result(extract_one(buf));
+  const auto d = proto::decode<proto::ReportResult>(extract_one(buf));
   EXPECT_EQ(d.device, m.device);
   EXPECT_EQ(d.seq, m.seq);
   EXPECT_EQ(d.result_id, m.result_id);
@@ -77,7 +80,7 @@ TEST(Protocol, AssignmentRoundTrip) {
   m.deadline = 864000.0;
   std::vector<std::uint8_t> buf;
   proto::encode(m, buf);
-  const proto::Assignment d = proto::decode_assignment(extract_one(buf));
+  const auto d = proto::decode<proto::Assignment>(extract_one(buf));
   EXPECT_EQ(d.workunit, m.workunit);
   EXPECT_EQ(d.receptor, m.receptor);
   EXPECT_EQ(d.ligand, m.ligand);
@@ -95,7 +98,8 @@ TEST(Protocol, SmallMessageRoundTrips) {
   nw.seq = 2;
   nw.project_complete = true;
   proto::encode(nw, buf);
-  EXPECT_TRUE(proto::decode_no_work(extract_one(buf)).project_complete);
+  EXPECT_TRUE(
+      proto::decode<proto::NoWork>(extract_one(buf)).project_complete);
   buf.clear();
 
   proto::Busy busy;
@@ -103,7 +107,8 @@ TEST(Protocol, SmallMessageRoundTrips) {
   busy.seq = 6;
   busy.retry_after = 245000.0;
   proto::encode(busy, buf);
-  EXPECT_EQ(proto::decode_busy(extract_one(buf)).retry_after, 245000.0);
+  EXPECT_EQ(proto::decode<proto::Busy>(extract_one(buf)).retry_after,
+            245000.0);
   buf.clear();
 
   proto::ReportAck ack;
@@ -112,7 +117,7 @@ TEST(Protocol, SmallMessageRoundTrips) {
   ack.state = ResultState::kRedundant;
   ack.duplicate = true;
   proto::encode(ack, buf);
-  const proto::ReportAck dack = proto::decode_report_ack(extract_one(buf));
+  const auto dack = proto::decode<proto::ReportAck>(extract_one(buf));
   EXPECT_EQ(dack.state, ResultState::kRedundant);
   EXPECT_TRUE(dack.duplicate);
   buf.clear();
@@ -122,7 +127,7 @@ TEST(Protocol, SmallMessageRoundTrips) {
   err.seq = 11;
   err.code = proto::ErrorCode::kUnknownResult;
   proto::encode(err, buf);
-  EXPECT_EQ(proto::decode_error(extract_one(buf)).code,
+  EXPECT_EQ(proto::decode<proto::ErrorMsg>(extract_one(buf)).code,
             proto::ErrorCode::kUnknownResult);
 }
 
@@ -143,7 +148,7 @@ TEST(Protocol, StatusRoundTrip) {
   m.complete = false;
   std::vector<std::uint8_t> buf;
   proto::encode(m, buf);
-  const proto::Status d = proto::decode_status(extract_one(buf));
+  const auto d = proto::decode<proto::Status>(extract_one(buf));
   EXPECT_EQ(d.results_sent, 10u);
   EXPECT_EQ(d.results_received, 9u);
   EXPECT_EQ(d.workunits_total, 100u);
@@ -175,9 +180,9 @@ TEST(Protocol, ByteAtATimeFraming) {
       if (!f.has_value()) break;
       ++frames;
       if (frames == 1)
-        EXPECT_EQ(proto::decode_request_work(*f).device, 1u);
+        EXPECT_EQ(proto::decode<proto::RequestWork>(*f).device, 1u);
       else
-        EXPECT_EQ(proto::decode_get_status(*f).device, 2u);
+        EXPECT_EQ(proto::decode<proto::GetStatus>(*f).device, 2u);
     }
   }
   EXPECT_EQ(frames, 2);
@@ -213,7 +218,7 @@ TEST(Protocol, TruncatedPayloadThrows) {
   std::size_t off = 0;
   const std::optional<proto::Frame> f = proto::try_extract(buf, off);
   ASSERT_TRUE(f.has_value());
-  EXPECT_THROW(proto::decode_report_result(*f), hcmd::ParseError);
+  EXPECT_THROW(proto::decode<proto::ReportResult>(*f), hcmd::ParseError);
 }
 
 /// Appends `extra` raw bytes to the encoded frame in `buf` and patches the
@@ -238,7 +243,7 @@ TEST(Protocol, TrailingBytesThrow) {
   proto::RequestWork m;
   const proto::Frame f = widen_frame((proto::encode(m, buf), buf),
                                      {0xAA, 0xBB});
-  EXPECT_THROW(proto::decode_request_work(f), hcmd::ParseError);
+  EXPECT_THROW(proto::decode<proto::RequestWork>(f), hcmd::ParseError);
 
   // Responses accept only the exact 32-byte span tail: any other trailing
   // size is a layout mismatch.
@@ -246,7 +251,7 @@ TEST(Protocol, TrailingBytesThrow) {
   proto::NoWork nw;
   const proto::Frame rf = widen_frame((proto::encode(nw, rbuf), rbuf),
                                       {1, 2, 3});
-  EXPECT_THROW(proto::decode_no_work(rf), hcmd::ParseError);
+  EXPECT_THROW(proto::decode<proto::NoWork>(rf), hcmd::ParseError);
 }
 
 TEST(Protocol, OneTrailingByteIsTheFlagsTail) {
@@ -257,7 +262,7 @@ TEST(Protocol, OneTrailingByteIsTheFlagsTail) {
   proto::RequestWork m;
   const proto::Frame f = widen_frame((proto::encode(m, buf), buf),
                                      {proto::kFlagWantSpan});
-  EXPECT_EQ(proto::decode_request_work(f).flags, proto::kFlagWantSpan);
+  EXPECT_EQ(proto::decode<proto::RequestWork>(f).flags, proto::kFlagWantSpan);
 }
 
 TEST(Protocol, FlagsRoundTripOnRequestVerbs) {
@@ -265,21 +270,21 @@ TEST(Protocol, FlagsRoundTripOnRequestVerbs) {
   proto::RequestWork rw;
   rw.flags = proto::kFlagWantSpan;
   proto::encode(rw, buf);
-  EXPECT_EQ(proto::decode_request_work(extract_one(buf)).flags,
+  EXPECT_EQ(proto::decode<proto::RequestWork>(extract_one(buf)).flags,
             proto::kFlagWantSpan);
   buf.clear();
 
   proto::ReportResult rr;
   rr.flags = proto::kFlagWantSpan;
   proto::encode(rr, buf);
-  EXPECT_EQ(proto::decode_report_result(extract_one(buf)).flags,
+  EXPECT_EQ(proto::decode<proto::ReportResult>(extract_one(buf)).flags,
             proto::kFlagWantSpan);
   buf.clear();
 
   proto::GetStatus gs;
   gs.flags = proto::kFlagWantSpan;
   proto::encode(gs, buf);
-  EXPECT_EQ(proto::decode_get_status(extract_one(buf)).flags,
+  EXPECT_EQ(proto::decode<proto::GetStatus>(extract_one(buf)).flags,
             proto::kFlagWantSpan);
 }
 
@@ -310,7 +315,7 @@ TEST(Protocol, SpanBlockRoundTripsOnFleetResponses) {
   a.seq = 4;
   a.span = span;
   proto::encode(a, buf);
-  const proto::Assignment da = proto::decode_assignment(extract_one(buf));
+  const auto da = proto::decode<proto::Assignment>(extract_one(buf));
   ASSERT_TRUE(da.span.has_value());
   EXPECT_EQ(da.span->t_read, 1.5);
   EXPECT_EQ(da.span->t_enqueue, 1.625);
@@ -322,7 +327,7 @@ TEST(Protocol, SpanBlockRoundTripsOnFleetResponses) {
   b.retry_after = 60.0;
   b.span = span;
   proto::encode(b, buf);
-  const proto::Busy db = proto::decode_busy(extract_one(buf));
+  const auto db = proto::decode<proto::Busy>(extract_one(buf));
   ASSERT_TRUE(db.span.has_value());
   EXPECT_EQ(db.span->t_decision, 2.25);
   EXPECT_EQ(db.retry_after, 60.0);
@@ -331,7 +336,8 @@ TEST(Protocol, SpanBlockRoundTripsOnFleetResponses) {
   // Absent span stays absent.
   proto::ReportAck ack;
   proto::encode(ack, buf);
-  EXPECT_FALSE(proto::decode_report_ack(extract_one(buf)).span.has_value());
+  EXPECT_FALSE(
+      proto::decode<proto::ReportAck>(extract_one(buf)).span.has_value());
 }
 
 TEST(Protocol, StatusExtendedFieldsRoundTrip) {
@@ -348,7 +354,7 @@ TEST(Protocol, StatusExtendedFieldsRoundTrip) {
   m.span = proto::SpanBlock{0.5, 0.5, 1.0, 1.5};
   std::vector<std::uint8_t> buf;
   proto::encode(m, buf);
-  const proto::Status d = proto::decode_status(extract_one(buf));
+  const auto d = proto::decode<proto::Status>(extract_one(buf));
   EXPECT_EQ(d.uptime_seconds, 12.5);
   EXPECT_EQ(d.rpc_assignments, 1u);
   EXPECT_EQ(d.rpc_no_work, 2u);
@@ -370,7 +376,7 @@ TEST(Protocol, MetricsVerbsRoundTrip) {
   gm.seq = 2;
   gm.format = proto::MetricsFormat::kJson;
   proto::encode(gm, buf);
-  const proto::GetMetrics dgm = proto::decode_get_metrics(extract_one(buf));
+  const auto dgm = proto::decode<proto::GetMetrics>(extract_one(buf));
   EXPECT_EQ(dgm.device, 1u);
   EXPECT_EQ(dgm.seq, 2u);
   EXPECT_EQ(dgm.format, proto::MetricsFormat::kJson);
@@ -383,7 +389,7 @@ TEST(Protocol, MetricsVerbsRoundTrip) {
   me.text = "# TYPE hcmd_rpc_requests_total counter\n"
             "hcmd_rpc_requests_total 9\n";
   proto::encode(me, buf);
-  const proto::Metrics dme = proto::decode_metrics(extract_one(buf));
+  const auto dme = proto::decode<proto::Metrics>(extract_one(buf));
   EXPECT_EQ(dme.format, proto::MetricsFormat::kPrometheus);
   EXPECT_EQ(dme.text, me.text);
 }
@@ -395,8 +401,7 @@ TEST(Protocol, DiagnosticsVerbsRoundTrip) {
   dd.device = 9;
   dd.seq = 10;
   proto::encode(dd, buf);
-  const proto::DumpDiagnostics ddd =
-      proto::decode_dump_diagnostics(extract_one(buf));
+  const auto ddd = proto::decode<proto::DumpDiagnostics>(extract_one(buf));
   EXPECT_EQ(ddd.device, 9u);
   EXPECT_EQ(ddd.seq, 10u);
   buf.clear();
@@ -407,8 +412,7 @@ TEST(Protocol, DiagnosticsVerbsRoundTrip) {
   da.events = 16384;
   da.path = "flight-1234.jsonl";
   proto::encode(da, buf);
-  const proto::DiagnosticsAck dda =
-      proto::decode_diagnostics_ack(extract_one(buf));
+  const auto dda = proto::decode<proto::DiagnosticsAck>(extract_one(buf));
   EXPECT_EQ(dda.events, 16384u);
   EXPECT_EQ(dda.path, "flight-1234.jsonl");
 }
@@ -417,7 +421,8 @@ TEST(Protocol, WrongVerbThrows) {
   std::vector<std::uint8_t> buf;
   proto::RequestWork m;
   proto::encode(m, buf);
-  EXPECT_THROW(proto::decode_get_status(extract_one(buf)), hcmd::ParseError);
+  EXPECT_THROW(proto::decode<proto::GetStatus>(extract_one(buf)),
+               hcmd::ParseError);
 }
 
 TEST(Protocol, IncompleteFrameReturnsNullopt) {
@@ -640,6 +645,117 @@ TEST(Protocol, EveryVerbMatchesItsPinnedBytes) {
   const std::vector<Pinned> frames = pinned_frames();
   ASSERT_EQ(frames.size(), 21u);
   for (const Pinned& p : frames) EXPECT_EQ(to_hex(p.encoded), p.hex) << p.name;
+}
+
+std::vector<std::uint8_t> from_hex(const std::string& hex) {
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+    bytes.push_back(
+        static_cast<std::uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  return bytes;
+}
+
+/// Rewrites the length prefix to cover everything after it, so a mutated
+/// payload reaches the decoders instead of stalling in the extractor.
+void patch_length(std::vector<std::uint8_t>& frame) {
+  const auto len = static_cast<std::uint32_t>(frame.size() - 4);
+  for (std::size_t i = 0; i < 4; ++i)
+    frame[i] = static_cast<std::uint8_t>(len >> (8 * i));
+}
+
+/// Slices every frame out of `bytes` and decodes each in both directions.
+/// A bad length prefix or payload may throw ParseError, which ends that
+/// input; anything else escapes to the caller.
+void extract_and_decode_all(const std::vector<std::uint8_t>& bytes) {
+  std::size_t off = 0;
+  try {
+    while (const auto f = proto::try_extract(bytes, off)) {
+      proto::Request request;
+      proto::Reply reply;
+      try {
+        proto::decode_any(*f, request);
+      } catch (const hcmd::ParseError&) {
+      }
+      try {
+        proto::decode_any(*f, reply);
+      } catch (const hcmd::ParseError&) {
+      }
+    }
+  } catch (const hcmd::ParseError&) {
+  }
+}
+
+// Decode must survive hostile input: every mutated frame either decodes or
+// throws ParseError. Any other exception fails here; under the sanitizer
+// build an out-of-bounds read or UB fails it too.
+TEST(ProtocolFuzz, MutatedFramesDecodeOrThrowParseError) {
+  hcmd::util::Rng rng(0xF022);
+  std::size_t inputs = 0;
+  const auto feed = [&inputs](const char* name,
+                              const std::vector<std::uint8_t>& bytes) {
+    ++inputs;
+    EXPECT_NO_THROW(extract_and_decode_all(bytes)) << name;
+  };
+
+  for (const Pinned& p : pinned_frames()) {
+    const std::vector<std::uint8_t> frame = from_hex(p.hex);
+
+    // The seed decodes in its own direction and re-encodes to itself.
+    std::size_t off = 0;
+    const std::optional<proto::Frame> f = proto::try_extract(frame, off);
+    ASSERT_TRUE(f.has_value()) << p.name;
+    proto::Request request;
+    proto::Reply reply;
+    const bool is_request = proto::decode_any(*f, request);
+    const bool is_reply = proto::decode_any(*f, reply);
+    EXPECT_NE(is_request, is_reply) << p.name;
+    std::vector<std::uint8_t> again;
+    const auto reencode = [&again](const auto& m) { proto::encode(m, again); };
+    if (is_request) std::visit(reencode, request);
+    if (is_reply) std::visit(reencode, reply);
+    EXPECT_EQ(again, frame) << p.name;
+
+    // Every truncation, as sent (the extractor waits for more bytes) and
+    // with the length prefix patched (the decoders see a short payload).
+    for (std::size_t n = 0; n < frame.size(); ++n) {
+      std::vector<std::uint8_t> cut(
+          frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(n));
+      feed(p.name, cut);
+      if (n > 4) {
+        patch_length(cut);
+        feed(p.name, cut);
+      }
+    }
+
+    // Every single-bit flip, the length prefix and verb byte included.
+    for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
+      std::vector<std::uint8_t> flipped = frame;
+      flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      feed(p.name, flipped);
+    }
+
+    // Seeded random multi-byte edits: overwrite, insert, erase and flip at
+    // random offsets; half keep a consistent length prefix.
+    for (int i = 0; i < 2000; ++i) {
+      std::vector<std::uint8_t> edited = frame;
+      const std::int64_t edits = rng.uniform_int(2, 8);
+      for (std::int64_t e = 0; e < edits && !edited.empty(); ++e) {
+        const auto at = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(edited.size()) - 1));
+        const auto byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+        const auto pos = edited.begin() + static_cast<std::ptrdiff_t>(at);
+        switch (rng.uniform_int(0, 3)) {
+          case 0: edited[at] = byte; break;
+          case 1: edited.insert(pos, byte); break;
+          case 2: edited.erase(pos); break;
+          default: edited[at] ^= static_cast<std::uint8_t>(1u << (byte % 8));
+        }
+      }
+      if (edited.size() > 4 && rng.bernoulli(0.5)) patch_length(edited);
+      feed(p.name, edited);
+    }
+  }
+  EXPECT_GT(inputs, 21u * 2000u);
 }
 
 }  // namespace

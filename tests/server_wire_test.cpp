@@ -92,14 +92,14 @@ TEST_F(WireTest, RequestReportStatusRoundTrip) {
   ASSERT_EQ(r1.verb, proto::Verb::kAssignment);
   EXPECT_EQ(r1.device, 0u);
   EXPECT_EQ(r1.seq, 1u);
-  EXPECT_GT(r1.assignment.reference_seconds, 0.0);
+  EXPECT_GT(r1.get<proto::Assignment>().reference_seconds, 0.0);
 
-  c.queue(report_for(r1.assignment, 2));
+  c.queue(report_for(r1.get<proto::Assignment>(), 2));
   c.flush();
   const WireReply r2 = c.recv_reply();
   ASSERT_EQ(r2.verb, proto::Verb::kReportAck);
-  EXPECT_EQ(r2.ack.state, ResultState::kValid);
-  EXPECT_FALSE(r2.ack.duplicate);
+  EXPECT_EQ(r2.get<proto::ReportAck>().state, ResultState::kValid);
+  EXPECT_FALSE(r2.get<proto::ReportAck>().duplicate);
 
   proto::GetStatus q;
   q.device = 0;
@@ -108,10 +108,11 @@ TEST_F(WireTest, RequestReportStatusRoundTrip) {
   c.flush();
   const WireReply r3 = c.recv_reply();
   ASSERT_EQ(r3.verb, proto::Verb::kStatus);
-  EXPECT_EQ(r3.status.results_sent, 1u);
-  EXPECT_EQ(r3.status.results_received, 1u);
-  EXPECT_EQ(r3.status.workunits_completed, 1u);
-  EXPECT_EQ(r3.status.workunits_total, 8u);
+  const proto::Status& s3 = r3.get<proto::Status>();
+  EXPECT_EQ(s3.results_sent, 1u);
+  EXPECT_EQ(s3.results_received, 1u);
+  EXPECT_EQ(s3.workunits_completed, 1u);
+  EXPECT_EQ(s3.workunits_total, 8u);
 
   server_->stop();
   const GridServer::Stats s = server_->stats();
@@ -140,7 +141,7 @@ TEST_F(WireTest, PipelinedRepliesCarryRouting) {
     ASSERT_EQ(r.verb, proto::Verb::kAssignment);
     EXPECT_EQ(r.seq, 100u + r.device);
     devices_seen.insert(r.device);
-    workunits_seen.insert(r.assignment.workunit);
+    workunits_seen.insert(r.get<proto::Assignment>().workunit);
   }
   EXPECT_EQ(devices_seen.size(), kDevices);
   EXPECT_EQ(workunits_seen.size(), kDevices);
@@ -157,13 +158,13 @@ TEST_F(WireTest, DuplicateReportOverSocketIsIdempotent) {
   const WireReply a = c.recv_reply();
   ASSERT_EQ(a.verb, proto::Verb::kAssignment);
 
-  const proto::ReportResult rep = report_for(a.assignment, 2);
+  const proto::ReportResult rep = report_for(a.get<proto::Assignment>(), 2);
   c.queue(rep);
   c.flush();
   const WireReply ack1 = c.recv_reply();
   ASSERT_EQ(ack1.verb, proto::Verb::kReportAck);
-  EXPECT_FALSE(ack1.ack.duplicate);
-  EXPECT_EQ(ack1.ack.state, ResultState::kValid);
+  EXPECT_FALSE(ack1.get<proto::ReportAck>().duplicate);
+  EXPECT_EQ(ack1.get<proto::ReportAck>().state, ResultState::kValid);
 
   proto::ReportResult replay = rep;
   replay.seq = 3;
@@ -171,8 +172,8 @@ TEST_F(WireTest, DuplicateReportOverSocketIsIdempotent) {
   c.flush();
   const WireReply ack2 = c.recv_reply();
   ASSERT_EQ(ack2.verb, proto::Verb::kReportAck);
-  EXPECT_TRUE(ack2.ack.duplicate);
-  EXPECT_EQ(ack2.ack.state, ResultState::kValid);
+  EXPECT_TRUE(ack2.get<proto::ReportAck>().duplicate);
+  EXPECT_EQ(ack2.get<proto::ReportAck>().state, ResultState::kValid);
 
   proto::GetStatus q;
   q.device = 0;
@@ -181,9 +182,10 @@ TEST_F(WireTest, DuplicateReportOverSocketIsIdempotent) {
   c.flush();
   const WireReply st = c.recv_reply();
   ASSERT_EQ(st.verb, proto::Verb::kStatus);
-  EXPECT_EQ(st.status.results_received, 1u);
-  EXPECT_EQ(st.status.results_valid, 1u);
-  EXPECT_EQ(st.status.workunits_completed, 1u);
+  const proto::Status& status = st.get<proto::Status>();
+  EXPECT_EQ(status.results_received, 1u);
+  EXPECT_EQ(status.results_valid, 1u);
+  EXPECT_EQ(status.workunits_completed, 1u);
 }
 
 // Satellite: an outage window refuses issue over the wire exactly as
@@ -225,7 +227,7 @@ TEST_F(WireTest, OutageBusyMatchesFleetBackoffSchedule) {
     c.flush();
     last = c.recv_reply();
     if (last.verb != proto::Verb::kBusy) break;
-    retry_afters.push_back(last.busy.retry_after);
+    retry_afters.push_back(last.get<proto::Busy>().retry_after);
     // Fleet law: current attempt indexes the delay, then increments.
     schedule.push_back(law.backoff_delay(attempt, device_rng));
     ++attempt;
@@ -317,7 +319,7 @@ TEST_F(WireTest, ConcurrentClientsCompleteDisjointWork) {
         c.flush();
         const WireReply a = c.recv_reply();
         ASSERT_EQ(a.verb, proto::Verb::kAssignment);
-        c.queue(report_for(a.assignment, seq++));
+        c.queue(report_for(a.get<proto::Assignment>(), seq++));
         c.flush();
         ASSERT_EQ(c.recv_reply().verb, proto::Verb::kReportAck);
       }
@@ -333,10 +335,11 @@ TEST_F(WireTest, ConcurrentClientsCompleteDisjointWork) {
   c.flush();
   const WireReply st = c.recv_reply();
   ASSERT_EQ(st.verb, proto::Verb::kStatus);
-  EXPECT_EQ(st.status.results_sent, kThreads * kPerThread);
-  EXPECT_EQ(st.status.results_received, kThreads * kPerThread);
-  EXPECT_EQ(st.status.workunits_completed, kThreads * kPerThread);
-  EXPECT_TRUE(st.status.complete);
+  const proto::Status& status = st.get<proto::Status>();
+  EXPECT_EQ(status.results_sent, kThreads * kPerThread);
+  EXPECT_EQ(status.results_received, kThreads * kPerThread);
+  EXPECT_EQ(status.workunits_completed, kThreads * kPerThread);
+  EXPECT_TRUE(status.complete);
 }
 
 // The load generator end-to-end: a small farm over real sockets completes
@@ -420,12 +423,11 @@ TEST_F(WireTest, GetMetricsOverTheWire) {
   c.flush();
   const WireReply r = c.recv_reply();
   ASSERT_EQ(r.verb, proto::Verb::kMetrics);
-  EXPECT_EQ(r.metrics.format, proto::MetricsFormat::kPrometheus);
-  EXPECT_NE(r.metrics.text.find("hcmd_rpc_requests_total"),
-            std::string::npos);
-  EXPECT_NE(r.metrics.text.find("hcmd_net_frames_in_total"),
-            std::string::npos);
-  EXPECT_LE(r.metrics.text.size() + 64, proto::kMaxFrameBytes);
+  const proto::Metrics& prom = r.get<proto::Metrics>();
+  EXPECT_EQ(prom.format, proto::MetricsFormat::kPrometheus);
+  EXPECT_NE(prom.text.find("hcmd_rpc_requests_total"), std::string::npos);
+  EXPECT_NE(prom.text.find("hcmd_net_frames_in_total"), std::string::npos);
+  EXPECT_LE(prom.text.size() + 64, proto::kMaxFrameBytes);
 
   q.seq = 3;
   q.format = proto::MetricsFormat::kJson;
@@ -433,7 +435,7 @@ TEST_F(WireTest, GetMetricsOverTheWire) {
   c.flush();
   const WireReply j = c.recv_reply();
   ASSERT_EQ(j.verb, proto::Verb::kMetrics);
-  EXPECT_NE(j.metrics.text.find("\"hcmd-metrics-snapshot\""),
+  EXPECT_NE(j.get<proto::Metrics>().text.find("\"hcmd-metrics-snapshot\""),
             std::string::npos);
 }
 
@@ -453,14 +455,15 @@ TEST_F(WireTest, DumpDiagnosticsOverTheWire) {
   c.flush();
   const WireReply r = c.recv_reply();
   ASSERT_EQ(r.verb, proto::Verb::kDiagnosticsAck);
-  EXPECT_EQ(r.diagnostics.device, 0u);
-  EXPECT_EQ(r.diagnostics.seq, 2u);
-  ASSERT_FALSE(r.diagnostics.path.empty());
-  EXPECT_EQ(r.diagnostics.path.rfind("/tmp/hcmd-wiretest-flight-", 0), 0u);
-  EXPECT_GT(r.diagnostics.events, 0u);
+  const proto::DiagnosticsAck& ack = r.get<proto::DiagnosticsAck>();
+  EXPECT_EQ(ack.device, 0u);
+  EXPECT_EQ(ack.seq, 2u);
+  ASSERT_FALSE(ack.path.empty());
+  EXPECT_EQ(ack.path.rfind("/tmp/hcmd-wiretest-flight-", 0), 0u);
+  EXPECT_GT(ack.events, 0u);
 
   // The dump is a readable JSONL file with at least one rpc event.
-  std::ifstream in(r.diagnostics.path);
+  std::ifstream in(ack.path);
   ASSERT_TRUE(in.good());
   std::string line;
   bool saw_rpc = false;
@@ -469,10 +472,10 @@ TEST_F(WireTest, DumpDiagnosticsOverTheWire) {
     ++lines;
     if (line.find("\"cat\":\"rpc\"") != std::string::npos) saw_rpc = true;
   }
-  EXPECT_EQ(lines, r.diagnostics.events);
+  EXPECT_EQ(lines, ack.events);
   EXPECT_TRUE(saw_rpc);
   in.close();
-  std::remove(r.diagnostics.path.c_str());
+  std::remove(ack.path.c_str());
 }
 
 TEST_F(WireTest, HttpMetricsListenerServesSnapshots) {
