@@ -477,6 +477,74 @@ void BM_SchedulerRpc(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerRpc)->Iterations(50'000);
 
+// The scheduler RPC in the end game, the regime a campaign's tail runs in:
+// the whole catalogue issued, all but kEndgameSurvivors workunits done,
+// and every survivor already holding its maximum of end-game copies. Each
+// timed pair returns one survivor's first copy, which completes it, then
+// asks for work: the request finds the end-game queue drained after a
+// change, rebuilds it and is denied, since every other survivor is
+// saturated. The arms differ only in catalogue size, so a rebuild that
+// scans the whole catalogue instead of the survivors shows as a per-pair
+// cost that grows with it (tools/bench_gate.py holds the two arms within
+// 2x of each other, on the min of five repetitions: a 1M catalogue puts
+// the survivors' records a page apart, so single runs of that arm are
+// noisier). BM_SchedulerRpc never leaves the fresh catalogue and cannot
+// see this.
+constexpr std::uint32_t kEndgameSurvivors = 2048;
+
+void BM_SchedulerRpcEndgame(benchmark::State& state) {
+  const auto workunits = static_cast<std::uint32_t>(state.range(0));
+  std::vector<packaging::Workunit> catalog(workunits);
+  for (std::uint32_t i = 0; i < workunits; ++i) {
+    catalog[i].id = i;
+    catalog[i].receptor = static_cast<std::uint16_t>(i % 168);
+    catalog[i].isep_begin = 0;
+    catalog[i].isep_end = 10;
+    catalog[i].reference_seconds = 3600.0;
+  }
+  server::ServerConfig cfg;
+  cfg.validation.quorum2_until = 0.0;
+  cfg.validation.spot_check_fraction = 0.0;
+  server::ProjectServer server(std::move(catalog), cfg);
+  server::ResultReport report;
+  report.reported_runtime = 100.0;
+  report.reference_seconds = 3600.0;
+
+  // One copy per workunit: result id i is workunit i. The survivors are
+  // spread evenly over the catalogue, as a campaign's stragglers are.
+  const std::uint32_t stride = workunits / kEndgameSurvivors;
+  for (std::uint32_t i = 0; i < workunits; ++i) server.request_work(i, 0.0);
+  std::vector<std::uint64_t> first_copies;
+  for (std::uint32_t i = 0; i < workunits; ++i) {
+    if (i % stride == 0 && first_copies.size() < kEndgameSurvivors)
+      first_copies.push_back(i);
+    else
+      server.report_result(i, 1.0, report);
+  }
+  // Saturate the survivors with end-game copies.
+  while (server.request_work(0, 2.0).has_value()) {
+  }
+
+  double now = 3.0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    server.report_result(first_copies[next++], now, report);
+    benchmark::DoNotOptimize(server.request_work(0, now));
+    now += 1.0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SchedulerRpcEndgame)
+    ->ArgName("workunits")
+    ->Arg(100'000)
+    ->Arg(1'000'000)
+    ->Iterations(kEndgameSurvivors)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly()
+    ->ComputeStatistics("min", [](const std::vector<double>& v) {
+      return *std::min_element(v.begin(), v.end());
+    });
+
 void BM_PackagingStream(benchmark::State& state) {
   proteins::BenchmarkSpec spec;
   spec.count = 32;

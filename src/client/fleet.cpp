@@ -246,6 +246,18 @@ void VolunteerFleet::start_other_project(std::uint32_t d) {
   begin_segment(d);
 }
 
+void VolunteerFleet::deliver(const Reply& reply) {
+  if (reply.assignment.has_value())
+    deliver_assignment(reply.device, *reply.assignment);
+  else
+    deliver_denial(reply.device, reply.project_complete);
+}
+
+std::size_t VolunteerFleet::awaiting_reply() const {
+  return static_cast<std::size_t>(
+      std::count(pending_request_.begin(), pending_request_.end(), 1));
+}
+
 void VolunteerFleet::deliver_assignment(std::uint32_t d,
                                         const server::Assignment& assignment) {
   HCMD_ASSERT(pending_request_[d]);

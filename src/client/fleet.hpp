@@ -19,12 +19,12 @@
 // Server interaction is asynchronous (the epoch-barrier engine model): a
 // device never calls the project server directly. Work requests and result
 // returns are posted into the shard's UplinkMailbox; the engine replays
-// them against the single logical server at the epoch barrier and answers
-// with deliver_assignment / deliver_denial. A device with a request in
-// flight sits idle (pending_request_) until the barrier responds — the
-// scheduler RPC latency the real agent also saw. Because a sequential run
-// (one shard) goes through the identical mailbox-and-barrier machinery,
-// sharded runs are bit-identical to it by construction.
+// them against the single logical server at the epoch barrier, and the
+// shard hands each answer to deliver() before it next advances. A device
+// with a request in flight sits idle (pending_request_) until the answer
+// arrives — the scheduler RPC latency the real agent also saw. Because a
+// sequential run (one shard) goes through the identical mailbox-and-barrier
+// machinery, sharded runs are bit-identical to it by construction.
 //
 // Layout: one VolunteerFleet owns every device's state in dense arrays
 // indexed by shard-local device index — phase, work item, RNG, event
@@ -115,16 +115,18 @@ class VolunteerFleet {
   /// only, so every shard sees the same value throughout an epoch.
   void set_project_complete(bool complete) { server_complete_ = complete; }
 
-  /// Answers a posted work request with an assignment. Called at the epoch
-  /// barrier (shard quiescent, sim clock == barrier time). A device that
-  /// died in the meantime drops the work silently (the deadline recovers
-  /// it); a device that went offline stores it and resumes on re-attach.
-  void deliver_assignment(std::uint32_t device,
-                          const server::Assignment& assignment);
-  /// Answers a posted work request with a denial. `project_complete` routes
-  /// the device to another project's work, mirroring the synchronous
-  /// fall-through of the old engine.
-  void deliver_denial(std::uint32_t device, bool project_complete);
+  /// Answers a posted work request. Called with the shard quiescent at the
+  /// barrier time, before the shard advances past it. An assignment to a
+  /// device that died in the meantime is dropped silently (the deadline
+  /// recovers it); a device that went offline stores it and resumes on
+  /// re-attach. A denial with `project_complete` routes the device to
+  /// another project's work, mirroring the synchronous fall-through of the
+  /// old engine.
+  void deliver(const Reply& reply);
+
+  /// Devices whose work request has not been answered yet. Zero whenever
+  /// the engine is between run_until calls.
+  std::size_t awaiting_reply() const;
 
   /// Correlated mass-churn spike over this shard's slice: every alive
   /// device dies independently with probability `death_fraction` (drawn
@@ -209,6 +211,9 @@ class VolunteerFleet {
   void on_death(std::uint32_t d);
   void trigger_long_pause(std::uint32_t d);
   void request_work(std::uint32_t d);
+  void deliver_assignment(std::uint32_t d,
+                          const server::Assignment& assignment);
+  void deliver_denial(std::uint32_t d, bool project_complete);
   void start_other_project(std::uint32_t d);
   void begin_segment(std::uint32_t d);
   void settle_segment(std::uint32_t d, bool interrupted);

@@ -8,9 +8,14 @@
 // ascending (time, global device id, seq) order — a total order built only
 // from shard-count-independent quantities, which is what makes a K-shard
 // run bit-identical to the sequential (K = 1) engine.
+//
+// The answers travel back as Replies: the replay queues each one on the
+// device's shard, and the shard applies its queue, in merged order, before
+// it next advances.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "server/server.hpp"
@@ -27,6 +32,15 @@ struct UplinkMessage {
   // --- kResultReturn payload ---
   std::uint64_t result_id = 0;
   server::ResultReport report;
+};
+
+/// The barrier's answer to one work request.
+struct Reply {
+  std::uint32_t device = 0;  ///< shard-local device index
+  /// ProjectServer::complete() when the request was answered (a denial
+  /// sends the device to another project's work once the campaign is done).
+  bool project_complete = false;
+  std::optional<server::Assignment> assignment;  ///< empty: a denial
 };
 
 /// One outbound buffer per shard; written only by that shard's fleet while

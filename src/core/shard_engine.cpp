@@ -1,10 +1,12 @@
 #include "core/shard_engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <string>
 #include <thread>
 
+#include "obs/profile.hpp"
 #include "server/credit.hpp"
 #include "util/duration.hpp"
 #include "util/error.hpp"
@@ -56,6 +58,11 @@ ShardEngine::ShardEngine(server::ProjectServer& project,
       replayer_(project, server_faults_, options.tracer) {
   HCMD_ASSERT_MSG(options_.shards >= 1, "shard count must be >= 1");
   server_faults_.set_instruments(options_.tracer, &registry);
+  const std::size_t lanes = std::min<std::size_t>(
+      options_.shards,
+      std::max<std::size_t>(1, std::thread::hardware_concurrency()));
+  lane_ns_.assign(lanes, 0);
+  if (lanes > 1) workers_ = std::make_unique<util::WorkerGroup>(lanes);
 
   shards_.reserve(options_.shards);
   for (std::uint32_t s = 0; s < options_.shards; ++s) {
@@ -151,48 +158,65 @@ void ShardEngine::run_until(double until) {
     process_barrier(t);
     now_ = t;
   }
+  // The last barrier's answers, so that the caller sees a quiescent engine.
+  for (auto& s : shards_) deliver_replies(*s);
+}
+
+void ShardEngine::deliver_replies(Shard& shard) {
+  for (const client::Reply& r : shard.downlink) shard.fleet.deliver(r);
+  shard.downlink.clear();
 }
 
 void ShardEngine::advance_shards(double until) {
-  if (shards_.size() == 1) {
-    shards_[0]->sim.run_until(until);
-    return;
-  }
-  if (!pool_) {
-    std::size_t threads = options_.threads;
-    if (threads == 0) {
-      threads = std::thread::hardware_concurrency();
-      if (threads == 0) threads = 1;
-    }
-    threads = std::min(threads, shards_.size());
-    pool_ = std::make_unique<util::ThreadPool>(threads);
-  }
+  HCMD_PROF_ZONE("engine.advance");
+  static const obs::ZoneId kZoneSlowest =
+      obs::Profiler::instance().register_zone("engine.shard_slowest");
   // Shards share nothing mutable while advancing: each owns its sim, fleet,
-  // mailbox, fault instance and tracer; the registry's striped counters
-  // take concurrent adds exactly.
-  util::parallel_for(*pool_, shards_.size(),
-                     [&](std::size_t i) { shards_[i]->sim.run_until(until); });
+  // mailbox, downlink, fault instance and tracer; the registry's striped
+  // counters take concurrent adds exactly.
+  const std::size_t lanes = lane_ns_.size();
+  const auto lane = [&](std::size_t w) {
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t s = w; s < shards_.size(); s += lanes) {
+      deliver_replies(*shards_[s]);
+      shards_[s]->sim.run_until(until);
+    }
+    lane_ns_[w] = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+  };
+  if (workers_)
+    workers_->run(lane);
+  else
+    lane(0);
+  obs::Profiler::instance().add(
+      kZoneSlowest, *std::max_element(lane_ns_.begin(), lane_ns_.end()));
 }
 
 void ShardEngine::process_barrier(double t) {
-  // --- gather the epoch's uplink traffic under its total order ---
-  msg_order_.clear();
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    const auto& msgs = shards_[s]->mailbox.messages();
-    for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(msgs.size());
-         ++i) {
-      msg_order_.push_back(
-          {{msgs[i].time, shards_[s]->fleet.spec(msgs[i].device).id,
-            msgs[i].seq},
-           s, i});
+  {
+    // --- gather the epoch's uplink traffic under its total order ---
+    HCMD_PROF_ZONE("engine.gather_sort");
+    msg_order_.clear();
+    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+      const auto& msgs = shards_[s]->mailbox.messages();
+      for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(msgs.size());
+           ++i) {
+        msg_order_.push_back(
+            {{msgs[i].time, shards_[s]->fleet.spec(msgs[i].device).id,
+              msgs[i].seq},
+             s, i});
+      }
     }
+    std::sort(msg_order_.begin(), msg_order_.end(),
+              [](const MessageRef& a, const MessageRef& b) {
+                return server::merge_before(a.key, b.key);
+              });
   }
-  std::sort(msg_order_.begin(), msg_order_.end(),
-            [](const MessageRef& a, const MessageRef& b) {
-              return server::merge_before(a.key, b.key);
-            });
 
   // --- replay them with the due control items and deadline ticks ---
+  HCMD_PROF_ZONE("engine.replay");
   replayer_.open(t);
   for (const MessageRef& ref : msg_order_) {
     replayer_.fire_until(ref.key.time);
@@ -213,14 +237,12 @@ void ShardEngine::process_message(std::uint32_t shard,
   Shard& sh = *shards_[shard];
   const std::uint32_t gid = sh.fleet.spec(m.device).id;
   if (m.kind == client::UplinkMessage::Kind::kWorkRequest) {
-    auto assignment = project_.request_work(gid, m.time);
-    if (assignment.has_value()) {
-      // Transitioner deadline tick, independent of the device's fate.
-      replayer_.arm(assignment->result_id, assignment->deadline);
-      sh.fleet.deliver_assignment(m.device, *assignment);
-    } else {
-      sh.fleet.deliver_denial(m.device, project_.complete());
-    }
+    client::Reply reply{m.device, false, project_.request_work(gid, m.time)};
+    // Transitioner deadline tick, independent of the device's fate.
+    if (reply.assignment.has_value())
+      replayer_.arm(reply.assignment->result_id, reply.assignment->deadline);
+    reply.project_complete = project_.complete();
+    sh.downlink.push_back(reply);
     return;
   }
 

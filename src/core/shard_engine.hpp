@@ -14,8 +14,18 @@
 //     messages and replays them through server::Replayer, which merges in
 //     the due deadline ticks and control items (Fig. 7 snapshots, churn
 //     spikes, outage markers), against the single logical server in
-//     ascending (time, lane, key) order, answering requests back into the
-//     shards (deliver_assignment / deliver_denial);
+//     ascending (time, lane, key) order, queueing each request's answer on
+//     its shard's downlink (client::Reply);
+//   * each shard applies its downlink, in merged order, at the start of
+//     its next advance, in parallel with the other shards; run_until
+//     applies the last barrier's downlinks before it returns, so observers
+//     between run_until calls see every answer delivered. A device's
+//     answers arrive in the order the serial replay produced them and
+//     touch only that device's state and RNG, so the shards' event streams
+//     are the same as if the replay had delivered them itself;
+//   * the shards advance on persistent workers (util::WorkerGroup): the
+//     calling thread is lane 0, and lane w of min(K, hardware threads)
+//     lanes owns the shards s ≡ w (mod lanes);
 //   * every ordering key is built from shard-count-independent quantities —
 //     message time, global device id, per-device sequence number, result id
 //     — and every RNG stream a device consumes is forked from its global
@@ -54,7 +64,7 @@
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
+#include "util/worker_group.hpp"
 
 namespace hcmd::core {
 
@@ -77,9 +87,6 @@ struct ShardEngineOptions {
   /// Number of fleet partitions (>= 1). One shard reproduces the sequential
   /// engine exactly; any K produces bit-identical results.
   std::uint32_t shards = 1;
-  /// Worker threads for K > 1 (0 = min(shards, hardware)). K == 1 always
-  /// runs inline on the caller thread. Thread count never affects results.
-  std::size_t threads = 0;
   /// Main tracer (may be null). With one shard it is wired straight into
   /// the fleet; with several, each shard records into a private tracer
   /// (record() is not thread-safe) absorbed at finalize().
@@ -167,6 +174,8 @@ class ShardEngine {
   struct Shard {
     sim::Simulation sim;
     client::UplinkMailbox mailbox;
+    /// Answers from the last barrier, in merged order, not yet delivered.
+    std::vector<client::Reply> downlink;
     faults::FaultSchedule faults;
     client::VolunteerFleet fleet;
     /// Private tracer when K > 1 and tracing is on (absorbed at finalize).
@@ -187,6 +196,7 @@ class ShardEngine {
   };
 
   void advance_shards(double until);
+  static void deliver_replies(Shard& shard);
   void process_barrier(double t);
   void process_message(std::uint32_t shard, const client::UplinkMessage& m);
 
@@ -200,7 +210,6 @@ class ShardEngine {
   util::Rng faults_rng_;  ///< per-device fault streams fork from this
   /// Control lane, transitioner deadlines and outage deferral.
   server::Replayer replayer_;
-  std::unique_ptr<util::ThreadPool> pool_;  ///< created lazily for K > 1
   /// Per-spike churn outcomes, slot spike*K + shard: each shard writes its
   /// own slot while advancing; the spike's control item aggregates them.
   std::vector<client::VolunteerFleet::ChurnResult> spike_results_;
@@ -208,6 +217,8 @@ class ShardEngine {
   // Barrier scratch, reused across epochs (no per-epoch allocation in
   // steady state).
   std::vector<MessageRef> msg_order_;
+  /// Each lane's advance wall time in the current round, nanoseconds.
+  std::vector<std::uint64_t> lane_ns_;
 
   // Fig. 8 buffers, keyed by global device id, in merged receive order.
   std::vector<std::uint32_t> runtime_device_;
@@ -217,6 +228,9 @@ class ShardEngine {
   double completion_raw_ = -1.0;
   std::size_t device_count_ = 0;
   bool events_reserved_ = false;
+  /// Lanes 1.. of the shard advance; null when one lane runs every shard.
+  /// Declared last: its threads are joined before the shards go.
+  std::unique_ptr<util::WorkerGroup> workers_;
 };
 
 }  // namespace hcmd::core

@@ -167,16 +167,24 @@ bool ProjectServer::pick_endgame(std::uint32_t& wu_index) {
         return true;
       }
     }
-    // Queue drained: rebuild it from the live records. Near the end of the
-    // campaign this is a scan over few survivors; earlier it never runs
-    // because fresh work exists. The dirty flag avoids rescanning when
-    // nothing changed since an empty rebuild.
+    // Queue drained: rebuild it from the survivors. The dirty flag avoids
+    // rescanning when nothing changed since an empty rebuild.
     if (!endgame_dirty_) return false;
     endgame_dirty_ = false;
-    for (std::uint32_t i = 0; i < records_.size(); ++i) {
+    if (!survivors_built_) {
+      // The end game only starts once every workunit has been issued, and
+      // no record ever leaves kDone, so the list only ever shrinks.
+      for (std::uint32_t i = 0; i < records_.size(); ++i)
+        if (records_[i].state != WorkunitState::kDone) survivors_.push_back(i);
+      survivors_built_ = true;
+    } else {
+      std::erase_if(survivors_, [&](std::uint32_t i) {
+        return records_[i].state == WorkunitState::kDone;
+      });
+    }
+    for (const std::uint32_t i : survivors_) {
       WorkunitRecord& rec = records_[i];
-      if (rec.state != WorkunitState::kDone &&
-          rec.outstanding < config_.endgame_max_outstanding) {
+      if (rec.outstanding < config_.endgame_max_outstanding) {
         endgame_queue_.push_back(i);
         rec.queue_flags |= kInEndgameQueue;
       }

@@ -285,8 +285,9 @@ class ProjectServer {
   /// doubling on the campaign's hundreds of thousands of instances.
   util::ChunkedVector<ResultInstance, 1024> results_;
   /// Finds an outstanding workunit for end-game duplication, or returns
-  /// false. Amortised O(1): a staging queue is rebuilt by scanning the
-  /// records only when it drains.
+  /// false. Picks pop a staging queue; when it drains, a rebuild scans the
+  /// survivors (the workunits not yet done), so its cost is proportional to
+  /// the survivors left, never to the catalogue.
   bool pick_endgame(std::uint32_t& wu_index);
 
   /// The pluggable redundancy/validation decision maker (never null after
@@ -307,6 +308,10 @@ class ProjectServer {
   /// index is pushed once at first issue and popped once.
   std::deque<std::uint32_t> extra_copy_queue_;
   std::deque<std::uint32_t> endgame_queue_;
+  /// Ascending indices of the workunits not yet done, built at the first
+  /// end-game rebuild and compacted at each later one.
+  std::vector<std::uint32_t> survivors_;
+  bool survivors_built_ = false;
   /// Set whenever a record's state/outstanding changes; cleared by an
   /// end-game rebuild so empty rebuilds are not repeated needlessly.
   bool endgame_dirty_ = true;

@@ -303,5 +303,35 @@ TEST(Fleet, ShardedHarnessMatchesSequentialExactly) {
   }
 }
 
+TEST(Fleet, EveryRequestIsAnsweredWhenRunUntilReturns) {
+  // Shards apply the barrier's answers lazily, before they next advance;
+  // run_until must still hand back an engine in which no device waits for
+  // an answer, so that observers between runs see what the serial replay
+  // decided.
+  for (const std::uint32_t shards : {1u, 3u}) {
+    Harness h(3000, 1.0 * 3600.0, Harness::plain_server_config(),
+              Harness::always_hcmd(), AgentConfig{}, shards);
+    for (std::uint32_t i = 0; i < 24; ++i) {
+      volunteer::DeviceSpec d = Harness::reliable_device(i);
+      d.on_mean_seconds = 3.0 * 3600.0;  // re-attaches, and asks, often
+      d.off_mean_seconds = 1800.0;
+      h.add(d);
+    }
+    int answered_steps = 0;
+    std::uint64_t requests = 0;
+    for (int hour = 1; hour <= 72; ++hour) {
+      h.run(hour * kSecondsPerHour);
+      std::size_t waiting = 0;
+      for (std::uint32_t s = 0; s < h.engine.shard_count(); ++s)
+        waiting += h.engine.fleet(s).awaiting_reply();
+      EXPECT_EQ(waiting, 0u) << shards << " shards, hour " << hour;
+      const std::uint64_t total = h.registry.total(metric::kWorkRequests);
+      if (total > requests) ++answered_steps;
+      requests = total;
+    }
+    EXPECT_GT(answered_steps, 36) << shards << " shards";
+  }
+}
+
 }  // namespace
 }  // namespace hcmd::client

@@ -1,6 +1,7 @@
 // DeadlineBook's contract, as the epoch barrier and GridService rely on it:
 // due ticks pop in ascending (time, result id) order, disarm drops a tick,
-// a re-arm supersedes the earlier entry, and armed() counts live ticks.
+// a re-arm supersedes the earlier entry, armed() counts live ticks, and
+// the flat armed set grows only when an id is armed.
 #include "server/deadline_book.hpp"
 
 #include <gtest/gtest.h>
@@ -76,6 +77,32 @@ TEST(DeadlineBook, ArmedCountsLiveTicks) {
   std::vector<DeadlineBook::Due> due;
   book.pop_due(11.0, due);  // ids 0 and 1
   EXPECT_EQ(book.armed(), 2u);
+}
+
+TEST(DeadlineBook, RearmAfterDisarmFiresOnlyAtTheNewTime) {
+  DeadlineBook book;
+  book.arm(6, 10.0);
+  book.disarm(6);
+  book.arm(6, 30.0);
+  EXPECT_EQ(book.armed(), 1u);
+  std::vector<DeadlineBook::Due> due;
+  book.pop_due(20.0, due);
+  EXPECT_TRUE(due.empty());
+  book.pop_due(30.0, due);
+  ASSERT_EQ(due.size(), 1u);
+  EXPECT_EQ(due[0].time, 30.0);
+}
+
+TEST(DeadlineBook, DisarmFarAboveAnyArmedIdIsANoOp) {
+  DeadlineBook book;
+  book.arm(3, 10.0);
+  const std::size_t span = book.id_span();
+  book.disarm(std::uint64_t{1} << 40);
+  EXPECT_EQ(book.id_span(), span);
+  EXPECT_EQ(book.armed(), 1u);
+  std::vector<DeadlineBook::Due> due;
+  book.pop_due(10.0, due);
+  EXPECT_EQ(ids(due), (std::vector<std::uint64_t>{3}));
 }
 
 }  // namespace

@@ -3,10 +3,17 @@
 //    (an earlier version re-enqueued every picked index unconditionally, so
 //    a long tail of idle devices made the queue grow without bound);
 //  * the per-workunit issue counter must count past 255 (it was a saturating
-//    uint8 — a workunit hammered by a flaky fleet silently pinned at 255).
+//    uint8 — a workunit hammered by a flaky fleet silently pinned at 255);
+//  * an end-game rebuild scans only the workunits not yet done, and must
+//    pick exactly what a scan of the whole catalogue would.
 #include "server/server.hpp"
 
 #include <gtest/gtest.h>
+
+#include <deque>
+#include <optional>
+#include <random>
+#include <vector>
 
 namespace hcmd::server {
 namespace {
@@ -143,6 +150,151 @@ TEST(ServerQueue, ReissueQueueCountsQuorumMismatchTwice) {
   EXPECT_TRUE(server.request_work(3, 2.0).has_value());
   EXPECT_EQ(server.reissue_queue_size(), 0u);
   EXPECT_EQ(server.workunit_outstanding(0), 2u);
+}
+
+/// request_work's choice once the catalogue is drained, by a full scan:
+/// the re-issue queue first (done workunits skipped), then the end-game
+/// staging queue, rebuilt from every record of the catalogue when it
+/// drains after a change. The test mirrors every re-issue the server
+/// queues and every change that dirties the staging queue.
+class DrainedRequestOracle {
+ public:
+  DrainedRequestOracle(const ProjectServer& server,
+                       std::uint32_t max_outstanding)
+      : server_(server), max_(max_outstanding) {}
+
+  void reissued(std::uint32_t wu) { reissue_.push_back(wu); }
+  void changed() { dirty_ = true; }
+  std::size_t rebuilds() const { return rebuilds_; }
+
+  std::optional<std::uint32_t> next() {
+    while (!reissue_.empty()) {
+      const std::uint32_t wu = reissue_.front();
+      reissue_.pop_front();
+      if (!done(wu)) return wu;
+    }
+    for (int pass = 0; pass < 2; ++pass) {
+      while (!endgame_.empty()) {
+        const std::uint32_t wu = endgame_.front();
+        endgame_.pop_front();
+        const std::uint32_t out = server_.workunit_outstanding(wu);
+        if (done(wu) || out >= max_) continue;
+        if (out + 1 < max_) endgame_.push_back(wu);
+        return wu;
+      }
+      if (!dirty_) return std::nullopt;
+      dirty_ = false;
+      ++rebuilds_;
+      for (std::uint32_t wu = 0; wu < server_.catalog().size(); ++wu)
+        if (!done(wu) && server_.workunit_outstanding(wu) < max_)
+          endgame_.push_back(wu);
+      if (endgame_.empty()) return std::nullopt;
+    }
+    return std::nullopt;
+  }
+
+ private:
+  bool done(std::uint32_t wu) const {
+    return server_.workunit_state(wu) == WorkunitState::kDone;
+  }
+
+  const ProjectServer& server_;
+  std::uint32_t max_;
+  std::deque<std::uint32_t> reissue_;
+  std::deque<std::uint32_t> endgame_;
+  bool dirty_ = true;
+  std::size_t rebuilds_ = 0;
+};
+
+TEST(ServerQueue, EndgamePicksMatchAFullScanOracle) {
+  ServerConfig cfg;
+  cfg.validation.quorum2_until = 50.0;  // the first half runs quorum 2
+  cfg.validation.spot_check_fraction = 0.3;
+  cfg.deadline = 400.0;
+  cfg.endgame_max_outstanding = 3;
+  const std::uint32_t kWorkunits = 240;
+  ProjectServer server(make_catalog(kWorkunits), cfg);
+  DrainedRequestOracle oracle(server, cfg.endgame_max_outstanding);
+
+  std::vector<std::uint64_t> live;  // issued, neither reported nor timed out
+  std::vector<std::uint64_t> late;  // timed out, not yet reported
+  std::uint32_t device = 0;
+  double now = 0.0;
+
+  // Issue the whole catalogue, extra initial copies included; no end-game
+  // pick can happen before this is done.
+  const auto all_issued = [&] {
+    for (std::uint32_t wu = 0; wu < kWorkunits; ++wu)
+      if (server.workunit_issues(wu) == 0) return false;
+    return server.extra_copy_queue_size() == 0;
+  };
+  while (!all_issued()) {
+    if (server.workunit_issues(kWorkunits / 2) == 0 &&
+        server.workunit_issues(kWorkunits / 2 - 1) > 0)
+      now = 100.0;
+    const auto a = server.request_work(device++, now);
+    ASSERT_TRUE(a.has_value());
+    live.push_back(a->result_id);
+  }
+
+  std::mt19937_64 rng(20070502);
+  const auto take = [&](std::vector<std::uint64_t>& from) {
+    const std::size_t i = rng() % from.size();
+    const std::uint64_t id = from[i];
+    from[i] = from.back();
+    from.pop_back();
+    return id;
+  };
+  const auto report = [&](std::uint64_t id) {
+    const std::uint32_t wu = server.result(id).workunit_index;
+    const bool was_done = server.workunit_state(wu) == WorkunitState::kDone;
+    ResultReport r = ok_report();
+    const std::uint64_t fate = rng() % 8;
+    r.computation_error = fate == 0;
+    r.silent_error = fate == 1;  // fails a quorum comparison
+    const ResultState state = server.report_result(id, now, r);
+    oracle.changed();
+    if (r.computation_error && !was_done) oracle.reissued(wu);
+    if (!r.computation_error && state == ResultState::kInvalid) {
+      oracle.reissued(wu);  // a quorum mismatch restarts the quorum
+      oracle.reissued(wu);
+    }
+  };
+
+  std::size_t picks = 0;
+  for (int step = 0; step < 20000 && !server.complete(); ++step) {
+    const std::uint64_t action = rng() % 16;
+    if (action < 8) {
+      const std::optional<std::uint32_t> want = oracle.next();
+      const auto got = server.request_work(device++, now);
+      ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+      if (!got) continue;
+      ASSERT_EQ(got->workunit.id, *want) << "step " << step;
+      live.push_back(got->result_id);
+      ++picks;
+    } else if (action < 12) {
+      if (!live.empty()) report(take(live));
+    } else if (action < 13) {
+      if (live.empty()) continue;
+      const std::uint64_t id = take(live);
+      now = std::max(now, server.result(id).deadline);
+      ASSERT_TRUE(server.handle_deadline(id, now));
+      oracle.changed();
+      const std::uint32_t wu = server.result(id).workunit_index;
+      if (server.workunit_state(wu) != WorkunitState::kDone)
+        oracle.reissued(wu);
+      late.push_back(id);
+    } else if (action < 14) {
+      if (!late.empty()) report(take(late));
+    } else {
+      now += 1.0;
+    }
+  }
+  EXPECT_TRUE(server.complete());
+  EXPECT_GT(picks, 300u);
+  EXPECT_GT(oracle.rebuilds(), 100u);
+  EXPECT_GT(server.counters().quorum_mismatches, 0u);
+  EXPECT_GT(server.counters().results_timed_out, 0u);
 }
 
 }  // namespace

@@ -16,6 +16,10 @@ Usage:
 The gate is deliberately loose (1.6x): shared CI runners are noisy and the
 point is to catch order-of-magnitude regressions (an accidental O(n^2) in
 the event queue, a debug assert left in the docking kernel), not 5% drift.
+
+The same-run laws (LAWS) run in a second invocation of their own, written
+next to --out as <out>_laws.json; their rows are never compared against
+the snapshot.
 """
 import argparse
 import json
@@ -66,26 +70,93 @@ OVERHEADS = [
 ]
 
 
+# Same-run laws: (law, numerator row, denominator row, field, low, high).
+# The ratio numerator/denominator of `field` must lie in [low, high] (None:
+# unbounded). Both rows come from one run of one process, so machine speed
+# cancels, as in SPEEDUPS. They state how cost scales, which no absolute
+# row can: the end-game rescan was the largest cost ever measured here and
+# predated every snapshot.
+#  - per-event cost flat across fleet scale: DES events retired per wall
+#    second at the quarter-scale fleet hold at least 0.35x the rate at the
+#    1 % fleet (a full-catalogue rescan per end-game rebuild read
+#    0.13–0.21; ROADMAP's target is 0.7);
+#  - end-game RPC cost flat across catalogue size: a request that rebuilds
+#    the end-game queue costs the same within 2x on a 1M catalogue as on a
+#    100k one (the rescan made it grow with the catalogue).
+LAW_FILTER = "^BM_CampaignScaleSweep/permille:(10|250)/|^BM_SchedulerRpcEndgame/"
+LAWS = [
+    ("per-event cost flat across fleet scale",
+     "BM_CampaignScaleSweep/permille:250/iterations:1",
+     "BM_CampaignScaleSweep/permille:10/iterations:1",
+     "events_per_sec", 0.35, None),
+    ("end-game RPC cost flat across catalogue size",
+     "BM_SchedulerRpcEndgame/workunits:1000000/iterations:2048/repeats:5",
+     "BM_SchedulerRpcEndgame/workunits:100000/iterations:2048/repeats:5",
+     "real_time", 0.5, 2.0),
+]
+
+
 # real_time is reported in each benchmark's own time_unit; normalise to
 # nanoseconds so ratios and the printed milliseconds are unit-safe.
 _NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
-def load_rows(path):
+def load_rows(path, field="real_time"):
     with open(path) as f:
         doc = json.load(f)
     rows = {}
     for b in doc.get("benchmarks", []):
-        ns = b["real_time"] * _NS.get(b.get("time_unit", "ns"), 1.0)
+        if field not in b:
+            continue
+        value = b[field]
+        if field == "real_time":
+            value *= _NS.get(b.get("time_unit", "ns"), 1.0)
         if b.get("run_type", "iteration") == "iteration":
-            rows[b["name"]] = ns
+            rows[b["name"]] = value
         elif b.get("aggregate_name") == "min":
             # Repetition aggregates (ReportAggregatesOnly) land under the
             # repetition-free run_name: the gate reads the custom min
             # statistic — runner noise only ever adds time, so the per-arm
             # minimum is the drift-robust estimator for ratio checks.
-            rows[b["run_name"]] = ns
+            rows[b["run_name"]] = value
     return rows
+
+
+def run_bench(bench, bench_filter, out):
+    cmd = [
+        bench,
+        f"--benchmark_filter={bench_filter}",
+        f"--benchmark_out={out}",
+        "--benchmark_out_format=json",
+        "--benchmark_format=console",
+    ]
+    print("bench_gate:", " ".join(cmd), flush=True)
+    subprocess.run(cmd, check=True)
+
+
+def check_laws(path):
+    """Returns one failure sentence per broken or unmeasured law."""
+    failures = []
+    for law, num_name, den_name, field, low, high in LAWS:
+        rows = load_rows(path, field)
+        num, den = rows.get(num_name), rows.get(den_name)
+        if num is None or den is None or den <= 0:
+            failures.append(f"law '{law}': {field} of {num_name} or "
+                            f"{den_name} missing from run")
+            print(f"  FAIL   law '{law}': row missing from run")
+            continue
+        ratio = num / den
+        broken = ((low is not None and ratio < low) or
+                  (high is not None and ratio > high))
+        bounds = (f"[{low if low is not None else '-inf'}, "
+                  f"{high if high is not None else 'inf'}]")
+        print(f"  {'FAIL' if broken else 'ok':<6} law '{law}': {field} "
+              f"x{ratio:.2f} ({num:.4g} / {den:.4g}), bounds {bounds}")
+        if broken:
+            failures.append(f"law '{law}': {field} {num_name} = {num:.4g}, "
+                            f"{den_name} = {den:.4g} (x{ratio:.2f} outside "
+                            f"{bounds})")
+    return failures
 
 
 def main():
@@ -103,15 +174,10 @@ def main():
     if not os.path.exists(args.bench):
         sys.exit(f"bench_gate: benchmark binary not found: {args.bench}")
 
-    cmd = [
-        args.bench,
-        f"--benchmark_filter={FILTER}",
-        f"--benchmark_out={args.out}",
-        "--benchmark_out_format=json",
-        "--benchmark_format=console",
-    ]
-    print("bench_gate:", " ".join(cmd), flush=True)
-    subprocess.run(cmd, check=True)
+    run_bench(args.bench, FILTER, args.out)
+    root, ext = os.path.splitext(args.out)
+    laws_out = f"{root}_laws{ext}"
+    run_bench(args.bench, LAW_FILTER, laws_out)
 
     baseline = load_rows(args.baseline)
     fresh = load_rows(args.out)
@@ -183,6 +249,8 @@ def main():
             failures.append(f"{instr_name}: control {control_t/1e6:.3f} ms, "
                             f"instrumented {instr_t/1e6:.3f} ms "
                             f"(overhead x{ratio:.2f} > ceiling x{ceiling})")
+
+    failures += check_laws(laws_out)
 
     if failures:
         print(f"bench_gate: {len(failures)} check(s) failed:")
