@@ -129,7 +129,7 @@ BENCHMARK(BM_MinimizeBatch)
     ->Args({1, 1200, 10});
 
 // One full MaxDo starting position (all 21 rotation couples, the paper's
-// 10 gamma starts each) on the engine's cell-list backend: scalar gamma
+// 10 gamma starts each) on the cell-list engine: scalar gamma
 // loop (batch 0) vs lockstep gamma batching (batch 1). The batch:1/batch:0
 // ratio at 1200 atoms is gated as a same-run speedup in tools/bench_gate.py.
 void BM_MaxDoPosition(benchmark::State& state) {

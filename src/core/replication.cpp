@@ -1,11 +1,12 @@
 #include "core/replication.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <thread>
 
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
+#include "util/worker_group.hpp"
 
 namespace hcmd::core {
 
@@ -59,11 +60,17 @@ ReplicationResult replicate_campaign(const CampaignConfig& config,
   }
   const std::size_t replica_workers = std::max<std::size_t>(
       1, budget / std::max<std::size_t>(1, config.shards));
-  util::ThreadPool pool(std::min(replica_workers, replicas));
-  util::parallel_for(pool, replicas, [&](std::size_t i) {
-    CampaignConfig replica = config;
-    replica.seed = base_seed + i;
-    result.reports[i] = run_campaign(replica);
+  // One round: each lane claims replica indices until none are left and
+  // writes each report to its own slot, so the reports do not depend on
+  // the lane count. A lane's exception reaches the caller from run().
+  std::atomic<std::size_t> next{0};
+  util::WorkerGroup group(std::min(replica_workers, replicas));
+  group.run([&](std::size_t) {
+    for (std::size_t i = next++; i < replicas; i = next++) {
+      CampaignConfig replica = config;
+      replica.seed = base_seed + i;
+      result.reports[i] = run_campaign(replica);
+    }
   });
 
   auto collect = [&](const std::string& name, auto&& extract) {

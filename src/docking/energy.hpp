@@ -39,21 +39,21 @@ struct InteractionEnergy {
 
 /// Counts energy evaluations and pairwise terms. `evaluations` and
 /// `pair_terms` are deterministic functions of the inputs and independent of
-/// the evaluation backend — the paper's property 1 ("the MAXDo program has a
-/// reproducible computing time") holds by construction, and the timing
+/// how pairs are enumerated — the paper's property 1 ("the MAXDo program has
+/// a reproducible computing time") holds by construction, and the timing
 /// module converts these counters to reference-processor seconds.
 struct WorkCounter {
   std::uint64_t evaluations = 0;
   /// Nominal cost-model pair terms: every evaluation contributes exactly
-  /// n_receptor * n_ligand, regardless of how many pairs the backend really
-  /// touched. This is the paper's unit of work (the flat O(n1*n2) sweep).
+  /// n_receptor * n_ligand, regardless of how many pairs were really
+  /// touched. This is the paper's unit of work (the O(n1*n2) sweep).
   std::uint64_t pair_terms = 0;
-  /// Pairs the backend actually examined (distance computed). Equals
-  /// `pair_terms` for the flat sweep; typically far smaller for cell-list
-  /// backends — the measure of pruning effectiveness.
+  /// Pairs actually examined (distance computed). Equals `pair_terms` for
+  /// the free interaction_energy() sweep; typically far smaller for the
+  /// DockingEngine's cell list — the measure of pruning effectiveness.
   std::uint64_t inspected_pairs = 0;
-  /// Pairs within the cutoff that contributed energy terms. Backend
-  /// independent (all backends evaluate exactly the within-cutoff pairs).
+  /// Pairs within the cutoff that contributed energy terms. The same for
+  /// the free sweep and the engine (both evaluate exactly these pairs).
   std::uint64_t within_cutoff_pairs = 0;
 
   WorkCounter& operator+=(const WorkCounter& o) {

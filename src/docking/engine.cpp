@@ -5,32 +5,14 @@
 
 #include "util/error.hpp"
 
-
 namespace hcmd::docking {
 
 using proteins::Vec3;
 
-namespace {
-
-/// Appends one atom to a SoA block.
-void push_atom(const proteins::PseudoAtom& a, std::vector<double>& x,
-               std::vector<double>& y, std::vector<double>& z,
-               std::vector<double>& rad, std::vector<double>& seps,
-               std::vector<double>& q) {
-  x.push_back(a.position.x);
-  y.push_back(a.position.y);
-  z.push_back(a.position.z);
-  rad.push_back(a.lj_radius);
-  seps.push_back(std::sqrt(a.lj_epsilon));
-  q.push_back(a.charge);
-}
-
-}  // namespace
-
 DockingEngine::DockingEngine(const proteins::ReducedProtein& receptor,
                              const proteins::ReducedProtein& ligand,
-                             EnergyParams params, EngineConfig config)
-    : params_(params), config_(config) {
+                             EnergyParams params)
+    : params_(params) {
   if (!(params_.cutoff > 0.0))
     throw ConfigError("DockingEngine: cutoff must be > 0");
 
@@ -42,30 +24,21 @@ DockingEngine::DockingEngine(const proteins::ReducedProtein& receptor,
   lseps_.reserve(nl);
   lq_.reserve(nl);
   for (const auto& a : ligand.atoms()) {
-    push_atom(a, lx_, ly_, lz_, lrad_, lseps_, lq_);
     const auto& p = a.position;
+    lx_.push_back(p.x);
+    ly_.push_back(p.y);
+    lz_.push_back(p.z);
+    lrad_.push_back(a.lj_radius);
+    lseps_.push_back(std::sqrt(a.lj_epsilon));
+    lq_.push_back(a.charge);
     lig_radius_ = std::max(
         lig_radius_, std::sqrt(p.x * p.x + p.y * p.y + p.z * p.z));
   }
 
-  const std::size_t nr = receptor.size();
-  rx_.reserve(nr);
-  ry_.reserve(nr);
-  rz_.reserve(nr);
-  rrad_.reserve(nr);
-  rseps_.reserve(nr);
-  rq_.reserve(nr);
-  if (config_.backend == EnergyBackend::kCellList) {
-    if (nr > 0) {
-      build_cell_grid(receptor.atoms());
-    } else {
-      cell_start_.assign(2, 0);  // one empty cell keeps lookups in range
-    }
+  if (receptor.size() > 0) {
+    build_cell_grid(receptor.atoms());
   } else {
-    // Flat backend: keep the receptor in its original order so the
-    // summation order matches the reference sweep in energy.cpp.
-    for (const auto& a : receptor.atoms())
-      push_atom(a, rx_, ry_, rz_, rrad_, rseps_, rq_);
+    cell_start_.assign(2, 0);  // one empty cell keeps lookups in range
   }
 }
 
@@ -137,7 +110,7 @@ DockingEngine::Scratch DockingEngine::make_scratch() const {
 namespace {
 
 void size_batch_scratch(DockingEngine::BatchScratch& s, std::size_t lanes,
-                        std::size_t nl, bool cells) {
+                        std::size_t nl) {
   s.lanes = lanes;
   s.x.resize(nl * lanes);
   s.y.resize(nl * lanes);
@@ -148,16 +121,14 @@ void size_batch_scratch(DockingEngine::BatchScratch& s, std::size_t lanes,
   s.within_acc.resize(lanes);
   s.inspected.resize(lanes);
   s.within.resize(lanes);
-  if (cells) {
-    s.wx0.resize(lanes);
-    s.wx1.resize(lanes);
-    s.wy0.resize(lanes);
-    s.wy1.resize(lanes);
-    s.wz0.resize(lanes);
-    s.wz1.resize(lanes);
-    s.row_begin.resize(lanes);
-    s.row_end.resize(lanes);
-  }
+  s.wx0.resize(lanes);
+  s.wx1.resize(lanes);
+  s.wy0.resize(lanes);
+  s.wy1.resize(lanes);
+  s.wz0.resize(lanes);
+  s.wz1.resize(lanes);
+  s.row_begin.resize(lanes);
+  s.row_end.resize(lanes);
 }
 
 }  // namespace
@@ -165,8 +136,7 @@ void size_batch_scratch(DockingEngine::BatchScratch& s, std::size_t lanes,
 DockingEngine::BatchScratch DockingEngine::make_batch_scratch(
     std::size_t lanes) const {
   BatchScratch s;
-  size_batch_scratch(s, lanes, lx_.size(),
-                     config_.backend == EnergyBackend::kCellList);
+  size_batch_scratch(s, lanes, lx_.size());
   return s;
 }
 
@@ -191,11 +161,8 @@ InteractionEnergy DockingEngine::energy(const proteins::RigidTransform& pose,
 
   std::uint64_t inspected = 0, within = 0;
   const InteractionEnergy e =
-      config_.backend == EnergyBackend::kCellList
-          ? accumulate_cells(scratch.x.data(), scratch.y.data(),
-                             scratch.z.data(), &inspected, &within)
-          : accumulate_flat(scratch.x.data(), scratch.y.data(),
-                            scratch.z.data(), &inspected, &within);
+      accumulate_cells(scratch.x.data(), scratch.y.data(), scratch.z.data(),
+                       &inspected, &within);
 
   if (work != nullptr) {
     ++work->evaluations;
@@ -212,10 +179,8 @@ void DockingEngine::energy_batch(const proteins::RigidTransform* poses,
                                  WorkCounter* work) const {
   if (count == 0) return;
   const std::size_t nl = lx_.size();
-  const bool cells = config_.backend == EnergyBackend::kCellList;
-  if (scratch.lanes < count || scratch.x.size() < nl * count ||
-      (cells && scratch.row_begin.size() < count))
-    size_batch_scratch(scratch, count, nl, cells);
+  if (scratch.lanes < count || scratch.x.size() < nl * count)
+    size_batch_scratch(scratch, count, nl);
   const std::size_t B = count;
 
   std::fill(scratch.lj.begin(), scratch.lj.begin() + B, 0.0);
@@ -224,8 +189,8 @@ void DockingEngine::energy_batch(const proteins::RigidTransform* poses,
   std::fill(scratch.inspected.begin(), scratch.inspected.begin() + B, 0);
 
   // Tile the lanes by pose proximity before transforming: a tile shares
-  // one receptor traversal (and, for the cell backend, one window-union
-  // walk), so lumping distant poses together — e.g. the different gamma
+  // one receptor traversal (a walk over the union of its lanes' cell
+  // windows), so lumping distant poses together — e.g. the different gamma
   // starts — would multiply the masked inner-loop work by the tile
   // width. Nearby poses — the 12 finite-difference probes of one descent
   // differ by well under a cell — amortise the traversal perfectly; a
@@ -291,20 +256,15 @@ void DockingEngine::energy_batch(const proteins::RigidTransform* poses,
       // the post-loop conversion below stays uniform.
       std::uint64_t ins = 0, win = 0;
       const InteractionEnergy e =
-          cells ? accumulate_cells(scratch.x.data(), scratch.y.data(),
-                                   scratch.z.data(), &ins, &win)
-                : accumulate_flat(scratch.x.data(), scratch.y.data(),
-                                  scratch.z.data(), &ins, &win);
+          accumulate_cells(scratch.x.data(), scratch.y.data(),
+                           scratch.z.data(), &ins, &win);
       scratch.lj[tile] = e.lj;
       scratch.elec[tile] = e.elec;
       scratch.inspected[tile] = ins;
       scratch.within_acc[tile] = static_cast<double>(win);
-    } else if (cells) {
+    } else {
       batch_accumulate_cells(scratch, scratch.x.data(), scratch.y.data(),
                              scratch.z.data(), tile, W, prune2);
-    } else {
-      batch_accumulate_flat(scratch, scratch.x.data(), scratch.y.data(),
-                            scratch.z.data(), tile, W, prune2);
     }
     tile = tile_end;
   }
@@ -330,53 +290,6 @@ void DockingEngine::energy_batch(const proteins::RigidTransform* poses,
   }
   for (std::size_t b = 0; b < B; ++b)
     out[b] = InteractionEnergy{scratch.lj[b], scratch.elec[b]};
-}
-
-InteractionEnergy DockingEngine::accumulate_flat(const double* x,
-                                                 const double* y,
-                                                 const double* z,
-                                                 std::uint64_t* inspected,
-                                                 std::uint64_t* within) const {
-  InteractionEnergy e;
-  const double cutoff2 = params_.cutoff * params_.cutoff;
-  const double min_d2 = params_.min_distance * params_.min_distance;
-  const double ke = params_.coulomb_constant / params_.dielectric_slope;
-  const std::size_t nl = lx_.size();
-  const std::size_t nr = rx_.size();
-  std::uint64_t hits = 0;
-  const double* const rx = rx_.data();
-  const double* const ry = ry_.data();
-  const double* const rz = rz_.data();
-  const double* const rrad = rrad_.data();
-  const double* const rseps = rseps_.data();
-  const double* const rq = rq_.data();
-
-  for (std::size_t i = 0; i < nl; ++i) {
-    const double lxi = x[i], lyi = y[i], lzi = z[i];
-    const double lrad = lrad_[i], lse = lseps_[i];
-    const double lqke = lq_[i] * ke;
-    for (std::size_t j = 0; j < nr; ++j) {
-      const double dx = lxi - rx[j];
-      const double dy = lyi - ry[j];
-      const double dz = lzi - rz[j];
-      double r2 = dx * dx + dy * dy + dz * dz;
-      if (r2 > cutoff2) continue;
-      if (r2 < min_d2) r2 = min_d2;
-      ++hits;
-
-      // One division serves both terms; the electrostatic add is
-      // unconditional (uncharged pairs contribute an exact 0.0).
-      const double inv_r2 = 1.0 / r2;
-      const double rmin = lrad + rrad[j];
-      const double s2 = (rmin * rmin) * inv_r2;
-      const double s6 = s2 * s2 * s2;
-      e.lj += (lse * rseps[j]) * (s6 * s6 - 2.0 * s6);
-      e.elec += (lqke * rq[j]) * inv_r2;
-    }
-  }
-  *inspected = static_cast<std::uint64_t>(nl) * nr;
-  *within = hits;
-  return e;
 }
 
 InteractionEnergy DockingEngine::accumulate_cells(
@@ -441,102 +354,13 @@ InteractionEnergy DockingEngine::accumulate_cells(
   return e;
 }
 
-// Batched kernels. The lane loop is the innermost, branch-free loop over
+// Batched kernel. The lane loop is the innermost, branch-free loop over
 // contiguous lane arrays so the compiler vectorises across poses; masked
 // lanes add an exact 0.0, which is bit-neutral here because the
 // accumulators can never hold -0.0 (they start at +0.0 and round-to-nearest
 // addition from +0.0 never produces -0.0). Per-lane term order is exactly
 // the scalar path's (i outer, j ascending), so lane b's total is
 // bit-identical to energy(poses[b]).
-
-void DockingEngine::batch_accumulate_flat(BatchScratch& s, const double* x,
-                                          const double* y, const double* z,
-                                          std::size_t lane0,
-                                          std::size_t width,
-                                          double prune2) const {
-  const std::size_t W = width;
-  const double cutoff2 = params_.cutoff * params_.cutoff;
-  const double min_d2 = params_.min_distance * params_.min_distance;
-  const double ke = params_.coulomb_constant / params_.dielectric_slope;
-  const std::size_t nl = lx_.size();
-  const std::size_t nr = rx_.size();
-  const double* const rx = rx_.data();
-  const double* const ry = ry_.data();
-  const double* const rz = rz_.data();
-  const double* const rrad = rrad_.data();
-  const double* const rseps = rseps_.data();
-  const double* const rq = rq_.data();
-  double* const __restrict acc_lj = s.lj.data() + lane0;
-  double* const __restrict acc_el = s.elec.data() + lane0;
-  double* const __restrict r2buf = s.r2.data();
-  double* const __restrict within = s.within_acc.data() + lane0;
-
-  for (std::size_t i = 0; i < nl; ++i) {
-    const double* const __restrict px = x + i * W;
-    const double* const __restrict py = y + i * W;
-    const double* const __restrict pz = z + i * W;
-    const double lrad = lrad_[i], lse = lseps_[i];
-    const double lqke = lq_[i] * ke;
-    for (std::size_t j = 0; j < nr; ++j) {
-      const double rxj = rx[j], ryj = ry[j], rzj = rz[j];
-      // Tile-wide prune: one lane-0 distance beyond cutoff + slack proves
-      // the pair is out of cutoff for every lane (triangle inequality),
-      // for a twelfth of the per-lane distance work.
-      {
-        const double dx = px[0] - rxj;
-        const double dy = py[0] - ryj;
-        const double dz = pz[0] - rzj;
-        if (dx * dx + dy * dy + dz * dz > prune2) continue;
-      }
-      // Distance pass: pure lane-parallel arithmetic, runs for every
-      // surviving pair just like the scalar distance test does.
-      for (std::size_t b = 0; b < W; ++b) {
-        const double dx = px[b] - rxj;
-        const double dy = py[b] - ryj;
-        const double dz = pz[b] - rzj;
-        r2buf[b] = dx * dx + dy * dy + dz * dz;
-      }
-      // The scalar path's early-out, lifted to the tile: skip the
-      // division and LJ powers entirely when no lane is within the
-      // cutoff (skipped lanes would add an exact +0.0 anyway).
-      std::uint64_t any = 0;
-      for (std::size_t b = 0; b < W; ++b)
-        any += static_cast<std::uint64_t>(r2buf[b] <= cutoff2);
-      if (any == 0) continue;
-
-      const double rm2 = (lrad + rrad[j]) * (lrad + rrad[j]);
-      const double eps = lse * rseps[j];
-      const double qke = lqke * rq[j];
-      if (4 * any <= W) {
-        // Sparse: see the cell kernel — scalar terms for the hit lanes
-        // only, ascending b, so per-lane order (and bits) are unchanged.
-        for (std::size_t b = 0; b < W; ++b) {
-          if (!(r2buf[b] <= cutoff2)) continue;
-          const double r2 = r2buf[b] < min_d2 ? min_d2 : r2buf[b];
-          const double inv_r2 = 1.0 / r2;
-          const double s2 = rm2 * inv_r2;
-          const double s6 = s2 * s2 * s2;
-          acc_lj[b] += eps * (s6 * s6 - 2.0 * s6);
-          acc_el[b] += qke * inv_r2;
-          within[b] += 1.0;
-        }
-        continue;
-      }
-      for (std::size_t b = 0; b < W; ++b) {
-        const bool in = r2buf[b] <= cutoff2;
-        const double r2 = r2buf[b] < min_d2 ? min_d2 : r2buf[b];
-        const double inv_r2 = 1.0 / r2;
-        const double s2 = rm2 * inv_r2;
-        const double s6 = s2 * s2 * s2;
-        acc_lj[b] += in ? eps * (s6 * s6 - 2.0 * s6) : 0.0;
-        acc_el[b] += in ? qke * inv_r2 : 0.0;
-        within[b] += in ? 1.0 : 0.0;
-      }
-    }
-  }
-  const std::uint64_t nominal = static_cast<std::uint64_t>(nl) * nr;
-  for (std::size_t b = 0; b < W; ++b) s.inspected[lane0 + b] = nominal;
-}
 
 void DockingEngine::batch_accumulate_cells(BatchScratch& s, const double* x,
                                            const double* y, const double* z,

@@ -10,8 +10,8 @@
 //    per-pair std::sqrt of the geometric-mean well depth out of the inner
 //    loop (sqrt(e1*e2) == sqrt(e1)*sqrt(e2) up to one ulp), and the
 //    contiguous arrays let the compiler vectorise the distance test.
-//  * Cell-list backend: the receptor SoA is permuted into cell order (CSR)
-//    at construction, so each transformed ligand atom visits only the 27
+//  * Cell list: the receptor SoA is permuted into cell order (CSR) at
+//    construction, so each transformed ligand atom visits only the 27
 //    neighbouring cells and every visited cell is a contiguous slice.
 //  * Scratch buffer: the caller supplies a Scratch holding the transformed
 //    ligand positions, reused across evaluations instead of re-allocating
@@ -27,12 +27,12 @@
 //    Vectorisation is across poses, never across atoms: each lane
 //    accumulates exactly the scalar path's (ligand atom, receptor atom)
 //    term sequence, so batched results are bit-identical to energy() per
-//    lane on both backends.
+//    lane.
 //
-// Backends produce identical within-cutoff pair sets and identical per-pair
-// formulas; totals differ only by floating-point summation order and the
-// one-ulp sqrt factorisation (see docking_engine_test.cpp for the 1e-9
-// relative-tolerance equivalence sweep).
+// The engine evaluates exactly the within-cutoff pairs of the free
+// interaction_energy() sweep with the same per-pair formulas; totals differ
+// only by floating-point summation order and the one-ulp sqrt factorisation
+// (see docking_engine_test.cpp for the 1e-9 relative-tolerance sweep).
 #pragma once
 
 #include <cstddef>
@@ -44,18 +44,6 @@
 #include "proteins/protein.hpp"
 
 namespace hcmd::docking {
-
-/// Which pair-enumeration strategy the engine uses. Both evaluate exactly
-/// the within-cutoff pairs; kFlat is the O(n1*n2) reference matching the
-/// paper's cost law, kCellList prunes via the receptor's spatial grid.
-enum class EnergyBackend : std::uint8_t {
-  kFlat,      ///< reference flat sweep over all receptor atoms
-  kCellList,  ///< 27-cell neighbourhood pruning (default)
-};
-
-struct EngineConfig {
-  EnergyBackend backend = EnergyBackend::kCellList;
-};
 
 class DockingEngine {
  public:
@@ -92,8 +80,8 @@ class DockingEngine {
     /// Per-lane pair counters, matching the scalar path's bookkeeping
     /// exactly (summed into the WorkCounter once per batch).
     std::vector<std::uint64_t> inspected, within;
-    /// Cell backend only: per-tile-lane clamped 3x3x3 windows and, per
-    /// (y, z) row of the union walk, the per-lane fused x-slice bounds.
+    /// Per-tile-lane clamped 3x3x3 windows and, per (y, z) row of the
+    /// union walk, the per-lane fused x-slice bounds.
     std::vector<std::int32_t> wx0, wx1, wy0, wy1, wz0, wz1;
     std::vector<std::uint32_t> row_begin, row_end;
   };
@@ -101,18 +89,14 @@ class DockingEngine {
   /// Copies both proteins into SoA form; the references need not outlive
   /// the engine. Throws ConfigError for non-positive cutoff.
   DockingEngine(const proteins::ReducedProtein& receptor,
-                const proteins::ReducedProtein& ligand, EnergyParams params,
-                EngineConfig config = {});
+                const proteins::ReducedProtein& ligand, EnergyParams params);
 
   const EnergyParams& params() const { return params_; }
-  const EngineConfig& config() const { return config_; }
   std::size_t receptor_size() const { return rx_.size(); }
   std::size_t ligand_size() const { return lx_.size(); }
-  /// Number of cells in the receptor grid (1 for the flat backend).
+  /// Number of cells in the receptor grid.
   std::size_t cell_count() const {
-    return config_.backend == EnergyBackend::kCellList
-               ? static_cast<std::size_t>(nx_) * ny_ * nz_
-               : 1;
+    return static_cast<std::size_t>(nx_) * ny_ * nz_;
   }
 
   Scratch make_scratch() const;
@@ -125,11 +109,11 @@ class DockingEngine {
                            Scratch& scratch,
                            WorkCounter* work = nullptr) const;
 
-  /// Evaluates `count` poses in lockstep: one receptor traversal (flat
-  /// sweep or cell walk) serves all lanes. out[b] is bit-identical to
-  /// energy(poses[b], ...) — per-lane accumulation order matches the
-  /// scalar path exactly — and counters are flushed into `work` once per
-  /// batch, not per pose. Thread-safe with a per-caller scratch.
+  /// Evaluates `count` poses in lockstep: one cell walk serves all lanes.
+  /// out[b] is bit-identical to energy(poses[b], ...) — per-lane
+  /// accumulation order matches the scalar path exactly — and counters are
+  /// flushed into `work` once per batch, not per pose. Thread-safe with a
+  /// per-caller scratch.
   void energy_batch(const proteins::RigidTransform* poses, std::size_t count,
                     BatchScratch& scratch, InteractionEnergy* out,
                     WorkCounter* work = nullptr) const;
@@ -139,40 +123,32 @@ class DockingEngine {
   std::size_t flat_cell(int x, int y, int z) const {
     return (static_cast<std::size_t>(z) * ny_ + y) * nx_ + x;
   }
-  // Scalar kernels over one contiguous world-frame ligand (x/y/z, nl
+  // Scalar kernel over one contiguous world-frame ligand (x/y/z, nl
   // doubles each). Shared verbatim by energy() and by width-1 batch
   // tiles, which is what makes those tiles bit-identical by construction.
-  InteractionEnergy accumulate_flat(const double* x, const double* y,
-                                    const double* z, std::uint64_t* inspected,
-                                    std::uint64_t* within) const;
   InteractionEnergy accumulate_cells(const double* x, const double* y,
                                      const double* z, std::uint64_t* inspected,
                                      std::uint64_t* within) const;
-  // Masked kernels over one tile of `width` lanes in tile-major layout
+  // Masked kernel over one tile of `width` lanes in tile-major layout
   // (atom i, tile lane b at x[i * width + b]); per-lane accumulators and
   // counters live at scratch index lane0 + b. `prune2` is the squared
   // tile-wide prune radius (cutoff + lane-0 displacement slack): one
   // lane-0 distance beyond it proves every lane is outside the cutoff,
-  // so the per-lane passes are skipped wholesale. The cell variant walks
-  // the union of the tile's windows once with per-lane masks.
+  // so the per-lane passes are skipped wholesale. It walks the union of
+  // the tile's windows once with per-lane masks.
   // energy_batch() groups lanes into tiles of nearby poses, so the union
   // stays close to each member's own window; which lanes share a tile
   // cannot affect results (per-lane sums are independent and
   // order-preserving).
-  void batch_accumulate_flat(BatchScratch& s, const double* x,
-                             const double* y, const double* z,
-                             std::size_t lane0, std::size_t width,
-                             double prune2) const;
   void batch_accumulate_cells(BatchScratch& s, const double* x,
                               const double* y, const double* z,
                               std::size_t lane0, std::size_t width,
                               double prune2) const;
 
   EnergyParams params_;
-  EngineConfig config_;
 
-  // Receptor SoA. For the cell backend the arrays are permuted into cell
-  // order so each cell's atoms form a contiguous slice.
+  // Receptor SoA, permuted into cell order so each cell's atoms form a
+  // contiguous slice.
   std::vector<double> rx_, ry_, rz_, rrad_, rseps_, rq_;
   // Ligand SoA in the ligand's local frame.
   std::vector<double> lx_, ly_, lz_, lrad_, lseps_, lq_;
@@ -181,7 +157,7 @@ class DockingEngine {
   // proximity.
   double lig_radius_ = 0.0;
 
-  // Cell grid (cell backend only): CSR over the permuted receptor order.
+  // Cell grid: CSR over the permuted receptor order.
   proteins::Vec3 origin_;
   int nx_ = 1, ny_ = 1, nz_ = 1;
   std::vector<std::uint32_t> cell_start_;

@@ -4,7 +4,6 @@
 #include <ostream>
 
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hcmd::docking {
 
@@ -26,11 +25,15 @@ MaxDoCheckpoint MaxDoCheckpoint::read(std::istream& is) {
   if (!(is >> tag >> version >> cp.next_isep >> n) ||
       tag != "maxdo-checkpoint" || version != 1)
     throw ParseError("MaxDoCheckpoint::read: bad header");
-  cp.records.resize(n);
-  for (auto& r : cp.records) {
+  // The header's count is untrusted: records are appended one at a time,
+  // so a truncated stream fails at its first missing record rather than
+  // after allocating the count the header claims.
+  for (std::size_t i = 0; i < n; ++i) {
+    DockingRecord r;
     if (!(is >> r.isep >> r.irot >> r.pose.x >> r.pose.y >> r.pose.z >>
           r.pose.alpha >> r.pose.beta >> r.pose.gamma >> r.elj >> r.eelec))
       throw ParseError("MaxDoCheckpoint::read: truncated record");
+    cp.records.push_back(r);
   }
   return cp;
 }
@@ -40,19 +43,14 @@ MaxDoProgram::MaxDoProgram(const proteins::ReducedProtein& receptor,
                            MaxDoParams params)
     : receptor_(receptor), ligand_(ligand), params_(std::move(params)),
       positions_(proteins::starting_positions(receptor, params_.positions)),
-      engine_(receptor, ligand, params_.energy, params_.engine) {
+      engine_(receptor, ligand, params_.energy) {
   HCMD_ASSERT(params_.gamma_steps >= 1 &&
               params_.gamma_steps <= proteins::kNumGammaSteps);
-  if (params_.threads > 1)
-    pool_ = std::make_unique<util::ThreadPool>(params_.threads);
 }
-
-MaxDoProgram::~MaxDoProgram() = default;
 
 DockingRecord MaxDoProgram::compute_rotation(std::uint32_t isep,
                                              std::uint32_t irot,
-                                             Workspace& ws,
-                                             WorkCounter& work) const {
+                                             Workspace& ws) {
   const std::uint32_t n_gamma = params_.gamma_steps;
   ws.starts.resize(n_gamma);
   for (std::uint32_t ig = 0; ig < n_gamma; ++ig) {
@@ -68,12 +66,12 @@ DockingRecord MaxDoProgram::compute_rotation(std::uint32_t isep,
     // One lockstep batch: the gamma starts are the SIMD lanes, so each
     // minimiser iteration costs two receptor traversals for all of them.
     minimize_batch(engine_, ws.starts, params_.minimizer, ws.batch,
-                   ws.results, &work);
+                   ws.results, &work_);
   } else {
     for (std::uint32_t ig = 0; ig < n_gamma; ++ig)
       ws.results[ig] =
           minimize(engine_, ws.starts[ig], params_.minimizer, ws.scratch,
-                   &work);
+                   &work_);
   }
 
   // Best-over-gamma selection, in gamma order with a strict '<' — shared
@@ -104,52 +102,24 @@ RunStatus MaxDoProgram::run(const MaxDoTask& task, MaxDoCheckpoint& state,
     throw ConfigError("MaxDoProgram: irot range outside [0, 21]");
   if (state.next_isep < task.isep_begin) state.next_isep = task.isep_begin;
 
-  // Reusable per-worker state, hoisted out of the position loop: serial
-  // runs share one workspace; the pool fan-out gives every rotation slot
-  // its own (tasks for slot r only ever touch ws[r], so no worker races
-  // and nothing is allocated per position). The batch scratch is pre-sized
-  // for the widest fused evaluation (12 probes x gamma lanes).
+  // Reusable state, hoisted out of the position loop so nothing is
+  // allocated per position. The batch scratch is pre-sized for the widest
+  // fused evaluation (12 probes x gamma lanes).
   const std::uint32_t nrot = task.rotations();
-  const bool fan_out = pool_ != nullptr && nrot > 1;
-  std::vector<Workspace> ws(fan_out ? nrot : 1);
-  for (auto& w : ws) {
-    w.scratch = engine_.make_scratch();
-    w.batch.scratch = engine_.make_batch_scratch(
-        12 * static_cast<std::size_t>(params_.gamma_steps));
-    w.starts.reserve(params_.gamma_steps);
-    w.results.reserve(params_.gamma_steps);
-  }
+  Workspace ws;
+  ws.scratch = engine_.make_scratch();
+  ws.batch.scratch = engine_.make_batch_scratch(
+      12 * static_cast<std::size_t>(params_.gamma_steps));
+  ws.starts.reserve(params_.gamma_steps);
+  ws.results.reserve(params_.gamma_steps);
   std::vector<DockingRecord> position_records(nrot);
-  std::vector<WorkCounter> rot_work(fan_out ? nrot : 0);
 
   for (std::uint32_t isep = state.next_isep; isep < task.isep_end; ++isep) {
-    // Compute all rotation couples for this starting position. No partial
-    // state is kept inside the loop: an interruption discards the whole
-    // position, as on World Community Grid.
-    //
-    // The (irot, gamma) minimisations within one position are independent,
-    // so they fan across the pool when one is configured. Determinism:
-    // every record lands in the slot indexed by its irot (so the commit
-    // order matches serial runs byte for byte) and each minimisation is an
-    // identical, self-contained FP computation regardless of which thread
-    // runs it. WorkCounters are gathered per rotation and summed after the
-    // barrier — integer sums are order independent.
-    if (fan_out) {
-      for (auto& w : rot_work) w = WorkCounter{};
-      util::parallel_for(
-          *pool_, nrot,
-          [&](std::size_t r) {
-            position_records[r] = compute_rotation(
-                isep, task.irot_begin + static_cast<std::uint32_t>(r),
-                ws[r], rot_work[r]);
-          },
-          util::parallel_grain(nrot, pool_->size()));
-      for (const auto& w : rot_work) work_ += w;
-    } else {
-      for (std::uint32_t r = 0; r < nrot; ++r)
-        position_records[r] = compute_rotation(isep, task.irot_begin + r,
-                                               ws[0], work_);
-    }
+    // Compute all rotation couples for this starting position, in irot
+    // order. No partial state is kept inside the loop: an interruption
+    // discards the whole position, as on World Community Grid.
+    for (std::uint32_t r = 0; r < nrot; ++r)
+      position_records[r] = compute_rotation(isep, task.irot_begin + r, ws);
 
     // Checkpoint boundary: commit the finished position atomically.
     state.records.insert(state.records.end(), position_records.begin(),

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <memory>
 #include <vector>
 
 #include "docking/energy.hpp"
@@ -19,10 +18,6 @@
 #include "docking/minimizer.hpp"
 #include "proteins/protein.hpp"
 #include "proteins/starting_positions.hpp"
-
-namespace hcmd::util {
-class ThreadPool;
-}
 
 namespace hcmd::docking {
 
@@ -57,22 +52,13 @@ struct MaxDoParams {
   proteins::StartingPositionParams positions;
   /// Gamma refinements per rotation couple (paper: 10).
   std::uint32_t gamma_steps = proteins::kNumGammaSteps;
-  /// Evaluation engine configuration (backend selection). The flat backend
-  /// is the bit-faithful reference; the default cell-list backend agrees to
-  /// ~1e-12 relative (floating-point summation order only).
-  EngineConfig engine;
-  /// Worker threads for the intra-position (irot) fan-out; 1 = serial.
-  /// Checkpoints are byte-identical to serial runs for any thread count:
-  /// each (irot, gamma) minimisation is an independent computation, results
-  /// land in a slot indexed by irot, and counters are summed after the
-  /// barrier.
-  std::uint32_t threads = 1;
   /// Run the gamma starts of each (isep, irot) as one lockstep SIMD batch
   /// (lane = gamma start) instead of sequential scalar minimisations. The
   /// batched path is bit-identical to the scalar one by construction —
-  /// checkpoints do not change — so this is on by default; the toggle
-  /// exists for A/B benchmarking and the bit-identity tests. Composes with
-  /// `threads` (irot fan-out on top of gamma batching).
+  /// checkpoints do not change — so this is on by default. The scalar
+  /// path stays as the reference of the bit-identity tests and of the
+  /// BM_MaxDoPosition batch:0/batch:1 speedup that tools/bench_gate.py
+  /// gates.
   bool batch_gamma = true;
 };
 
@@ -98,7 +84,6 @@ class MaxDoProgram {
   /// References must outlive the program.
   MaxDoProgram(const proteins::ReducedProtein& receptor,
                const proteins::ReducedProtein& ligand, MaxDoParams params);
-  ~MaxDoProgram();  // out of line: ThreadPool is forward-declared here
 
   /// Runs `task`, resuming from `state`. If `interrupt` is provided it is
   /// polled after each completed starting position; returning true stops
@@ -118,11 +103,10 @@ class MaxDoProgram {
   const MaxDoParams& params() const { return params_; }
 
  private:
-  /// Per-worker reusable state: the scalar scratch, the batch-minimiser
-  /// buffers and the gamma start/result arrays. Allocated once per run()
-  /// (one per rotation slot when a pool fans out) and reused across every
-  /// starting position, so the per-(isep, irot) computation is
-  /// allocation-free in steady state.
+  /// Reusable state: the scalar scratch, the batch-minimiser buffers and
+  /// the gamma start/result arrays. Allocated once per run() and reused
+  /// across every starting position, so the per-(isep, irot) computation
+  /// is allocation-free in steady state.
   struct Workspace {
     DockingEngine::Scratch scratch;
     BatchMinimizerWork batch;
@@ -130,11 +114,12 @@ class MaxDoProgram {
     std::vector<MinimizationResult> results;
   };
 
-  /// Computes the best-over-gamma record for one (isep, irot) start. The
-  /// gamma starts run as one minimize_batch when params_.batch_gamma is
-  /// set; the best-record selection is identical either way.
+  /// Computes the best-over-gamma record for one (isep, irot) start and
+  /// adds its work to work_. The gamma starts run as one minimize_batch
+  /// when params_.batch_gamma is set; the best-record selection is
+  /// identical either way.
   DockingRecord compute_rotation(std::uint32_t isep, std::uint32_t irot,
-                                 Workspace& ws, WorkCounter& work) const;
+                                 Workspace& ws);
 
   const proteins::ReducedProtein& receptor_;
   const proteins::ReducedProtein& ligand_;
@@ -142,7 +127,6 @@ class MaxDoProgram {
   std::vector<proteins::Vec3> positions_;
   proteins::OrientationGrid orientations_;
   DockingEngine engine_;
-  std::unique_ptr<util::ThreadPool> pool_;  ///< non-null when threads > 1
   WorkCounter work_;
 };
 

@@ -81,10 +81,10 @@ struct StepControl {
 
 /// Minimises the interaction energy starting from `start`. Each of the ~13
 /// evaluations per iteration reuses `scratch` for the transformed ligand
-/// positions and goes through the engine's selected backend (cell-list
-/// pruning by default). Work performed is accumulated into `work` when
-/// non-null (flushed once per minimisation, not per evaluation).
-/// Thread-safe when each caller brings its own scratch.
+/// positions and goes through the engine's cell list. Work performed is
+/// accumulated into `work` when non-null (flushed once per minimisation,
+/// not per evaluation). Thread-safe when each caller brings its own
+/// scratch.
 MinimizationResult minimize(const DockingEngine& engine,
                             const proteins::Dof6& start,
                             const MinimizerParams& params,

@@ -1,12 +1,13 @@
-// Persistent worker threads for short, fixed fan-out rounds.
+// Persistent worker threads for fixed fan-out rounds.
 //
 // core::ShardEngine advances its shards once per epoch barrier: thousands
-// of rounds per campaign, each a few milliseconds long. A ThreadPool round
-// (parallel_for) packages one task and one future per shard and wakes the
-// workers through a mutex and a condition variable. A WorkerGroup starts
-// its threads once and parks them between rounds: the caller releases a
-// round by bumping an atomic round counter and joins it on an atomic
-// countdown, both through C++20 atomic wait/notify.
+// of rounds per campaign, each a few milliseconds long. So a WorkerGroup
+// starts its threads once and parks them between rounds: the caller
+// releases a round by bumping an atomic round counter and joins it on an
+// atomic countdown, both through C++20 atomic wait/notify, with no
+// per-round task, future, mutex or condition variable.
+// core::replicate_campaign runs a single round whose lanes claim replica
+// indices from a shared counter.
 #pragma once
 
 #include <atomic>

@@ -43,6 +43,19 @@ TEST(Replication, DeterministicAcrossThreadCounts) {
   }
 }
 
+TEST(Replication, ReplicaFailureReachesTheCaller) {
+  // More shards than the tiny fleet has devices (scale 0.002 draws about
+  // 660): run_campaign rejects every replica before it builds an engine.
+  // The rejection must reach the caller, and the next call must still run.
+  CampaignConfig too_many_shards = tiny_config();
+  too_many_shards.shards = 1000;
+  EXPECT_THROW(replicate_campaign(too_many_shards, 2, 1, 2),
+               hcmd::ConfigError);
+  const ReplicationResult r = replicate_campaign(tiny_config(), 2, 1, 2);
+  EXPECT_EQ(r.reports.size(), 2u);
+  EXPECT_GT(r.reports[1].counters.results_received, 0u);
+}
+
 TEST(Replication, ComposesWithShardedRunsDeterministically) {
   // replicas x shards: the replica fan-out divides its worker budget by the
   // per-replica shard parallelism (no oversubscription), and sharding a

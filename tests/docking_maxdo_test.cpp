@@ -144,6 +144,16 @@ TEST(MaxDo, CheckpointReadRejectsGarbage) {
   EXPECT_THROW(MaxDoCheckpoint::read(v2), hcmd::ParseError);
 }
 
+TEST(MaxDo, CheckpointReadRejectsHugeRecordCount) {
+  // The header's record count is untrusted input: one record under a
+  // count of 10^15 is a truncated stream, not a request to allocate
+  // 10^15 records before reading the first.
+  std::stringstream ss(
+      "maxdo-checkpoint 1 0 1000000000000000\n"
+      "0 0 1 2 3 0.1 0.2 0.3 -1.5 -0.25\n");
+  EXPECT_THROW(MaxDoCheckpoint::read(ss), hcmd::ParseError);
+}
+
 TEST(MaxDo, RejectsOutOfRangeTask) {
   Fixture f;
   MaxDoProgram program(f.receptor, f.ligand, f.params);

@@ -22,12 +22,11 @@ struct Fixture {
     return d;
   }
 
-  /// Minimises `lig` from `from` on the flat-sweep engine backend, whose
-  /// nominal pair counts are the paper's n1 * n2 cost law.
+  /// Minimises `lig` from `from`; the engine's nominal pair counts are the
+  /// paper's n1 * n2 cost law.
   MinimizationResult run(const ReducedProtein& lig, const Dof6& from,
                          WorkCounter* work = nullptr) const {
-    const DockingEngine engine(receptor, lig, energy,
-                               {EnergyBackend::kFlat});
+    const DockingEngine engine(receptor, lig, energy);
     DockingEngine::Scratch scratch = engine.make_scratch();
     return minimize(engine, from, params, scratch, work);
   }
