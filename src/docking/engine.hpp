@@ -2,8 +2,9 @@
 // the MAXDo-equivalent program.
 //
 // The engine owns all per-couple precomputation so the per-pose energy
-// evaluation — the repo's dominant cost, called 13+ times per minimiser
-// iteration — touches only flat arrays:
+// evaluation — the repo's dominant cost, called 13 times per minimiser
+// iteration after a move and once after a rejected trial — touches only
+// flat arrays:
 //
 //  * SoA atom layout: separate x/y/z/lj_radius/sqrt(lj_epsilon)/charge
 //    arrays for receptor and ligand. Storing sqrt(eps) per atom hoists the

@@ -100,6 +100,10 @@ RunStatus MaxDoProgram::run(const MaxDoTask& task, MaxDoCheckpoint& state,
   if (task.irot_end > proteins::kNumRotationCouples ||
       task.irot_begin > task.irot_end)
     throw ConfigError("MaxDoProgram: irot range outside [0, 21]");
+  // A resume point past the task's end would report kCompleted without the
+  // missing positions.
+  if (state.next_isep > task.isep_end)
+    throw ConfigError("MaxDoProgram: resume state past the task's isep_end");
   if (state.next_isep < task.isep_begin) state.next_isep = task.isep_begin;
 
   // Reusable state, hoisted out of the position loop so nothing is

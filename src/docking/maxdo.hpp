@@ -88,7 +88,8 @@ class MaxDoProgram {
   /// Runs `task`, resuming from `state`. If `interrupt` is provided it is
   /// polled after each completed starting position; returning true stops
   /// the run with a consistent checkpoint. Throws ConfigError if the task
-  /// range is invalid for this receptor.
+  /// range is invalid for this receptor or `state.next_isep` lies past
+  /// `task.isep_end`.
   RunStatus run(const MaxDoTask& task, MaxDoCheckpoint& state,
                 const std::function<bool()>& interrupt = {});
 

@@ -69,22 +69,25 @@ MinimizationResult minimize(const DockingEngine& engine,
   double best = eval(result.pose, &result.energy);
 
   StepControl ctrl(params);
+  std::array<double, 6> grad{};
 
   for (std::uint32_t it = 0; it < params.max_iterations; ++it) {
     ++result.iterations;
 
-    // Numerical gradient (central differences over the 6 DOF).
-    std::array<double, 6> grad{};
+    // Numerical gradient (central differences over the 6 DOF), unless the
+    // last trial was rejected and left the pose where `grad` was taken.
     auto& p = result.pose;
-    for (std::size_t k = 0; k < 6; ++k) {
-      const double delta = dof_delta(params, k);
-      const double orig = p.*kDofMembers[k];
-      p.*kDofMembers[k] = orig + delta;
-      const double hi = eval(p, nullptr);
-      p.*kDofMembers[k] = orig - delta;
-      const double lo = eval(p, nullptr);
-      p.*kDofMembers[k] = orig;
-      grad[k] = (hi - lo) / (2.0 * delta);
+    if (!ctrl.gradient_current) {
+      for (std::size_t k = 0; k < 6; ++k) {
+        const double delta = dof_delta(params, k);
+        const double orig = p.*kDofMembers[k];
+        p.*kDofMembers[k] = orig + delta;
+        const double hi = eval(p, nullptr);
+        p.*kDofMembers[k] = orig - delta;
+        const double lo = eval(p, nullptr);
+        p.*kDofMembers[k] = orig;
+        grad[k] = (hi - lo) / (2.0 * delta);
+      }
     }
 
     bool done;
@@ -128,6 +131,7 @@ void minimize_batch(const DockingEngine& engine,
 
   batch.pose.assign(starts.begin(), starts.end());
   batch.trial.resize(n_lanes);
+  batch.grad.resize(n_lanes);
   batch.control.assign(n_lanes, StepControl(params));
   batch.best.resize(n_lanes);
   batch.done.assign(n_lanes, 0);
@@ -152,11 +156,13 @@ void minimize_batch(const DockingEngine& engine,
 
   for (std::uint32_t it = 0;
        it < params.max_iterations && !batch.active.empty(); ++it) {
-    // Stage 1: the 12 central-difference probes of every active lane,
-    // fused into a single batched evaluation. Probe slot order matches the
-    // scalar driver (k ascending, +delta then -delta).
+    // Stage 1: the 12 central-difference probes of every active lane whose
+    // gradient is stale, fused into a single batched evaluation. Probe
+    // slot order matches the scalar driver (k ascending, +delta then
+    // -delta).
     std::size_t np = 0;
     for (const std::uint32_t lane : batch.active) {
+      if (batch.control[lane].gradient_current) continue;
       const proteins::Dof6& p = batch.pose[lane];
       for (std::size_t k = 0; k < 6; ++k) {
         const double delta = dof_delta(params, k);
@@ -171,17 +177,20 @@ void minimize_batch(const DockingEngine& engine,
                         batch.energies.data(), &local);
 
     // Gradients and trial poses; zero-gradient lanes converge here and
-    // contribute no trial, exactly like the scalar early break.
+    // contribute no trial, exactly like the scalar early break. Lanes
+    // whose gradient is current took no probe slots.
     std::size_t nt = 0;
-    for (std::size_t idx = 0; idx < batch.active.size(); ++idx) {
-      const std::uint32_t lane = batch.active[idx];
+    std::size_t base = 0;
+    for (const std::uint32_t lane : batch.active) {
       ++results[lane].iterations;
-      const std::size_t base = idx * 12;
-      std::array<double, 6> grad{};
-      for (std::size_t k = 0; k < 6; ++k) {
-        const double hi = batch.energies[base + 2 * k].total();
-        const double lo = batch.energies[base + 2 * k + 1].total();
-        grad[k] = (hi - lo) / (2.0 * dof_delta(params, k));
+      std::array<double, 6>& grad = batch.grad[lane];
+      if (!batch.control[lane].gradient_current) {
+        for (std::size_t k = 0; k < 6; ++k) {
+          const double hi = batch.energies[base + 2 * k].total();
+          const double lo = batch.energies[base + 2 * k + 1].total();
+          grad[k] = (hi - lo) / (2.0 * dof_delta(params, k));
+        }
+        base += 12;
       }
       if (!descend(batch.pose[lane], grad, batch.control[lane],
                    batch.trial[lane])) {

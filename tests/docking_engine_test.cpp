@@ -194,7 +194,8 @@ TEST(EngineMinimize, WorkCounterMatchesEvaluationCount) {
   WorkCounter work;
   DockingEngine::Scratch scratch = engine.make_scratch();
   minimize(engine, start, params, scratch, &work);
-  // 1 initial eval + per iteration: 12 gradient evals + 1 trial eval.
+  // 1 initial eval + per iteration: 1 trial eval, plus 12 gradient evals
+  // unless the previous trial was rejected (never on the first).
   EXPECT_GE(work.evaluations, 1u + 13u);
   EXPECT_LE(work.evaluations, 1u + 13u * 5u);
   EXPECT_EQ(work.pair_terms,

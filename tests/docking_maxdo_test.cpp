@@ -166,6 +166,24 @@ TEST(MaxDo, RejectsOutOfRangeTask) {
   EXPECT_THROW(program.run(bad_rot, cp), hcmd::ConfigError);
 }
 
+TEST(MaxDo, RejectsResumePastTaskEnd) {
+  // A checkpoint from a longer task resumed under a shorter one: reporting
+  // kCompleted would hand back a result without the task's positions.
+  Fixture f;
+  MaxDoProgram program(f.receptor, f.ligand, f.params);
+  const MaxDoTask task{0, 2, 0, 3};
+  MaxDoCheckpoint cp;
+  cp.next_isep = task.isep_end + 1;
+  EXPECT_THROW(program.run(task, cp), hcmd::ConfigError);
+  EXPECT_EQ(cp.next_isep, task.isep_end + 1);
+  EXPECT_TRUE(cp.records.empty());
+
+  // Resuming exactly at the end is a finished task, not an error.
+  cp.next_isep = task.isep_end;
+  EXPECT_EQ(program.run(task, cp), RunStatus::kCompleted);
+  EXPECT_TRUE(cp.records.empty());
+}
+
 TEST(MaxDo, GammaRefinementPicksBest) {
   // With more gamma starts the per-(isep, irot) best can only improve.
   Fixture f;

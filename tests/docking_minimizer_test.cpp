@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "proteins/generator.hpp"
 
 namespace hcmd::docking {
@@ -77,7 +82,8 @@ TEST(Minimizer, WorkCounterCountsEvaluations) {
   f.params.max_iterations = 3;
   WorkCounter work;
   f.run(&work);
-  // Per iteration: 12 gradient evals + 1 trial; +1 initial evaluation.
+  // Per iteration: 1 trial, plus 12 gradient probes unless the previous
+  // trial was rejected; +1 initial evaluation.
   EXPECT_GE(work.evaluations, 1u + 3u);
   EXPECT_LE(work.evaluations, 1u + 3u * 13u);
   EXPECT_EQ(work.pair_terms, work.evaluations * f.receptor.size() *
@@ -112,6 +118,166 @@ TEST(Minimizer, RejectsBadParams) {
   f.params = MinimizerParams{};
   f.params.shrink = 1.5;
   EXPECT_THROW(f.run(), std::logic_error);
+}
+
+/// The minimiser without gradient reuse, kept as the oracle of the reuse:
+/// it rebuilds the gradient from 12 probes on every iteration, also after a
+/// rejected trial left the pose unchanged. Its arithmetic and evaluation
+/// order are the library drivers', so pose, energy, iterations and
+/// convergence must agree bit for bit; only the evaluation count differs.
+struct ReferenceDescent {
+  MinimizationResult result;
+  WorkCounter work;
+  /// Rejected trials followed by another iteration: each is a gradient the
+  /// library reuses where this reference probes again.
+  std::uint64_t repeated_gradients = 0;
+};
+
+ReferenceDescent reference_minimize(const DockingEngine& engine,
+                                    const Dof6& start,
+                                    const MinimizerParams& params) {
+  constexpr std::array<double Dof6::*, 6> kDof = {
+      &Dof6::x, &Dof6::y, &Dof6::z, &Dof6::alpha, &Dof6::beta, &Dof6::gamma};
+  DockingEngine::Scratch scratch = engine.make_scratch();
+  ReferenceDescent ref;
+  const auto eval = [&](const Dof6& d) {
+    return engine.energy(d.to_transform(), scratch, &ref.work);
+  };
+
+  MinimizationResult& res = ref.result;
+  res.pose = start;
+  res.energy = eval(start);
+  double best = res.energy.total();
+  double tstep = params.translation_step;
+  double rstep = params.rotation_step;
+  bool last_rejected = false;
+  for (std::uint32_t it = 0; it < params.max_iterations; ++it) {
+    ++res.iterations;
+    if (last_rejected) ++ref.repeated_gradients;
+
+    std::array<double, 6> grad{};
+    for (std::size_t k = 0; k < 6; ++k) {
+      const double delta =
+          k < 3 ? params.translation_delta : params.rotation_delta;
+      Dof6 probe = res.pose;
+      probe.*kDof[k] = res.pose.*kDof[k] + delta;
+      const double hi = eval(probe).total();
+      probe.*kDof[k] = res.pose.*kDof[k] - delta;
+      const double lo = eval(probe).total();
+      grad[k] = (hi - lo) / (2.0 * delta);
+    }
+
+    double gt = std::sqrt(grad[0] * grad[0] + grad[1] * grad[1] +
+                          grad[2] * grad[2]);
+    double gr = std::sqrt(grad[3] * grad[3] + grad[4] * grad[4] +
+                          grad[5] * grad[5]);
+    if (gt == 0.0 && gr == 0.0) {
+      res.converged = true;
+      break;
+    }
+    if (gt == 0.0) gt = 1.0;
+    if (gr == 0.0) gr = 1.0;
+    Dof6 trial = res.pose;
+    trial.x -= tstep * grad[0] / gt;
+    trial.y -= tstep * grad[1] / gt;
+    trial.z -= tstep * grad[2] / gt;
+    trial.alpha -= rstep * grad[3] / gr;
+    trial.beta -= rstep * grad[4] / gr;
+    trial.gamma -= rstep * grad[5] / gr;
+
+    const InteractionEnergy e = eval(trial);
+    bool done;
+    if (e.total() < best) {
+      const double gain = best - e.total();
+      res.pose = trial;
+      best = e.total();
+      res.energy = e;
+      tstep *= params.grow;
+      rstep *= params.grow;
+      done = gain < params.energy_tolerance;
+      last_rejected = false;
+    } else {
+      tstep *= params.shrink;
+      rstep *= params.shrink;
+      done = tstep < params.translation_delta && rstep < params.rotation_delta;
+      last_rejected = true;
+    }
+    if (done) {
+      res.converged = true;
+      break;
+    }
+  }
+  return ref;
+}
+
+void expect_same_descent(const MinimizationResult& got,
+                         const MinimizationResult& want) {
+  EXPECT_EQ(got.pose.x, want.pose.x);
+  EXPECT_EQ(got.pose.y, want.pose.y);
+  EXPECT_EQ(got.pose.z, want.pose.z);
+  EXPECT_EQ(got.pose.alpha, want.pose.alpha);
+  EXPECT_EQ(got.pose.beta, want.pose.beta);
+  EXPECT_EQ(got.pose.gamma, want.pose.gamma);
+  EXPECT_EQ(got.energy.lj, want.energy.lj);
+  EXPECT_EQ(got.energy.elec, want.energy.elec);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.converged, want.converged);
+}
+
+TEST(MinimizerGradientReuse, MatchesRecomputingReference) {
+  Fixture f;
+  const DockingEngine engine(f.receptor, f.ligand, f.energy);
+
+  // Orientations from the MAXDo grid at three separations, from
+  // overlapping to just touching: every descent rejects trials on its way
+  // and converges after 6 to 28 iterations at the default budget.
+  const proteins::OrientationGrid grid;
+  std::vector<Dof6> starts;
+  for (std::uint32_t i = 0; i < 12; ++i) {
+    Dof6 s = grid.orientation((5 * i) % proteins::kNumRotationCouples,
+                              i % proteins::kNumGammaSteps);
+    s.x = f.receptor.bounding_radius() +
+          f.ligand.bounding_radius() * (0.2 + 0.4 * (i % 3));
+    s.y = 1.5 * static_cast<double>(i % 4);
+    starts.push_back(s);
+  }
+
+  // A budget of 10 stops most of them mid-descent instead.
+  for (const std::uint32_t budget : {10u, 40u}) {
+    SCOPED_TRACE("max_iterations " + std::to_string(budget));
+    f.params.max_iterations = budget;
+    std::vector<MinimizationResult> batched(starts.size());
+    BatchMinimizerWork batch;
+    batch.scratch = engine.make_batch_scratch(12 * starts.size());
+    WorkCounter batch_work;
+    minimize_batch(engine, starts, f.params, batch, batched, &batch_work);
+
+    DockingEngine::Scratch scratch = engine.make_scratch();
+    WorkCounter scalar_work;
+    std::uint64_t repeated = 0;
+    for (std::size_t b = 0; b < starts.size(); ++b) {
+      SCOPED_TRACE("start " + std::to_string(b));
+      const ReferenceDescent ref =
+          reference_minimize(engine, starts[b], f.params);
+      WorkCounter work;
+      const MinimizationResult res =
+          minimize(engine, starts[b], f.params, scratch, &work);
+      expect_same_descent(res, ref.result);
+      expect_same_descent(batched[b], ref.result);
+      // Each reused gradient saves exactly its 12 probes.
+      EXPECT_EQ(work.evaluations,
+                ref.work.evaluations - 12 * ref.repeated_gradients);
+      scalar_work += work;
+      repeated += ref.repeated_gradients;
+    }
+    ASSERT_GT(repeated, 0u) << "the sweep never reuses a gradient";
+
+    EXPECT_EQ(batch_work.evaluations, scalar_work.evaluations);
+    EXPECT_EQ(batch_work.pair_terms, scalar_work.pair_terms);
+    EXPECT_EQ(batch_work.inspected_pairs, scalar_work.inspected_pairs);
+    EXPECT_EQ(batch_work.within_cutoff_pairs,
+              scalar_work.within_cutoff_pairs);
+  }
 }
 
 class MinimizerStartSweep : public ::testing::TestWithParam<int> {};

@@ -1,57 +1,19 @@
 // Asserts the DES core's zero-allocation guarantee: once the arena and
 // heap are at their high-water mark, schedule / cancel / fire perform no
-// heap allocation at all.
-//
-// This test overrides the global allocation functions to count calls, so
-// it lives in its own binary: the counters see every allocation in the
-// process, including the ones gtest itself makes outside the measured
-// windows.
+// heap allocation at all. Counted by alloc_counter.cpp, which replaces the
+// global allocation functions for this whole binary.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-struct AllocationWindow {
-  std::uint64_t start = g_allocations.load();
-  std::uint64_t count() const { return g_allocations.load() - start; }
-};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) -
-                                    1) &
-                                       ~(static_cast<std::size_t>(align) - 1)))
-    return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace hcmd::sim {
 namespace {
+
+using test::AllocationWindow;
 
 TEST(SimulationAllocation, SteadyStateScheduleFireIsAllocationFree) {
   Simulation sim;
