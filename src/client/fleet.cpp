@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <variant>
 
 #include "util/duration.hpp"
 #include "util/error.hpp"
@@ -167,7 +168,7 @@ void VolunteerFleet::on_death(std::uint32_t d) {
     h.upload.cancel(sim_);
     PendingUpload& up = uploads_[d];
     if (up.active) {
-      faults_->note_loss(sim_.now(), specs_[d].id, up.result_id);
+      faults_->note_loss(sim_.now(), specs_[d].id, up.report.result_id);
       up.active = false;
     }
   }
@@ -222,12 +223,10 @@ void VolunteerFleet::request_work(std::uint32_t d) {
 
   if (want_hcmd) {
     pending_request_[d] = 1;
-    UplinkMessage m;
-    m.time = sim_.now();
+    server::proto::RequestWork m;
+    m.device = specs_[d].id;
     m.seq = ++msg_seq_[d];
-    m.device = d;
-    m.kind = UplinkMessage::Kind::kWorkRequest;
-    uplink_.post(m);
+    uplink_.post({sim_.now(), m});
     return;
   }
 
@@ -246,11 +245,13 @@ void VolunteerFleet::start_other_project(std::uint32_t d) {
   begin_segment(d);
 }
 
-void VolunteerFleet::deliver(const Reply& reply) {
-  if (reply.assignment.has_value())
-    deliver_assignment(reply.device, *reply.assignment);
+void VolunteerFleet::deliver(std::uint32_t device,
+                             const server::Decision& reply) {
+  if (const auto* a = std::get_if<server::proto::Assignment>(&reply))
+    deliver_assignment(device, *a);
   else
-    deliver_denial(reply.device, reply.project_complete);
+    deliver_denial(device,
+                   std::get<server::proto::NoWork>(reply).project_complete);
 }
 
 std::size_t VolunteerFleet::awaiting_reply() const {
@@ -258,8 +259,8 @@ std::size_t VolunteerFleet::awaiting_reply() const {
       std::count(pending_request_.begin(), pending_request_.end(), 1));
 }
 
-void VolunteerFleet::deliver_assignment(std::uint32_t d,
-                                        const server::Assignment& assignment) {
+void VolunteerFleet::deliver_assignment(
+    std::uint32_t d, const server::proto::Assignment& assignment) {
   HCMD_ASSERT(pending_request_[d]);
   pending_request_[d] = 0;
   if (phases_[d] == Phase::kDead) {
@@ -272,9 +273,10 @@ void VolunteerFleet::deliver_assignment(std::uint32_t d,
   item.active = true;
   item.is_hcmd = true;
   item.result_id = assignment.result_id;
-  item.required_ref = assignment.workunit.reference_seconds;
-  item.checkpoint_ref = assignment.workunit.reference_seconds /
-                        static_cast<double>(assignment.workunit.positions());
+  item.required_ref = assignment.reference_seconds;
+  item.checkpoint_ref =
+      assignment.reference_seconds /
+      static_cast<double>(assignment.isep_end - assignment.isep_begin);
   if (rngs_[d].bernoulli(specs_[d].abandon_rate))
     item.long_pause_at = rngs_[d].uniform(0.0, item.required_ref);
   work_[d] = item;
@@ -382,7 +384,8 @@ void VolunteerFleet::on_complete(std::uint32_t d) {
 
   if (work.is_hcmd) {
     const volunteer::DeviceSpec& spec = specs_[d];
-    server::ResultReport report;
+    server::proto::ReportResult report;
+    report.result_id = work.result_id;
     report.computation_error = rngs_[d].bernoulli(spec.error_rate);
     report.silent_error = !report.computation_error &&
                           rngs_[d].bernoulli(spec.silent_error_rate);
@@ -403,16 +406,15 @@ void VolunteerFleet::on_complete(std::uint32_t d) {
       if (up.active) {
         // The one-slot outbox already holds an undelivered result; the
         // older one is lost (its deadline re-issues the workunit).
-        faults_->note_loss(sim_.now(), specs_[d].id, up.result_id);
+        faults_->note_loss(sim_.now(), specs_[d].id, up.report.result_id);
       }
       up.report = report;
-      up.result_id = work.result_id;
       up.attempts = 1;
       up.active = true;
       handles_[d].upload = schedule_in(
           faults_->backoff_delay(0, fault_rngs_[d]), d, Action::kUploadRetry);
     } else {
-      post_result(d, work.result_id, report);
+      post_result(d, report);
     }
   }
 
@@ -421,36 +423,31 @@ void VolunteerFleet::on_complete(std::uint32_t d) {
   request_work(d);
 }
 
-void VolunteerFleet::post_result(std::uint32_t d, std::uint64_t result_id,
-                                 server::ResultReport report) {
+void VolunteerFleet::post_result(std::uint32_t d,
+                                 server::proto::ReportResult report) {
+  const std::uint32_t gid = specs_[d].id;
   if (faults_on()) {
-    const std::uint32_t gid = specs_[d].id;
     const faults::ResultFate fate =
         faults_->draw_result_fate(gid, report.silent_error, fault_rngs_[d]);
     if (fate == faults::ResultFate::kLost) {
       // Dropped in flight: the server never sees it, and the deadline tick
       // recovers the workunit via re-issue.
-      faults_->note_loss(sim_.now(), gid, result_id);
+      faults_->note_loss(sim_.now(), gid, report.result_id);
       return;
     }
     if (fate != faults::ResultFate::kClean) {
       report.silent_error = true;
       report.corruption_tag = faults::corruption_tag(gid, ++corruption_seq_[d]);
       if (fate == faults::ResultFate::kCorrupted)
-        faults_->note_corrupt(sim_.now(), gid, result_id);
+        faults_->note_corrupt(sim_.now(), gid, report.result_id);
       else
-        faults_->note_saboteur_corrupt(sim_.now(), gid, result_id);
+        faults_->note_saboteur_corrupt(sim_.now(), gid, report.result_id);
     }
   }
 
-  UplinkMessage m;
-  m.time = sim_.now();
-  m.seq = ++msg_seq_[d];
-  m.device = d;
-  m.kind = UplinkMessage::Kind::kResultReturn;
-  m.result_id = result_id;
-  m.report = report;
-  uplink_.post(m);
+  report.device = gid;
+  report.seq = ++msg_seq_[d];
+  uplink_.post({sim_.now(), report});
 }
 
 void VolunteerFleet::retry_upload(std::uint32_t d) {
@@ -467,7 +464,7 @@ void VolunteerFleet::retry_upload(std::uint32_t d) {
     return;
   }
   up.active = false;
-  post_result(d, up.result_id, up.report);
+  post_result(d, up.report);
 }
 
 }  // namespace hcmd::client

@@ -18,13 +18,15 @@
 //
 // Server interaction is asynchronous (the epoch-barrier engine model): a
 // device never calls the project server directly. Work requests and result
-// returns are posted into the shard's UplinkMailbox; the engine replays
-// them against the single logical server at the epoch barrier, and the
-// shard hands each answer to deliver() before it next advances. A device
-// with a request in flight sits idle (pending_request_) until the answer
-// arrives — the scheduler RPC latency the real agent also saw. Because a
-// sequential run (one shard) goes through the identical mailbox-and-barrier
-// machinery, sharded runs are bit-identical to it by construction.
+// returns are posted into the shard's UplinkMailbox as the wire protocol's
+// own request structs (proto::RequestWork, proto::ReportResult), stamped
+// with the device's global id; the engine applies them through
+// server::Replayer::apply at the epoch barrier, and the shard hands each
+// answer to deliver() before it next advances. A device with a request in
+// flight sits idle (pending_request_) until the answer arrives — the
+// scheduler RPC latency the real agent also saw. Because a sequential run
+// (one shard) goes through the identical mailbox-and-barrier machinery,
+// sharded runs are bit-identical to it by construction.
 //
 // Layout: one VolunteerFleet owns every device's state in dense arrays
 // indexed by shard-local device index — phase, work item, RNG, event
@@ -41,7 +43,7 @@
 #include "client/uplink.hpp"
 #include "faults/schedule.hpp"
 #include "obs/registry.hpp"
-#include "server/server.hpp"
+#include "server/replayer.hpp"
 #include "server/share_schedule.hpp"
 #include "sim/simulation.hpp"
 #include "util/exact_sum.hpp"
@@ -115,14 +117,15 @@ class VolunteerFleet {
   /// only, so every shard sees the same value throughout an epoch.
   void set_project_complete(bool complete) { server_complete_ = complete; }
 
-  /// Answers a posted work request. Called with the shard quiescent at the
+  /// Answers a posted work request of local device `device` with an
+  /// Assignment or a NoWork. Called with the shard quiescent at the
   /// barrier time, before the shard advances past it. An assignment to a
   /// device that died in the meantime is dropped silently (the deadline
   /// recovers it); a device that went offline stores it and resumes on
   /// re-attach. A denial with `project_complete` routes the device to
   /// another project's work, mirroring the synchronous fall-through of the
   /// old engine.
-  void deliver(const Reply& reply);
+  void deliver(std::uint32_t device, const server::Decision& reply);
 
   /// Devices whose work request has not been answered yet. Zero whenever
   /// the engine is between run_until calls.
@@ -181,8 +184,7 @@ class VolunteerFleet {
   /// down (one slot per device; a newer completion evicts — and loses — an
   /// undelivered older one).
   struct PendingUpload {
-    server::ResultReport report;
-    std::uint64_t result_id = 0;
+    server::proto::ReportResult report;
     std::uint32_t attempts = 0;
     bool active = false;
   };
@@ -212,7 +214,7 @@ class VolunteerFleet {
   void trigger_long_pause(std::uint32_t d);
   void request_work(std::uint32_t d);
   void deliver_assignment(std::uint32_t d,
-                          const server::Assignment& assignment);
+                          const server::proto::Assignment& assignment);
   void deliver_denial(std::uint32_t d, bool project_complete);
   void start_other_project(std::uint32_t d);
   void begin_segment(std::uint32_t d);
@@ -220,8 +222,7 @@ class VolunteerFleet {
   void on_complete(std::uint32_t d);
   /// Posts a finished report to the uplink (fault loss/corruption draws
   /// happen here, from the device's own fault stream).
-  void post_result(std::uint32_t d, std::uint64_t result_id,
-                   server::ResultReport report);
+  void post_result(std::uint32_t d, server::proto::ReportResult report);
   void retry_upload(std::uint32_t d);
 
   bool faults_on() const { return faults_ != nullptr && faults_->active(); }

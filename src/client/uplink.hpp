@@ -1,60 +1,39 @@
 // Client-to-server message buffering for the epoch-barrier engine.
 //
-// Devices no longer call the project server synchronously: every scheduler
+// Devices never call the project server synchronously: every scheduler
 // interaction (work request, result return) is posted into the shard's
-// UplinkMailbox with the simulation time it happened at and a per-device
-// monotone sequence number. The engine drains every shard's mailbox at the
-// epoch barrier and replays the union against the single logical server in
+// UplinkMailbox as a server::BatchEntry — the wire protocol's own
+// proto::RequestWork or proto::ReportResult, carrying the device's global
+// id and a per-device monotone sequence number, stamped with the
+// simulation time it happened at. The engine drains every shard's mailbox
+// at the epoch barrier and applies the union through
+// server::Replayer::apply, the one apply the wire service also uses, in
 // ascending (time, global device id, seq) order — a total order built only
 // from shard-count-independent quantities, which is what makes a K-shard
 // run bit-identical to the sequential (K = 1) engine.
 //
-// The answers travel back as Replies: the replay queues each one on the
-// device's shard, and the shard applies its queue, in merged order, before
-// it next advances.
+// The answers (server::Decision) travel back on the device's shard: the
+// replay queues each one there, and the shard hands its queue, in merged
+// order, to VolunteerFleet::deliver before it next advances.
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "server/server.hpp"
+#include "server/replayer.hpp"
 
 namespace hcmd::client {
-
-struct UplinkMessage {
-  enum class Kind : std::uint8_t { kWorkRequest, kResultReturn };
-
-  double time = 0.0;          ///< shard sim time the device issued it
-  std::uint64_t seq = 0;      ///< per-device monotone message counter
-  std::uint32_t device = 0;   ///< shard-local device index
-  Kind kind = Kind::kWorkRequest;
-  // --- kResultReturn payload ---
-  std::uint64_t result_id = 0;
-  server::ResultReport report;
-};
-
-/// The barrier's answer to one work request.
-struct Reply {
-  std::uint32_t device = 0;  ///< shard-local device index
-  /// ProjectServer::complete() when the request was answered (a denial
-  /// sends the device to another project's work once the campaign is done).
-  bool project_complete = false;
-  std::optional<server::Assignment> assignment;  ///< empty: a denial
-};
 
 /// One outbound buffer per shard; written only by that shard's fleet while
 /// the shard advances, read only by the engine at the barrier.
 class UplinkMailbox {
  public:
-  void post(UplinkMessage message) { messages_.push_back(message); }
+  void post(const server::BatchEntry& entry) { entries_.push_back(entry); }
 
-  std::vector<UplinkMessage>& messages() { return messages_; }
-  void clear() { messages_.clear(); }
-  std::size_t size() const { return messages_.size(); }
+  const std::vector<server::BatchEntry>& entries() const { return entries_; }
+  void clear() { entries_.clear(); }
 
  private:
-  std::vector<UplinkMessage> messages_;
+  std::vector<server::BatchEntry> entries_;
 };
 
 }  // namespace hcmd::client

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <string>
 #include <thread>
+#include <variant>
 
 #include "obs/profile.hpp"
 #include "server/credit.hpp"
@@ -133,6 +134,11 @@ void ShardEngine::reserve_runtimes(std::size_t n) {
 
 void ShardEngine::add_device(const volunteer::DeviceSpec& spec,
                              util::Rng rng) {
+  // Dense, in-order ids put device gid at local index gid / K of shard
+  // gid % K, where the barrier delivers its answers; runtimes_by_device
+  // counts by id too.
+  HCMD_ASSERT_MSG(spec.id == device_count_,
+                  "device ids must be dense and added in order");
   const auto shard = static_cast<std::uint32_t>(
       spec.id % static_cast<std::uint32_t>(shards_.size()));
   // The fault stream is forked from the *global* id: which shard hosts the
@@ -163,7 +169,8 @@ void ShardEngine::run_until(double until) {
 }
 
 void ShardEngine::deliver_replies(Shard& shard) {
-  for (const client::Reply& r : shard.downlink) shard.fleet.deliver(r);
+  for (const auto& [device, reply] : shard.downlink)
+    shard.fleet.deliver(device, reply);
   shard.downlink.clear();
 }
 
@@ -200,14 +207,10 @@ void ShardEngine::process_barrier(double t) {
     HCMD_PROF_ZONE("engine.gather_sort");
     msg_order_.clear();
     for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-      const auto& msgs = shards_[s]->mailbox.messages();
-      for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(msgs.size());
-           ++i) {
-        msg_order_.push_back(
-            {{msgs[i].time, shards_[s]->fleet.spec(msgs[i].device).id,
-              msgs[i].seq},
-             s, i});
-      }
+      const auto& entries = shards_[s]->mailbox.entries();
+      for (std::uint32_t i = 0;
+           i < static_cast<std::uint32_t>(entries.size()); ++i)
+        msg_order_.push_back({entries[i].key(), s, i});
     }
     std::sort(msg_order_.begin(), msg_order_.end(),
               [](const MessageRef& a, const MessageRef& b) {
@@ -220,8 +223,7 @@ void ShardEngine::process_barrier(double t) {
   replayer_.open(t);
   for (const MessageRef& ref : msg_order_) {
     replayer_.fire_until(ref.key.time);
-    process_message(ref.shard,
-                    shards_[ref.shard]->mailbox.messages()[ref.index]);
+    process_message(shards_[ref.shard]->mailbox.entries()[ref.index]);
   }
   replayer_.fire_until(t);
 
@@ -232,39 +234,40 @@ void ShardEngine::process_barrier(double t) {
   for (auto& s : shards_) s->fleet.set_project_complete(complete);
 }
 
-void ShardEngine::process_message(std::uint32_t shard,
-                                  const client::UplinkMessage& m) {
-  Shard& sh = *shards_[shard];
-  const std::uint32_t gid = sh.fleet.spec(m.device).id;
-  if (m.kind == client::UplinkMessage::Kind::kWorkRequest) {
-    client::Reply reply{m.device, false, project_.request_work(gid, m.time)};
-    // Transitioner deadline tick, independent of the device's fate.
-    if (reply.assignment.has_value())
-      replayer_.arm(reply.assignment->result_id, reply.assignment->deadline);
-    reply.project_complete = project_.complete();
-    sh.downlink.push_back(reply);
+void ShardEngine::process_message(const server::BatchEntry& m) {
+  const std::uint32_t gid = m.device();
+  const auto k = static_cast<std::uint32_t>(shards_.size());
+  Shard& sh = *shards_[gid % k];
+  if (std::holds_alternative<server::proto::RequestWork>(m.msg)) {
+    server::Decision reply = replayer_.apply(m);
+    // The fleet only asks while the server is up: never Busy.
+    HCMD_ASSERT(std::holds_alternative<server::proto::Assignment>(reply) ||
+                std::holds_alternative<server::proto::NoWork>(reply));
+    sh.downlink.emplace_back(gid / k, std::move(reply));
     return;
   }
 
   const bool was_complete = project_.complete();
   const std::uint64_t completed_before =
       project_.counters().workunits_completed;
-  project_.report_result(m.result_id, m.time, m.report);
-  // The result is in: retire its deadline tick eagerly instead of letting a
-  // dead entry ride the book for another week and a half. (A no-op for late
-  // uploads whose tick already fired.)
-  replayer_.disarm(m.result_id);
+  const server::Decision reply = replayer_.apply(m);
+  // A device reports each of its results once, while the server is up; a
+  // duplicate here is a delivery bug, not a network retry.
+  const auto* ack = std::get_if<server::proto::ReportAck>(&reply);
+  HCMD_ASSERT_MSG(ack != nullptr && !ack->duplicate,
+                  "result reported twice or refused");
+  const auto& report = std::get<server::proto::ReportResult>(m.msg);
   weekly_.results.add(m.time, 1.0);
-  if (!m.report.computation_error) {
+  if (!report.computation_error) {
     // Section 8's points scheme: runtime x agent benchmark score.
-    weekly_.credit.add(m.time, server::claimed_credit(
-                                   sh.fleet.spec(m.device),
-                                   m.report.reported_runtime));
+    weekly_.credit.add(m.time,
+                       server::claimed_credit(sh.fleet.spec(gid / k),
+                                              report.reported_runtime));
   }
   if (project_.counters().workunits_completed > completed_before)
     weekly_.useful_results.add(m.time, 1.0);
   runtime_device_.push_back(gid);
-  runtime_value_.push_back(m.report.reported_runtime);
+  runtime_value_.push_back(report.reported_runtime);
   if (!was_complete && project_.complete()) completion_raw_ = m.time;
 }
 

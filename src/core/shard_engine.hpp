@@ -9,13 +9,19 @@
 //
 //   * while a shard advances, its devices never touch the ProjectServer —
 //     work requests and result returns go into the shard's UplinkMailbox
-//     (client/uplink.hpp) stamped with the simulation time they happened at;
+//     (client/uplink.hpp) as proto::RequestWork / proto::ReportResult
+//     entries (server::BatchEntry) carrying the global device id and
+//     stamped with the simulation time they happened at;
 //   * at the epoch barrier T_b the engine drains every mailbox, sorts the
-//     messages and replays them through server::Replayer, which merges in
+//     entries and replays them through server::Replayer, which merges in
 //     the due deadline ticks and control items (Fig. 7 snapshots, churn
 //     spikes, outage markers), against the single logical server in
-//     ascending (time, lane, key) order, queueing each request's answer on
-//     its shard's downlink (client::Reply);
+//     ascending (time, lane, key) order. Each entry goes through
+//     Replayer::apply, the apply the wire service uses too; the engine
+//     adds only what a campaign needs on top: the answer to a work
+//     request (a server::Decision) is queued on the downlink of shard
+//     gid % K for local device gid / K, and a report feeds the weekly
+//     series, credit and the Fig. 8 buffer;
 //   * each shard applies its downlink, in merged order, at the start of
 //     its next advance, in parallel with the other shards; run_until
 //     applies the last barrier's downlinks before it returns, so observers
@@ -115,9 +121,10 @@ class ShardEngine {
   void reserve_devices(std::size_t n);
   /// Pre-sizes the Fig. 8 runtime buffers (entries = received HCMD results).
   void reserve_runtimes(std::size_t n);
-  /// Routes the device to shard spec.id % K. `rng` is the device's
-  /// behaviour stream (forked from the global id by the caller); the
-  /// engine forks the device's fault stream from its global id itself.
+  /// Routes the device to shard spec.id % K, at local index spec.id / K:
+  /// ids must be dense and added in order (0, 1, 2, ...). `rng` is the
+  /// device's behaviour stream (forked from the global id by the caller);
+  /// the engine forks the device's fault stream from its global id itself.
   void add_device(const volunteer::DeviceSpec& spec, util::Rng rng);
   std::size_t device_count() const { return device_count_; }
 
@@ -174,8 +181,9 @@ class ShardEngine {
   struct Shard {
     sim::Simulation sim;
     client::UplinkMailbox mailbox;
-    /// Answers from the last barrier, in merged order, not yet delivered.
-    std::vector<client::Reply> downlink;
+    /// Answers from the last barrier, in merged order, not yet delivered:
+    /// (local device index, Assignment or NoWork).
+    std::vector<std::pair<std::uint32_t, server::Decision>> downlink;
     faults::FaultSchedule faults;
     client::VolunteerFleet fleet;
     /// Private tracer when K > 1 and tracing is on (absorbed at finalize).
@@ -186,9 +194,9 @@ class ShardEngine {
           obs::Tracer* tracer, const client::AgentConfig& agent);
   };
 
-  /// Sort key for one drained uplink message: the shared merge order
+  /// Sort key for one drained uplink entry: the shared merge order
   /// (server/merge_order.hpp) over shard-count-independent quantities.
-  /// shard/index locate the payload in its mailbox.
+  /// shard/index locate the entry in its mailbox.
   struct MessageRef {
     server::MergeKey key;
     std::uint32_t shard = 0;
@@ -198,7 +206,7 @@ class ShardEngine {
   void advance_shards(double until);
   static void deliver_replies(Shard& shard);
   void process_barrier(double t);
-  void process_message(std::uint32_t shard, const client::UplinkMessage& m);
+  void process_message(const server::BatchEntry& m);
 
   server::ProjectServer& project_;
   WeeklySeries& weekly_;

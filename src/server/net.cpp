@@ -17,7 +17,6 @@
 #include <utility>
 
 #include "obs/exposition.hpp"
-#include "util/buffer_pool.hpp"
 #include "util/error.hpp"
 
 namespace hcmd::server {
@@ -34,6 +33,10 @@ constexpr int kMaxEpollEvents = 64;
 
 /// Per-worker flight-recorder ring capacity, in span events.
 constexpr std::size_t kFlightCapacity = std::size_t{1} << 14;
+
+/// A closed connection's slot keeps its read and write buffers' capacity
+/// for the next connection on it, up to this size.
+constexpr std::size_t kMaxKeptBufferBytes = std::size_t{1} << 20;
 
 /// Error-budget fraction of the latency SLO: the share of request_work
 /// RPCs that may miss the objective before the burn gauge passes 1.
@@ -66,7 +69,6 @@ struct GridServer::Worker {
   int event_fd = -1;
   util::MpscQueue<WireRequest> uplink;      ///< worker -> service
   util::MpscQueue<WireResponse> downlink;   ///< service -> worker
-  util::BufferPool pool;
   std::thread thread;
 
   /// Worker-side span state. The worker thread is the only writer; the
@@ -145,11 +147,6 @@ struct GridServer::Worker {
     c.open = true;
     c.want_write = false;
     c.flush_queued = false;
-    c.rbuf = pool.acquire();
-    c.roff = 0;
-    c.wbuf = pool.acquire();
-    c.woff = 0;
-    c.marks.clear();
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.u64 = slot;
@@ -164,10 +161,13 @@ struct GridServer::Worker {
     c.fd = -1;
     c.open = false;
     ++c.gen;  // responses in flight for the old incarnation get dropped
-    pool.release(std::move(c.rbuf));
-    pool.release(std::move(c.wbuf));
-    c.rbuf.clear();
-    c.wbuf.clear();
+    // The slot keeps its buffers' grown capacity for its next connection;
+    // a one-off burst buffer is freed rather than pinned.
+    for (std::vector<std::uint8_t>* b : {&c.rbuf, &c.wbuf}) {
+      if (b->capacity() > kMaxKeptBufferBytes)
+        std::vector<std::uint8_t>().swap(*b);
+      b->clear();
+    }
     c.roff = c.woff = 0;
     c.marks.clear();
     free_slots.push_back(slot);

@@ -2,8 +2,10 @@
 //
 // Threading model (one logical server, N+2 threads):
 //
-//   N worker threads   each owns an epoll instance, an eventfd, a buffer
-//                      pool and a set of non-blocking connections. The
+//   N worker threads   each owns an epoll instance, an eventfd and a set
+//                      of non-blocking connection slots; a closed slot
+//                      keeps its read/write buffers' capacity (up to
+//                      1 MiB) for the next connection it takes. The
 //                      shared listening socket is registered in every
 //                      worker's epoll (EPOLLEXCLUSIVE), so the kernel
 //                      spreads accepts without a handoff queue and a

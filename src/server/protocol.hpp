@@ -9,11 +9,11 @@
 //
 // Every message — request or response — starts its payload with the
 // (device, seq) pair: clients stamp requests with a per-device monotone
-// sequence number (the same counter the simulated fleet's UplinkMessage
-// carries) and the server echoes both back, so a client may pipeline
-// many devices' requests on one connection and match responses without
-// assuming arrival order. (The service drains workers' queues in merged
-// (time, lane, device, seq) order, not per-connection order.)
+// sequence number (the simulated fleet posts these same request structs
+// with the same counter) and the server echoes both back, so a client may
+// pipeline many devices' requests on one connection and match responses
+// without assuming arrival order. (The service drains workers' queues in
+// merged (time, lane, device, seq) order, not per-connection order.)
 //
 // Requests                         Responses
 //   kRequestWork  {device, seq}      kAssignment {device, seq, result_id,
@@ -96,7 +96,7 @@ enum class Verb : std::uint8_t {
 enum class ErrorCode : std::uint8_t {
   kBadFrame = 1,       ///< undecodable payload
   kUnknownVerb = 2,
-  kUnknownResult = 3,  ///< report for a result id never issued
+  kUnknownResult = 3,  ///< report for a result never issued to this device
 };
 
 /// Request flag bits (the optional trailing byte on the fleet verbs).

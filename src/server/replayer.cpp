@@ -1,11 +1,25 @@
 #include "server/replayer.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "util/error.hpp"
 
 namespace hcmd::server {
+
+namespace {
+
+/// A reply of type M to `entry`, echoing its routing pair.
+template <class M>
+M reply_to(const BatchEntry& entry) {
+  M m;
+  m.device = entry.device();
+  m.seq = entry.seq();
+  return m;
+}
+
+}  // namespace
 
 void Replayer::schedule_control(double t, std::function<void()> fn) {
   HCMD_ASSERT_MSG(!opened_,
@@ -42,6 +56,67 @@ void Replayer::fire_until(double t) {
     else
       return;
   }
+}
+
+Decision Replayer::apply(const BatchEntry& entry) {
+  const double now = entry.time;
+  const auto* req = std::get_if<proto::RequestWork>(&entry.msg);
+  const auto* rep = std::get_if<proto::ReportResult>(&entry.msg);
+  HCMD_ASSERT_MSG(req != nullptr || rep != nullptr,
+                  "apply takes work requests and reports");
+
+  if (faults_.active() && faults_.server_down(now)) {
+    // Busy, not NoWork: "come back after the outage" is not "no work
+    // left", and a finished upload stays on the device until then. (The
+    // simulated fleet never calls while the server is down.)
+    if (req != nullptr) faults_.note_outage_denied(now, req->device);
+    auto busy = reply_to<proto::Busy>(entry);
+    busy.retry_after = faults_.outage_end_after(now) - now;
+    return busy;
+  }
+
+  if (req != nullptr) {
+    const std::optional<Assignment> a = project_.request_work(req->device, now);
+    if (!a.has_value()) {
+      auto denial = reply_to<proto::NoWork>(entry);
+      denial.project_complete = project_.complete();
+      return denial;
+    }
+    // The transitioner tick, independent of the device's fate.
+    arm(a->result_id, a->deadline);
+    auto wire = reply_to<proto::Assignment>(entry);
+    wire.result_id = a->result_id;
+    wire.workunit = a->workunit.id;
+    wire.receptor = a->workunit.receptor;
+    wire.ligand = a->workunit.ligand;
+    wire.isep_begin = a->workunit.isep_begin;
+    wire.isep_end = a->workunit.isep_end;
+    wire.reference_seconds = a->workunit.reference_seconds;
+    wire.deadline = a->deadline;
+    return wire;
+  }
+
+  if (rep->result_id >= project_.counters().results_sent ||
+      project_.result(rep->result_id).device_id != rep->device) {
+    // Only the assignee may return a result: another device's report
+    // would complete, corrupt or discredit work it never held.
+    auto error = reply_to<proto::ErrorMsg>(entry);
+    error.code = proto::ErrorCode::kUnknownResult;
+    return error;
+  }
+  auto ack = reply_to<proto::ReportAck>(entry);
+  if (project_.result_reported(rep->result_id)) {
+    // A replay (a network retry after a lost ack): the state the instance
+    // already ended in, and no counter, quorum slot or credit moves.
+    ack.state = project_.result(rep->result_id).state;
+    ack.duplicate = true;
+    return ack;
+  }
+  ack.state = project_.report_result(rep->result_id, now, rep->to_report());
+  // The result is in: retire its deadline tick eagerly (a no-op for late
+  // uploads whose tick already fired).
+  disarm(rep->result_id);
+  return ack;
 }
 
 void Replayer::run_tick(DeadlineBook::Due due) {

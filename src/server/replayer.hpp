@@ -1,9 +1,11 @@
-// The one replay loop in front of the logical project server.
+// The one replay loop and the one apply path in front of the logical
+// project server.
 //
-// Everything that reaches the ProjectServer is applied in batches: shard
-// mailboxes drained at an epoch barrier (core::ShardEngine) and RPCs
-// drained from the network workers (GridService). A batch ending at time t
-// interleaves three lanes in the merge order of server/merge_order.hpp:
+// Everything that reaches the ProjectServer is applied in batches of
+// BatchEntry requests: shard mailboxes drained at an epoch barrier
+// (core::ShardEngine) and RPCs drained from the network workers
+// (GridService). A batch ending at time t interleaves three lanes in the
+// merge order of server/merge_order.hpp:
 //
 //   control items   scripted callbacks (Fig. 7 snapshots, churn spikes,
 //                   outage markers), in (time, registration) order;
@@ -13,14 +15,22 @@
 // Both callers drive it the same way:
 //
 //   replayer.open(t);
-//   for each message m in merge order:
-//     replayer.fire_until(m.time);  then apply m
+//   for each entry e in merge order:
+//     replayer.fire_until(e.time);  decision = replayer.apply(e)
 //   replayer.fire_until(t);
 //
 // so equal-time items run control < deadline < message. `open` pops every
 // tick due by t up front: a report applied later in the batch disarms its
 // result in the book but cannot stop a tick already popped, which then
 // runs as a no-op transitioner pass.
+//
+// `apply` is the server-facing half of a request, the same for both
+// callers: an outage answers Busy; a work request is issued (and its
+// deadline armed) or denied; a report for a result never issued to the
+// reporting device is refused, a repeated one is acked as a duplicate and
+// moves nothing, and a first one is validated (and its deadline retired).
+// The engine adds fleet delivery, the weekly series and credit; the
+// service adds its admin verbs, counters and encoding.
 //
 // Outage deferral: a tick that falls inside a fault-plan outage runs no
 // transitioner pass. It is noted and moved to the moment the outage lifts:
@@ -32,14 +42,39 @@
 
 #include <cstdint>
 #include <functional>
+#include <variant>
 #include <vector>
 
 #include "faults/schedule.hpp"
 #include "obs/trace.hpp"
 #include "server/deadline_book.hpp"
+#include "server/merge_order.hpp"
+#include "server/protocol.hpp"
 #include "server/server.hpp"
 
 namespace hcmd::server {
+
+/// One request in a replay batch: the decoded message and the time it
+/// reached the server. The fleet stamps its simulation time and its global
+/// device id; the wire service stamps the arrival time (its WireRequest
+/// adds the connection).
+struct BatchEntry {
+  double time = 0.0;
+  proto::Request msg;
+
+  std::uint32_t device() const {
+    return std::visit([](const auto& r) { return r.device; }, msg);
+  }
+  std::uint64_t seq() const {
+    return std::visit([](const auto& r) { return r.seq; }, msg);
+  }
+  MergeKey key() const { return {time, device(), seq()}; }
+};
+
+/// The server's answer to a work request or a report, echoing the
+/// request's device and seq.
+using Decision = std::variant<proto::Assignment, proto::NoWork, proto::Busy,
+                              proto::ReportAck, proto::ErrorMsg>;
 
 class Replayer {
  public:
@@ -52,6 +87,11 @@ class Replayer {
   /// Runs `fn` in the batch that covers time `t`, ahead of the ticks and
   /// messages at that time. Register every control before the first open.
   void schedule_control(double t, std::function<void()> fn);
+
+  /// Applies a RequestWork or ReportResult entry at its time; the admin
+  /// verbs are the caller's. Every work request and report reaches the
+  /// server through here.
+  Decision apply(const BatchEntry& entry);
 
   /// Arms (or re-arms, superseding) the transitioner tick for a result.
   void arm(std::uint64_t result_id, double deadline) {

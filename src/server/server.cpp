@@ -361,19 +361,6 @@ bool ProjectServer::result_reported(std::uint64_t result_id) const {
   return s != ResultState::kInProgress && s != ResultState::kTimedOut;
 }
 
-ResultState ProjectServer::report_result_idempotent(std::uint64_t result_id,
-                                                    double now,
-                                                    const ResultReport& report,
-                                                    bool* duplicate) {
-  HCMD_ASSERT(result_id < results_.size());
-  if (result_reported(result_id)) {
-    if (duplicate != nullptr) *duplicate = true;
-    return results_[result_id].state;
-  }
-  if (duplicate != nullptr) *duplicate = false;
-  return report_result(result_id, now, report);
-}
-
 bool ProjectServer::handle_deadline(std::uint64_t result_id, double now) {
   HCMD_ASSERT(result_id < results_.size());
   ResultInstance& inst = results_[result_id];

@@ -169,20 +169,10 @@ class ProjectServer {
   ResultState report_result(std::uint64_t result_id, double now,
                             const ResultReport& report);
 
-  /// Wire-safe sibling of report_result: a duplicate return (a network
-  /// retry after a lost ack — the instance was already received) is
-  /// answered with the state the instance already ended in, and *no*
-  /// counter, quorum slot, credit figure or device history entry moves.
-  /// `duplicate` (optional) reports whether the replay path was taken.
-  /// The in-process engines keep calling report_result directly: they own
-  /// the delivery path and a double report there is a bug worth trapping.
-  ResultState report_result_idempotent(std::uint64_t result_id, double now,
-                                       const ResultReport& report,
-                                       bool* duplicate = nullptr);
-
   /// True when `result_id` has already been received (any terminal or
   /// pending-validation state; timed-out instances may still legitimately
-  /// arrive late and are not "reported").
+  /// arrive late and are not "reported"). Reporting it again is a bug that
+  /// report_result traps; Replayer::apply answers such a replay itself.
   bool result_reported(std::uint64_t result_id) const;
 
   /// Transitioner tick for a deadline: if the instance is still outstanding

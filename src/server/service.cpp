@@ -63,9 +63,6 @@ GridService::GridService(std::vector<packaging::Workunit> catalog,
     throw ConfigError("service: slo_latency_seconds must be positive");
   faults_.set_instruments(nullptr, &registry_);
   project_.set_instruments(nullptr, &registry_);
-  // The service refuses outage-window traffic itself, with an explicit
-  // Busy + retry-after instead of an indistinguishable NoWork, and notes
-  // each denial once.
   ctr_requests_ = registry_.intern_counter("rpc.requests");
   ctr_assignments_ = registry_.intern_counter("rpc.assignments");
   ctr_no_work_ = registry_.intern_counter("rpc.no_work");
@@ -173,14 +170,6 @@ void GridService::send(const WireRequest& m, std::vector<WireResponse>& out,
   proto::encode(msg, r.bytes);
 }
 
-void GridService::respond_busy(const WireRequest& m,
-                               std::vector<WireResponse>& out) {
-  registry_.add(ctr_busy_);
-  proto::Busy busy;
-  busy.retry_after = faults_.outage_end_after(m.time) - m.time;
-  send(m, out, busy);
-}
-
 std::string GridService::default_metrics(proto::MetricsFormat format) const {
   obs::Exposition e;
   e.absorb(registry_);
@@ -206,79 +195,41 @@ void GridService::apply(const WireRequest& m, std::vector<WireResponse>& out) {
   ++rpc_requests_;
   registry_.add(ctr_requests_);
 
-  const auto error = [&](proto::ErrorCode code) {
-    registry_.add(ctr_errors_);
-    proto::ErrorMsg e;
-    e.code = code;
-    send(m, out, e);
-  };
-
   if (m.device() >= kMaxDevices &&
       !std::holds_alternative<proto::GetStatus>(m.msg)) {
-    error(proto::ErrorCode::kBadFrame);
+    registry_.add(ctr_errors_);
+    proto::ErrorMsg e;
+    e.code = proto::ErrorCode::kBadFrame;
+    send(m, out, e);
     return;
   }
 
   std::visit(Overloaded{
-      [&](const proto::RequestWork& req) {
-        if (faults_.active() && faults_.server_down(m.time)) {
-          // The simulated fleet never asks while the server is down; a wire
-          // client is told so explicitly, to tell "come back after the
-          // outage" from "no work left".
-          faults_.note_outage_denied(m.time, req.device);
-          respond_busy(m, out);
-          return;
-        }
-        const std::optional<Assignment> a =
-            project_.request_work(req.device, m.time);
-        if (a.has_value()) {
-          registry_.add(ctr_assignments_);
-          replayer_.arm(a->result_id, a->deadline);
-          proto::Assignment wire;
-          wire.result_id = a->result_id;
-          wire.workunit = a->workunit.id;
-          wire.receptor = a->workunit.receptor;
-          wire.ligand = a->workunit.ligand;
-          wire.isep_begin = a->workunit.isep_begin;
-          wire.isep_end = a->workunit.isep_end;
-          wire.reference_seconds = a->workunit.reference_seconds;
-          wire.deadline = a->deadline;
-          send(m, out, wire);
-        } else {
-          registry_.add(ctr_no_work_);
-          proto::NoWork wire;
-          wire.project_complete = project_.complete();
-          send(m, out, wire);
-        }
-      },
-
-      [&](const proto::ReportResult& r) {
-        if (faults_.active() && faults_.server_down(m.time)) {
-          // A dark server cannot accept returns either; the simulated
-          // fleet buffers its upload client-side and retries, and a wire
-          // client must do the same.
-          respond_busy(m, out);
-          return;
-        }
-        if (r.result_id >= project_.counters().results_sent) {
-          error(proto::ErrorCode::kUnknownResult);
-          return;
-        }
-        registry_.add(ctr_reports_);
-        bool duplicate = false;
-        const ResultState state = project_.report_result_idempotent(
-            r.result_id, m.time, r.to_report(), &duplicate);
-        if (duplicate) {
-          registry_.add(ctr_duplicate_reports_);
-        } else {
-          // The result is in: retire its deadline tick eagerly (no-op for
-          // late uploads whose tick already fired).
-          replayer_.disarm(r.result_id);
-        }
-        proto::ReportAck ack;
-        ack.state = state;
-        ack.duplicate = duplicate;
-        send(m, out, ack);
+      [&](const auto&) {
+        // A work request or a report: the replay's one apply decides.
+        std::visit(Overloaded{
+            [&](const proto::Assignment& r) {
+              registry_.add(ctr_assignments_);
+              send(m, out, r);
+            },
+            [&](const proto::NoWork& r) {
+              registry_.add(ctr_no_work_);
+              send(m, out, r);
+            },
+            [&](const proto::Busy& r) {
+              registry_.add(ctr_busy_);
+              send(m, out, r);
+            },
+            [&](const proto::ReportAck& r) {
+              registry_.add(ctr_reports_);
+              if (r.duplicate) registry_.add(ctr_duplicate_reports_);
+              send(m, out, r);
+            },
+            [&](const proto::ErrorMsg& r) {
+              registry_.add(ctr_errors_);
+              send(m, out, r);
+            },
+        }, replayer_.apply(m));
       },
 
       [&](const proto::GetStatus&) {

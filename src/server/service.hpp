@@ -9,20 +9,19 @@
 // barriers, interleaved with the deadline ticks due in the batch window.
 //
 // So wire mode is a frontend over the identical store + replay machinery
-// the simulator proved out, not a second scheduler: given the same (time,
-// device, seq)-stamped traffic, the service applies it to the
-// WorkunitRecord store in the same order a simulation barrier would.
+// the simulator proved out, not a second scheduler: a work request or a
+// report goes through the same Replayer::apply as the simulated fleet's,
+// so outage refusals (Busy + retry-after), duplicate returns (acked with
+// the state the instance already ended in, moving nothing) and reports
+// from a device the result was never issued to (kUnknownResult) are
+// decided there, for both front ends.
 //
-// Wire-specific semantics on top of the in-process calls:
-//   * outage windows (fault plan) refuse work with an explicit kBusy +
-//     retry-after response instead of the in-process nullopt — and refuse
-//     result returns the same way (the sim fleet buffers uploads client-side
-//     during an outage; a wire client must do the same);
-//   * result returns go through report_result_idempotent: a duplicate
-//     return (network retry after a lost ack) is acked with the state the
-//     instance already ended in and moves no counter or quorum slot;
-//   * issue latency (request arrival -> handled) is recorded into an obs::
-//     histogram; every verb bumps an interned counter.
+// What the wire adds on top:
+//   * devices past kMaxDevices are refused before they reach the server;
+//   * the admin verbs (get_status, get_metrics, dump_diagnostics);
+//   * every decision bumps an interned rpc.* counter, and issue latency
+//     (request arrival -> handled) is recorded into an obs:: histogram;
+//   * span accounting and encoding of the reply frame.
 #pragma once
 
 #include <array>
@@ -37,7 +36,6 @@
 #include "faults/schedule.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "server/merge_order.hpp"
 #include "server/protocol.hpp"
 #include "server/replayer.hpp"
 #include "server/server.hpp"
@@ -71,25 +69,18 @@ struct ServiceConfig {
 };
 
 /// One decoded RPC as it travels from a network worker to the service
-/// thread. `conn` is an opaque routing token the net layer uses to find the
-/// connection again; `time` is the arrival stamp in service seconds.
-struct WireRequest {
-  double time = 0.0;  ///< span stamp: request fully read (t_read)
+/// thread: a batch entry whose `time` is the arrival stamp in service
+/// seconds (span stamp t_read), plus its connection. `conn` is an opaque
+/// routing token the net layer uses to find the connection again.
+struct WireRequest : BatchEntry {
   std::uint64_t conn = 0;
   /// Span stamp: pushed onto the uplink queue. Directly-constructed
   /// requests (tests, benches) may leave it 0.0: the span echo re-clamps
   /// it to `time`.
   double t_enqueue = 0.0;
-  proto::Request msg;
 
   proto::Verb verb() const {
     return std::visit([](const auto& r) { return r.kVerb; }, msg);
-  }
-  std::uint32_t device() const {
-    return std::visit([](const auto& r) { return r.device; }, msg);
-  }
-  std::uint64_t seq() const {
-    return std::visit([](const auto& r) { return r.seq; }, msg);
   }
   /// proto::kFlag* bits from the request's optional tail (0 for the verbs
   /// that have none).
@@ -103,7 +94,6 @@ struct WireRequest {
         },
         msg);
   }
-  MergeKey key() const { return {time, device(), seq()}; }
 };
 
 /// One encoded response frame, routed back by connection token. The verb /
@@ -193,7 +183,6 @@ class GridService {
 
  private:
   void apply(const WireRequest& m, std::vector<WireResponse>& out);
-  void respond_busy(const WireRequest& m, std::vector<WireResponse>& out);
   /// The sampled span slow path (stage histogram observes + flight
   /// event): runs 1-in-kSpanSampleEvery sends and resets the countdown.
   /// Out of line to keep send<Msg>()'s per-reply code to the cursor

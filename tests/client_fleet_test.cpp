@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/shard_engine.hpp"
 #include "util/duration.hpp"
 
@@ -257,6 +259,17 @@ TEST(Fleet, MultipleDevicesShareTheCatalog) {
   // Every device got some work.
   for (std::uint32_t d = 0; d < 4; ++d)
     EXPECT_GT(h.engine.reported_hcmd_runtimes(d).size(), 0u);
+}
+
+TEST(Fleet, EngineRejectsDeviceIdsOutOfOrder) {
+  // The barrier delivers device gid's answers to local index gid / K of
+  // shard gid % K, so ids must arrive densely and in order.
+  Harness h(4, 1.0 * 3600.0, Harness::plain_server_config(),
+            Harness::always_hcmd(), AgentConfig{}, 2);
+  h.add(Harness::reliable_device(0));
+  EXPECT_THROW(h.add(Harness::reliable_device(2)), std::logic_error);
+  h.add(Harness::reliable_device(1));
+  EXPECT_EQ(h.engine.device_count(), 2u);
 }
 
 TEST(Fleet, RuntimesByDeviceConcatenatesPerDeviceChronologically) {

@@ -1,6 +1,7 @@
 // GridService: wire-mode RPC semantics over the in-process ProjectServer —
 // assignment/report round trips, duplicate-report idempotency (the full
-// ServerCounters snapshot is pinned), outage-window refusal with retry-after,
+// ServerCounters snapshot is pinned), refusal of a report from a device the
+// result was not issued to, outage-window refusal with retry-after,
 // deadline deferral through outages, and merge-order determinism.
 #include "server/service.hpp"
 
@@ -10,6 +11,7 @@
 #include <cstring>
 #include <random>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "server/protocol.hpp"
@@ -153,6 +155,38 @@ TEST(GridService, DuplicateReportCannotFillItsOwnQuorum) {
   EXPECT_EQ(ack2.state, ResultState::kPendingValidation);
   EXPECT_TRUE(counters_equal(snapshot, svc.project().counters()))
       << "a replay filled its own quorum";
+}
+
+// Only the assignee may return a result. A silently corrupt return from
+// another device must not complete (and corrupt) the workunit: it is
+// refused like an unknown result and moves no counter and no deadline.
+TEST(GridService, ReportFromAnotherDeviceIsRejected) {
+  GridService svc(synthetic_catalog(4, 4.0), quorum1_config());
+  const auto a = proto::decode<proto::Assignment>(
+      sole_frame(svc.handle(request_work(0, 1, 0.0))));
+  ASSERT_EQ(svc.deadlines_armed(), 1u);
+  const ServerCounters snapshot = svc.project().counters();
+
+  WireRequest foreign = report(1, 1, 100.0, a);
+  std::get<proto::ReportResult>(foreign.msg).silent_error = true;
+  const auto e =
+      proto::decode<proto::ErrorMsg>(sole_frame(svc.handle(foreign)));
+  EXPECT_EQ(e.device, 1u);
+  EXPECT_EQ(e.code, proto::ErrorCode::kUnknownResult);
+  EXPECT_TRUE(counters_equal(snapshot, svc.project().counters()))
+      << "a foreign report moved a server counter";
+  EXPECT_EQ(svc.deadlines_armed(), 1u);
+  EXPECT_EQ(svc.registry().total("rpc.errors"), 1u);
+  EXPECT_EQ(svc.registry().total("rpc.reports"), 0u);
+
+  // The assignee's own return still validates and retires the deadline.
+  const auto ack = proto::decode<proto::ReportAck>(
+      sole_frame(svc.handle(report(0, 2, 110.0, a))));
+  EXPECT_EQ(ack.state, ResultState::kValid);
+  EXPECT_FALSE(ack.duplicate);
+  EXPECT_EQ(svc.project().counters().workunits_completed, 1u);
+  EXPECT_EQ(svc.project().counters().corrupt_assimilated, 0u);
+  EXPECT_EQ(svc.deadlines_armed(), 0u);
 }
 
 // A WireRequest holds a proto::Request, so an unknown or response verb

@@ -26,6 +26,7 @@
 //   --max-weeks <w>       override the simulation's hard stop
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -86,6 +87,7 @@ int cmd_workload() {
 }
 
 int cmd_package(double hours) {
+  if (hours <= 0.0) throw ConfigError("package: hours must be > 0");
   const core::Workload w = core::build_workload(core::CampaignConfig{});
   packaging::PackagingConfig cfg;
   cfg.target_hours = hours;
@@ -124,6 +126,101 @@ void print_campaign(const core::CampaignReport& r) {
               r.credit_reference_processors);
   std::printf("HCMD weekly VFTP:\n%s",
               util::line_chart(r.hcmd_vftp_weekly, 70, 10).c_str());
+}
+
+void print_usage() {
+  std::fprintf(stderr,
+               "usage: hcmdgrid <command> [args]\n"
+               "  workload\n"
+               "  package <hours>\n"
+               "  campaign [scale_denom=50] [target_hours=4] [obs flags]\n"
+               "  phase2 [grid_vftp=238920] [scale_denom=200] [obs flags]\n"
+               "  project [proteins=4000] [cut=100] [weeks=40] [share=0.25]\n"
+               "  dock [receptor_atoms=120] [ligand_atoms=80]\n"
+               "  calibrate\n"
+               "  serve [flags]         network grid server (serve --help)\n"
+               "  loadgen [flags]       client-farm load generator "
+               "(loadgen --help)\n"
+               "observation flags (campaign/phase2):\n"
+               "  --report <file>       run-report JSON (figures + telemetry)\n"
+               "  --trace <file>        Chrome trace_event JSON\n"
+               "  --trace-jsonl <file>  trace as JSON lines\n"
+               "  --progress            weekly progress ticker\n"
+               "  --faults <name|file>  fault-plan preset or file "
+               "(presets: outage-weekend, saboteur-1pct, stragglers)\n"
+               "  --policy <name|file>  validation-policy preset or spec file "
+               "(presets: fixed, fixed-q2, adaptive)\n"
+               "  --replicas <n>        Monte-Carlo replication over n seeds\n"
+               "  --quorum2-weeks <w>   quorum-2 validation until week w\n"
+               "  --max-weeks <w>       hard stop for the simulation\n"
+               "  --shards <n>          fleet partitions (parallel engine; "
+               "results are\n"
+               "                        bit-identical at any shard count)\n");
+}
+
+int usage() {
+  print_usage();
+  return 2;
+}
+
+/// Strict numeric flag parsing: the whole token must parse and land in
+/// range. Bad input prints the subcommand usage and throws ConfigError, so
+/// `hcmdgrid serve --port banana` exits 2 like every other usage error.
+long parse_long_flag(const char* flag, const char* v, long lo, long hi,
+                     void (*usage_fn)()) {
+  char* end = nullptr;
+  errno = 0;
+  const long x = std::strtol(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE || x < lo || x > hi) {
+    usage_fn();
+    throw ConfigError(std::string(flag) + " " + v + ": expected an integer in [" +
+                      std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return x;
+}
+
+/// The same for a finite real, at least `lo`.
+double parse_double_flag(const char* flag, const char* v, void (*usage_fn)(),
+                         double lo = std::numeric_limits<double>::lowest()) {
+  char* end = nullptr;
+  const double x = std::strtod(v, &end);
+  if (end == v || *end != '\0' || !std::isfinite(x) || x < lo) {
+    usage_fn();
+    std::string expected = "expected a number";
+    if (lo > std::numeric_limits<double>::lowest()) {
+      char bound[32];
+      std::snprintf(bound, sizeof bound, " >= %g", lo);
+      expected += bound;
+    }
+    throw ConfigError(std::string(flag) + " " + v + ": " + expected);
+  }
+  return x;
+}
+
+const char* flag_value(int argc, char** argv, int& i, void (*usage_fn)()) {
+  if (i + 1 >= argc) {
+    usage_fn();
+    throw ConfigError(std::string(argv[i]) + " needs a value");
+  }
+  return argv[++i];
+}
+
+/// Upper bound for count and denominator arguments.
+constexpr long kMaxCount = std::numeric_limits<int>::max();
+
+/// Positional argument `i` of the main usage's subcommands, parsed like a
+/// flag, or `fallback` when it is absent.
+long positional_long(const std::vector<const char*>& pos, std::size_t i,
+                     const char* name, long fallback, long lo, long hi) {
+  return i < pos.size() ? parse_long_flag(name, pos[i], lo, hi, print_usage)
+                        : fallback;
+}
+
+double positional_double(const std::vector<const char*>& pos, std::size_t i,
+                         const char* name, double fallback,
+                         double lo = std::numeric_limits<double>::lowest()) {
+  return i < pos.size() ? parse_double_flag(name, pos[i], print_usage, lo)
+                        : fallback;
 }
 
 /// Observation flags shared by `campaign` and `phase2`.
@@ -202,50 +299,49 @@ bool resolve_policy(const std::string& spec, server::ServerConfig& out) {
 }
 
 /// Splits `argv[start..)` into positional arguments and RunOptions flags.
-/// Returns false on a flag missing its value.
-bool parse_run_args(int argc, char** argv, int start, RunOptions& opts,
+/// Throws ConfigError, after the usage, on an unknown flag or a flag
+/// without a valid value.
+void parse_run_args(int argc, char** argv, int start, RunOptions& opts,
                     std::vector<const char*>& positional) {
   for (int i = start; i < argc; ++i) {
     const std::string_view a = argv[i];
     if (a == "--progress") {
       opts.progress = true;
-    } else if (a == "--report" || a == "--trace" || a == "--trace-jsonl" ||
-               a == "--faults" || a == "--policy") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "hcmdgrid: %s needs a file argument\n",
-                     argv[i]);
-        return false;
-      }
-      const char* v = argv[++i];
-      if (a == "--report") opts.report_path = v;
-      else if (a == "--trace") opts.trace_path = v;
-      else if (a == "--faults") opts.faults_spec = v;
-      else if (a == "--policy") opts.policy_spec = v;
-      else opts.trace_jsonl_path = v;
-    } else if (a == "--quorum2-weeks" || a == "--max-weeks" ||
-               a == "--shards" || a == "--replicas") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "hcmdgrid: %s needs a number argument\n",
-                     argv[i]);
-        return false;
-      }
-      if (a == "--shards") opts.shards = std::atol(argv[++i]);
-      else if (a == "--replicas") opts.replicas = std::atol(argv[++i]);
-      else {
-        const double v = std::atof(argv[++i]);
-        if (a == "--quorum2-weeks") opts.quorum2_weeks = v;
-        else opts.max_weeks = v;
-      }
+    } else if (a == "--report") {
+      opts.report_path = flag_value(argc, argv, i, print_usage);
+    } else if (a == "--trace") {
+      opts.trace_path = flag_value(argc, argv, i, print_usage);
+    } else if (a == "--trace-jsonl") {
+      opts.trace_jsonl_path = flag_value(argc, argv, i, print_usage);
+    } else if (a == "--faults") {
+      opts.faults_spec = flag_value(argc, argv, i, print_usage);
+    } else if (a == "--policy") {
+      opts.policy_spec = flag_value(argc, argv, i, print_usage);
+    } else if (a == "--quorum2-weeks") {
+      opts.quorum2_weeks = parse_double_flag(
+          "--quorum2-weeks", flag_value(argc, argv, i, print_usage),
+          print_usage, 0.0);
+    } else if (a == "--max-weeks") {
+      opts.max_weeks = parse_double_flag(
+          "--max-weeks", flag_value(argc, argv, i, print_usage), print_usage,
+          0.0);
+    } else if (a == "--shards") {
+      opts.shards = parse_long_flag(
+          "--shards", flag_value(argc, argv, i, print_usage), 0, kMaxCount,
+          print_usage);
+    } else if (a == "--replicas") {
+      opts.replicas = parse_long_flag(
+          "--replicas", flag_value(argc, argv, i, print_usage), 1, 1000000,
+          print_usage);
     } else if (a.size() >= 2 && a.substr(0, 2) == "--") {
       // A typo like --reprot must not silently run a full campaign with
       // the report dropped.
-      std::fprintf(stderr, "hcmdgrid: unknown flag %s\n", argv[i]);
-      return false;
+      print_usage();
+      throw ConfigError("unknown flag " + std::string(a));
     } else {
       positional.push_back(argv[i]);
     }
   }
-  return true;
 }
 
 int write_file(const std::string& path, const std::string& contents) {
@@ -363,12 +459,16 @@ int cmd_phase2(double grid_vftp, int denom, const RunOptions& opts) {
   return run_observed(config, opts);
 }
 
-int cmd_project(int argc, char** argv) {
+int cmd_project(const std::vector<const char*>& pos) {
   analysis::ProjectionInput input;
-  if (argc > 0) input.phase2_proteins = static_cast<std::uint32_t>(std::atoi(argv[0]));
-  if (argc > 1) input.docking_point_reduction = std::atof(argv[1]);
-  if (argc > 2) input.phase2_target_weeks = std::atof(argv[2]);
-  if (argc > 3) input.hcmd_grid_share = std::atof(argv[3]);
+  input.phase2_proteins = static_cast<std::uint32_t>(positional_long(
+      pos, 0, "proteins", input.phase2_proteins, 0, kMaxCount));
+  input.docking_point_reduction =
+      positional_double(pos, 1, "cut", input.docking_point_reduction);
+  input.phase2_target_weeks =
+      positional_double(pos, 2, "weeks", input.phase2_target_weeks);
+  input.hcmd_grid_share =
+      positional_double(pos, 3, "share", input.hcmd_grid_share);
   const analysis::ProjectionResult r = analysis::project_phase2(input);
   std::printf("work ratio       : %.3fx\n", r.work_ratio);
   std::printf("cpu time         : %s\n",
@@ -501,40 +601,6 @@ void loadgen_usage() {
       "(tools/validate_report.py --serve)\n");
 }
 
-/// Strict numeric flag parsing: the whole token must parse and land in
-/// range. Bad input prints the subcommand usage and throws ConfigError, so
-/// `hcmdgrid serve --port banana` exits 2 like every other usage error.
-long parse_long_flag(const char* flag, const char* v, long lo, long hi,
-                     void (*usage_fn)()) {
-  char* end = nullptr;
-  errno = 0;
-  const long x = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || x < lo || x > hi) {
-    usage_fn();
-    throw ConfigError(std::string(flag) + " " + v + ": expected an integer in [" +
-                      std::to_string(lo) + ", " + std::to_string(hi) + "]");
-  }
-  return x;
-}
-
-double parse_double_flag(const char* flag, const char* v, void (*usage_fn)()) {
-  char* end = nullptr;
-  const double x = std::strtod(v, &end);
-  if (end == v || *end != '\0') {
-    usage_fn();
-    throw ConfigError(std::string(flag) + " " + v + ": expected a number");
-  }
-  return x;
-}
-
-const char* flag_value(int argc, char** argv, int& i, void (*usage_fn)()) {
-  if (i + 1 >= argc) {
-    usage_fn();
-    throw ConfigError(std::string(argv[i]) + " needs a value");
-  }
-  return argv[++i];
-}
-
 int cmd_serve(int argc, char** argv) {
   server::NetOptions net;
   server::ServiceConfig config;
@@ -563,11 +629,8 @@ int cmd_serve(int argc, char** argv) {
                           1, 1024, serve_usage));
     } else if (a == "--duration") {
       duration = parse_double_flag(
-          "--duration", flag_value(argc, argv, i, serve_usage), serve_usage);
-      if (duration < 0.0) {
-        serve_usage();
-        throw ConfigError("--duration must be >= 0");
-      }
+          "--duration", flag_value(argc, argv, i, serve_usage), serve_usage,
+          0.0);
     } else if (a == "--time-scale") {
       net.time_scale = parse_double_flag(
           "--time-scale", flag_value(argc, argv, i, serve_usage), serve_usage);
@@ -767,37 +830,6 @@ int cmd_loadgen(int argc, char** argv) {
   return 0;
 }
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: hcmdgrid <command> [args]\n"
-               "  workload\n"
-               "  package <hours>\n"
-               "  campaign [scale_denom=50] [target_hours=4] [obs flags]\n"
-               "  phase2 [grid_vftp=238920] [scale_denom=200] [obs flags]\n"
-               "  project [proteins=4000] [cut=100] [weeks=40] [share=0.25]\n"
-               "  dock [receptor_atoms=120] [ligand_atoms=80]\n"
-               "  calibrate\n"
-               "  serve [flags]         network grid server (serve --help)\n"
-               "  loadgen [flags]       client-farm load generator "
-               "(loadgen --help)\n"
-               "observation flags (campaign/phase2):\n"
-               "  --report <file>       run-report JSON (figures + telemetry)\n"
-               "  --trace <file>        Chrome trace_event JSON\n"
-               "  --trace-jsonl <file>  trace as JSON lines\n"
-               "  --progress            weekly progress ticker\n"
-               "  --faults <name|file>  fault-plan preset or file "
-               "(presets: outage-weekend, saboteur-1pct, stragglers)\n"
-               "  --policy <name|file>  validation-policy preset or spec file "
-               "(presets: fixed, fixed-q2, adaptive)\n"
-               "  --replicas <n>        Monte-Carlo replication over n seeds\n"
-               "  --quorum2-weeks <w>   quorum-2 validation until week w\n"
-               "  --max-weeks <w>       hard stop for the simulation\n"
-               "  --shards <n>          fleet partitions (parallel engine; "
-               "results are\n"
-               "                        bit-identical at any shard count)\n");
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -805,26 +837,36 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   try {
     if (cmd == "workload") return cmd_workload();
+    // The arguments after the subcommand (serve and loadgen parse theirs
+    // below).
+    const std::vector<const char*> args(argv + 2, argv + argc);
+    constexpr long kMaxAtoms = 1000000;
     if (cmd == "package")
-      return argc > 2 ? cmd_package(std::atof(argv[2])) : usage();
-    if (cmd == "campaign") {
+      return args.empty() ? usage()
+                          : cmd_package(parse_double_flag("hours", args[0],
+                                                          print_usage));
+    if (cmd == "campaign" || cmd == "phase2") {
       RunOptions opts;
       std::vector<const char*> pos;
-      if (!parse_run_args(argc, argv, 2, opts, pos)) return usage();
-      return cmd_campaign(!pos.empty() ? std::atoi(pos[0]) : 50,
-                          pos.size() > 1 ? std::atof(pos[1]) : 4.0, opts);
+      parse_run_args(argc, argv, 2, opts, pos);
+      if (cmd == "campaign")
+        return cmd_campaign(
+            static_cast<int>(
+                positional_long(pos, 0, "scale_denom", 50, 1, kMaxCount)),
+            positional_double(pos, 1, "target_hours", 4.0), opts);
+      return cmd_phase2(
+          positional_double(pos, 0, "grid_vftp", 0.0, 0.0),
+          static_cast<int>(
+              positional_long(pos, 1, "scale_denom", 200, 1, kMaxCount)),
+          opts);
     }
-    if (cmd == "phase2") {
-      RunOptions opts;
-      std::vector<const char*> pos;
-      if (!parse_run_args(argc, argv, 2, opts, pos)) return usage();
-      return cmd_phase2(!pos.empty() ? std::atof(pos[0]) : 0.0,
-                        pos.size() > 1 ? std::atoi(pos[1]) : 200, opts);
-    }
-    if (cmd == "project") return cmd_project(argc - 2, argv + 2);
+    if (cmd == "project") return cmd_project(args);
     if (cmd == "dock")
-      return cmd_dock(argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 120,
-                      argc > 3 ? static_cast<std::uint32_t>(std::atoi(argv[3])) : 80);
+      return cmd_dock(
+          static_cast<std::uint32_t>(positional_long(
+              args, 0, "receptor_atoms", 120, 1, kMaxAtoms)),
+          static_cast<std::uint32_t>(positional_long(
+              args, 1, "ligand_atoms", 80, 1, kMaxAtoms)));
     if (cmd == "calibrate") return cmd_calibrate();
     if (cmd == "serve") {
       if (argc > 2 && std::string_view(argv[2]) == "--help") {
