@@ -675,3 +675,18 @@ void BM_ServeIssueP99(benchmark::State& state) {
 BENCHMARK(BM_ServeIssueP99)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
+
+// BENCHMARK_MAIN, plus the kernel variant every docking row ran on (the
+// engines above take the default, the fastest this CPU runs) in the
+// report's context.
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext(
+      "docking_kernel_variant",
+      hcmd::docking::kernel_variant_name(
+          hcmd::docking::fastest_kernel_variant()));
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

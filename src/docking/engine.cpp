@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -9,12 +10,62 @@ namespace hcmd::docking {
 
 using proteins::Vec3;
 
+// x86-64 builds by GCC or clang compile each kernel a second time for
+// x86-64-v3. The target is a function attribute, never a -march flag: the
+// helpers a kernel calls out of line stay baseline code, so no x86-64-v3
+// copy of a shared inline function can reach a CPU without AVX2.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define HCMD_TARGET_X86_64_V3 __attribute__((target("arch=x86-64-v3")))
+#endif
+
+namespace {
+
+#ifdef HCMD_TARGET_X86_64_V3
+bool cpu_runs_x86_64_v3() {
+  __builtin_cpu_init();  // engines may be built before main()
+#if defined(__clang__)
+  // Not every clang release knows the level names here, so test the
+  // level's extensions that compiled kernel code can use.
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+         __builtin_cpu_supports("bmi") && __builtin_cpu_supports("bmi2");
+#else
+  return __builtin_cpu_supports("x86-64-v3");
+#endif
+}
+#endif
+
+}  // namespace
+
+const char* kernel_variant_name(KernelVariant variant) {
+  return variant == KernelVariant::kX86_64_v3 ? "x86-64-v3" : "baseline";
+}
+
+bool kernel_variant_supported(KernelVariant variant) {
+  if (variant == KernelVariant::kBaseline) return true;
+#ifdef HCMD_TARGET_X86_64_V3
+  static const bool runs = cpu_runs_x86_64_v3();
+  return runs;
+#else
+  return false;
+#endif
+}
+
+KernelVariant fastest_kernel_variant() {
+  return kernel_variant_supported(KernelVariant::kX86_64_v3)
+             ? KernelVariant::kX86_64_v3
+             : KernelVariant::kBaseline;
+}
+
 DockingEngine::DockingEngine(const proteins::ReducedProtein& receptor,
                              const proteins::ReducedProtein& ligand,
-                             EnergyParams params)
-    : params_(params) {
+                             EnergyParams params, KernelVariant variant)
+    : params_(params), variant_(variant) {
   if (!(params_.cutoff > 0.0))
     throw ConfigError("DockingEngine: cutoff must be > 0");
+  if (!kernel_variant_supported(variant_))
+    throw ConfigError(std::string("DockingEngine: this build or CPU cannot "
+                                  "run the ") +
+                      kernel_variant_name(variant_) + " kernels");
 
   const std::size_t nl = ligand.size();
   lx_.reserve(nl);
@@ -292,7 +343,12 @@ void DockingEngine::energy_batch(const proteins::RigidTransform* poses,
     out[b] = InteractionEnergy{scratch.lj[b], scratch.elec[b]};
 }
 
-InteractionEnergy DockingEngine::accumulate_cells(
+// The kernels' bodies. Each is always inlined into one entry point per
+// variant (end of file), so each variant compiles the same source under
+// its own target.
+
+[[gnu::always_inline]] inline InteractionEnergy
+DockingEngine::accumulate_cells_body(
     const double* x, const double* y, const double* z,
     std::uint64_t* inspected, std::uint64_t* within) const {
   InteractionEnergy e;
@@ -362,11 +418,9 @@ InteractionEnergy DockingEngine::accumulate_cells(
 // the scalar path's (i outer, j ascending), so lane b's total is
 // bit-identical to energy(poses[b]).
 
-void DockingEngine::batch_accumulate_cells(BatchScratch& s, const double* x,
-                                           const double* y, const double* z,
-                                           std::size_t lane0,
-                                           std::size_t width,
-                                           double prune2) const {
+[[gnu::always_inline]] inline void DockingEngine::batch_accumulate_cells_body(
+    BatchScratch& s, const double* x, const double* y, const double* z,
+    std::size_t lane0, std::size_t width, double prune2) const {
   const std::size_t W = width;
   const double edge = params_.cutoff;
   const double cutoff2 = edge * edge;
@@ -583,5 +637,45 @@ void DockingEngine::batch_accumulate_cells(BatchScratch& s, const double* x,
     }
   }
 }
+
+// The entry points, one per kernel and variant.
+
+InteractionEnergy DockingEngine::accumulate_cells(
+    const double* x, const double* y, const double* z,
+    std::uint64_t* inspected, std::uint64_t* within) const {
+#ifdef HCMD_TARGET_X86_64_V3
+  if (variant_ == KernelVariant::kX86_64_v3)
+    return accumulate_cells_x86_64_v3(x, y, z, inspected, within);
+#endif
+  return accumulate_cells_body(x, y, z, inspected, within);
+}
+
+void DockingEngine::batch_accumulate_cells(BatchScratch& s, const double* x,
+                                           const double* y, const double* z,
+                                           std::size_t lane0,
+                                           std::size_t width,
+                                           double prune2) const {
+#ifdef HCMD_TARGET_X86_64_V3
+  if (variant_ == KernelVariant::kX86_64_v3)
+    return batch_accumulate_cells_x86_64_v3(s, x, y, z, lane0, width, prune2);
+#endif
+  batch_accumulate_cells_body(s, x, y, z, lane0, width, prune2);
+}
+
+#ifdef HCMD_TARGET_X86_64_V3
+HCMD_TARGET_X86_64_V3 InteractionEnergy
+DockingEngine::accumulate_cells_x86_64_v3(const double* x, const double* y,
+                                          const double* z,
+                                          std::uint64_t* inspected,
+                                          std::uint64_t* within) const {
+  return accumulate_cells_body(x, y, z, inspected, within);
+}
+
+HCMD_TARGET_X86_64_V3 void DockingEngine::batch_accumulate_cells_x86_64_v3(
+    BatchScratch& s, const double* x, const double* y, const double* z,
+    std::size_t lane0, std::size_t width, double prune2) const {
+  batch_accumulate_cells_body(s, x, y, z, lane0, width, prune2);
+}
+#endif
 
 }  // namespace hcmd::docking

@@ -29,6 +29,10 @@
 //    accumulates exactly the scalar path's (ligand atom, receptor atom)
 //    term sequence, so batched results are bit-identical to energy() per
 //    lane.
+//  * Kernel variants: both cell-list kernels are compiled once per
+//    KernelVariant from one source, and each engine picks the fastest
+//    variant the CPU runs when it is constructed. The variants are
+//    bit-identical, so which one ran never shows in a result.
 //
 // The engine evaluates exactly the within-cutoff pairs of the free
 // interaction_energy() sweep with the same per-pair formulas; totals differ
@@ -45,6 +49,22 @@
 #include "proteins/protein.hpp"
 
 namespace hcmd::docking {
+
+/// Code generation of the cell-list kernels. Every build carries the
+/// baseline variant. x86-64 builds by GCC or clang also carry an
+/// x86-64-v3 variant, whose AVX2 loops are four doubles wide instead of
+/// two. FP contraction is off and IEEE vector ops round like their scalar
+/// forms, so the variants' results are bit-identical.
+enum class KernelVariant : std::uint8_t { kBaseline, kX86_64_v3 };
+
+/// "baseline" or "x86-64-v3".
+const char* kernel_variant_name(KernelVariant variant);
+
+/// True when this build carries `variant` and this CPU can run it.
+bool kernel_variant_supported(KernelVariant variant);
+
+/// The fastest supported variant, which every engine uses by default.
+KernelVariant fastest_kernel_variant();
 
 class DockingEngine {
  public:
@@ -88,11 +108,14 @@ class DockingEngine {
   };
 
   /// Copies both proteins into SoA form; the references need not outlive
-  /// the engine. Throws ConfigError for non-positive cutoff.
+  /// the engine. Throws ConfigError for non-positive cutoff or for a
+  /// `variant` that kernel_variant_supported() rejects.
   DockingEngine(const proteins::ReducedProtein& receptor,
-                const proteins::ReducedProtein& ligand, EnergyParams params);
+                const proteins::ReducedProtein& ligand, EnergyParams params,
+                KernelVariant variant = fastest_kernel_variant());
 
   const EnergyParams& params() const { return params_; }
+  KernelVariant kernel_variant() const { return variant_; }
   std::size_t receptor_size() const { return rx_.size(); }
   std::size_t ligand_size() const { return lx_.size(); }
   /// Number of cells in the receptor grid.
@@ -124,12 +147,24 @@ class DockingEngine {
   std::size_t flat_cell(int x, int y, int z) const {
     return (static_cast<std::size_t>(z) * ny_ + y) * nx_ + x;
   }
+  // The two cell-list kernels, each in one entry point per variant. The
+  // baseline entry point runs the engine's variant: it hands the call to
+  // its x86-64-v3 twin (defined in x86-64 builds only) when variant_ asks
+  // for it. Both entry points always inline one body, so every variant
+  // compiles the same source under its own target ISA (engine.cpp).
+  //
   // Scalar kernel over one contiguous world-frame ligand (x/y/z, nl
   // doubles each). Shared verbatim by energy() and by width-1 batch
   // tiles, which is what makes those tiles bit-identical by construction.
   InteractionEnergy accumulate_cells(const double* x, const double* y,
                                      const double* z, std::uint64_t* inspected,
                                      std::uint64_t* within) const;
+  InteractionEnergy accumulate_cells_x86_64_v3(
+      const double* x, const double* y, const double* z,
+      std::uint64_t* inspected, std::uint64_t* within) const;
+  inline InteractionEnergy accumulate_cells_body(
+      const double* x, const double* y, const double* z,
+      std::uint64_t* inspected, std::uint64_t* within) const;
   // Masked kernel over one tile of `width` lanes in tile-major layout
   // (atom i, tile lane b at x[i * width + b]); per-lane accumulators and
   // counters live at scratch index lane0 + b. `prune2` is the squared
@@ -145,8 +180,18 @@ class DockingEngine {
                               const double* y, const double* z,
                               std::size_t lane0, std::size_t width,
                               double prune2) const;
+  void batch_accumulate_cells_x86_64_v3(BatchScratch& s, const double* x,
+                                        const double* y, const double* z,
+                                        std::size_t lane0, std::size_t width,
+                                        double prune2) const;
+  inline void batch_accumulate_cells_body(BatchScratch& s, const double* x,
+                                          const double* y, const double* z,
+                                          std::size_t lane0,
+                                          std::size_t width,
+                                          double prune2) const;
 
   EnergyParams params_;
+  KernelVariant variant_;
 
   // Receptor SoA, permuted into cell order so each cell's atoms form a
   // contiguous slice.

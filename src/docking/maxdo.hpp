@@ -102,6 +102,7 @@ class MaxDoProgram {
   }
 
   const MaxDoParams& params() const { return params_; }
+  const DockingEngine& engine() const { return engine_; }
 
  private:
   /// Reusable state: the scalar scratch, the batch-minimiser buffers and

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <ostream>
+#include <string>
+#include <vector>
 
 #include "docking/minimizer.hpp"
 #include "proteins/generator.hpp"
@@ -124,31 +128,50 @@ void PrintTo(const SweepCase& c, std::ostream* os) {
       << "_seed" << c.pose_seed;
 }
 
-class EngineEquivalenceSweep
-    : public ::testing::TestWithParam<SweepCase> {};
+const SweepCase kSweepCases[] = {
+    {40, 25, 0},   {40, 25, 1},   {200, 80, 2},  {200, 80, 3},
+    {650, 120, 4}, {650, 120, 5}, {1500, 60, 6},
+};
 
-TEST_P(EngineEquivalenceSweep, MatchesFreeSweep) {
-  const SweepCase c = GetParam();
-  const auto receptor =
-      proteins::generate_protein(1, c.receptor_atoms, 1.3, 61);
-  const auto ligand = proteins::generate_protein(2, c.ligand_atoms, 1.0, 62);
-  const EnergyParams params;
-  const DockingEngine engine(receptor, ligand, params);
-  DockingEngine::Scratch scratch = engine.make_scratch();
+ReducedProtein sweep_receptor(const SweepCase& c) {
+  return proteins::generate_protein(1, c.receptor_atoms, 1.3, 61);
+}
 
+ReducedProtein sweep_ligand(const SweepCase& c) {
+  return proteins::generate_protein(2, c.ligand_atoms, 1.0, 62);
+}
+
+/// Four poses spread from deep overlap to fully outside the receptor box
+/// (the factor 2.5 pushes some ligand atoms beyond cutoff range).
+std::vector<Dof6> sweep_poses(const SweepCase& c,
+                              const ReducedProtein& receptor,
+                              const EnergyParams& params) {
   util::Rng rng(4000 + static_cast<std::uint64_t>(c.pose_seed));
-  for (int k = 0; k < 4; ++k) {
-    Dof6 pose;
-    // Spread poses from deep overlap to fully outside the receptor box
-    // (the factor 2.5 pushes some ligand atoms beyond cutoff range).
-    const double reach = 2.5 * receptor.bounding_radius() + params.cutoff;
+  const double reach = 2.5 * receptor.bounding_radius() + params.cutoff;
+  std::vector<Dof6> poses(4);
+  for (Dof6& pose : poses) {
     pose.x = rng.uniform(-1.0, 1.0) * reach;
     pose.y = rng.uniform(-1.0, 1.0) * reach;
     pose.z = rng.uniform(-1.0, 1.0) * reach;
     pose.alpha = rng.uniform(0.0, 6.28);
     pose.beta = rng.uniform(0.0, 3.14);
     pose.gamma = rng.uniform(0.0, 6.28);
+  }
+  return poses;
+}
 
+class EngineEquivalenceSweep
+    : public ::testing::TestWithParam<SweepCase> {};
+
+TEST_P(EngineEquivalenceSweep, MatchesFreeSweep) {
+  const SweepCase c = GetParam();
+  const auto receptor = sweep_receptor(c);
+  const auto ligand = sweep_ligand(c);
+  const EnergyParams params;
+  const DockingEngine engine(receptor, ligand, params);
+  DockingEngine::Scratch scratch = engine.make_scratch();
+
+  for (const Dof6& pose : sweep_poses(c, receptor, params)) {
     const auto reference = interaction_energy(receptor, ligand,
                                               pose.to_transform(), params);
     expect_energies_near(reference, engine.energy(pose.to_transform(), scratch),
@@ -156,12 +179,210 @@ TEST_P(EngineEquivalenceSweep, MatchesFreeSweep) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sizes, EngineEquivalenceSweep,
-    ::testing::Values(SweepCase{40, 25, 0}, SweepCase{40, 25, 1},
-                      SweepCase{200, 80, 2}, SweepCase{200, 80, 3},
-                      SweepCase{650, 120, 4}, SweepCase{650, 120, 5},
-                      SweepCase{1500, 60, 6}));
+INSTANTIATE_TEST_SUITE_P(Sizes, EngineEquivalenceSweep,
+                         ::testing::ValuesIn(kSweepCases));
+
+// --- kernel variants --------------------------------------------------------
+//
+// Every variant of both cell-list kernels must give bit-equal energies and
+// equal pair counts on the same inputs, so which variant ran never shows in
+// a result. The x86-64-v3 variant runs against the baseline one through
+// energy() (the scalar kernel) and through energy_batch() (the scalar
+// kernel for a 1-wide tile, the batched kernel for a wider one).
+
+// The same test of the CPU as the engine's, written out independently.
+bool cpu_runs_x86_64_v3() {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  __builtin_cpu_init();
+#if defined(__clang__)
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+         __builtin_cpu_supports("bmi") && __builtin_cpu_supports("bmi2");
+#else
+  return __builtin_cpu_supports("x86-64-v3");
+#endif
+#else
+  return false;
+#endif
+}
+
+TEST(KernelVariants, EnginesRunX86_64_v3WhereTheCpuDoes) {
+  const auto receptor = proteins::generate_protein(1, 60, 1.0, 71);
+  const auto ligand = proteins::generate_protein(2, 30, 1.0, 72);
+  const EnergyParams params;
+  const bool v3 = cpu_runs_x86_64_v3();
+  EXPECT_TRUE(kernel_variant_supported(KernelVariant::kBaseline));
+  EXPECT_EQ(kernel_variant_supported(KernelVariant::kX86_64_v3), v3);
+  EXPECT_EQ(fastest_kernel_variant(),
+            v3 ? KernelVariant::kX86_64_v3 : KernelVariant::kBaseline);
+  EXPECT_EQ(DockingEngine(receptor, ligand, params).kernel_variant(),
+            fastest_kernel_variant());
+  EXPECT_EQ(DockingEngine(receptor, ligand, params, KernelVariant::kBaseline)
+                .kernel_variant(),
+            KernelVariant::kBaseline);
+  if (!v3) {
+    EXPECT_THROW(
+        DockingEngine(receptor, ligand, params, KernelVariant::kX86_64_v3),
+        hcmd::ConfigError);
+  }
+  EXPECT_STREQ(kernel_variant_name(KernelVariant::kBaseline), "baseline");
+  EXPECT_STREQ(kernel_variant_name(KernelVariant::kX86_64_v3), "x86-64-v3");
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// 12 poses around `centre`, each DOF displaced by `step` Angstrom or
+/// `step / 10` radians, both ways: the finite-difference probes of one
+/// descent step, which energy_batch() evaluates as one 12-wide tile. A
+/// probe-sized step lands every lane in the same cell windows; on a grid
+/// of several cells a step of 1 moves some atoms into other cells, so
+/// lanes walk different rows (the union walk).
+std::vector<Dof6> probes(const Dof6& centre, double step) {
+  std::vector<Dof6> out;
+  for (double Dof6::*dof : {&Dof6::x, &Dof6::y, &Dof6::z, &Dof6::alpha,
+                            &Dof6::beta, &Dof6::gamma}) {
+    const double h = (dof == &Dof6::x || dof == &Dof6::y || dof == &Dof6::z)
+                         ? step
+                         : step / 10.0;
+    for (const double sign : {1.0, -1.0}) {
+      Dof6 p = centre;
+      p.*dof += sign * h;
+      out.push_back(p);
+    }
+  }
+  return out;
+}
+
+/// Runs `batches` on a baseline and an x86-64-v3 engine of one couple and
+/// requires bit-equal energies and equal counters: every pose alone
+/// through energy(), then each batch through one energy_batch() call.
+/// Returns how many poses had non-zero energy.
+std::size_t expect_variants_agree(const ReducedProtein& receptor,
+                                  const ReducedProtein& ligand,
+                                  const EnergyParams& params,
+                                  const std::vector<std::vector<Dof6>>& batches) {
+  const DockingEngine base(receptor, ligand, params, KernelVariant::kBaseline);
+  const DockingEngine v3(receptor, ligand, params, KernelVariant::kX86_64_v3);
+  DockingEngine::Scratch base_scratch = base.make_scratch();
+  DockingEngine::Scratch v3_scratch = v3.make_scratch();
+  std::size_t nonzero = 0;
+  for (std::size_t k = 0; k < batches.size(); ++k) {
+    const std::vector<Dof6>& batch = batches[k];
+    std::vector<proteins::RigidTransform> poses;
+    for (const Dof6& p : batch) poses.push_back(p.to_transform());
+
+    for (std::size_t b = 0; b < poses.size(); ++b) {
+      SCOPED_TRACE("batch " + std::to_string(k) + " pose " +
+                   std::to_string(b) + " alone");
+      WorkCounter base_work, v3_work;
+      const auto e = base.energy(poses[b], base_scratch, &base_work);
+      const auto f = v3.energy(poses[b], v3_scratch, &v3_work);
+      EXPECT_EQ(bits(e.lj), bits(f.lj));
+      EXPECT_EQ(bits(e.elec), bits(f.elec));
+      EXPECT_EQ(base_work.inspected_pairs, v3_work.inspected_pairs);
+      EXPECT_EQ(base_work.within_cutoff_pairs, v3_work.within_cutoff_pairs);
+      if (e.lj != 0.0 || e.elec != 0.0) ++nonzero;
+    }
+
+    DockingEngine::BatchScratch base_bs = base.make_batch_scratch(poses.size());
+    DockingEngine::BatchScratch v3_bs = v3.make_batch_scratch(poses.size());
+    std::vector<InteractionEnergy> base_out(poses.size()), v3_out(poses.size());
+    base.energy_batch(poses.data(), poses.size(), base_bs, base_out.data());
+    v3.energy_batch(poses.data(), poses.size(), v3_bs, v3_out.data());
+    for (std::size_t b = 0; b < poses.size(); ++b) {
+      SCOPED_TRACE("batch " + std::to_string(k) + " lane " +
+                   std::to_string(b));
+      EXPECT_EQ(bits(base_out[b].lj), bits(v3_out[b].lj));
+      EXPECT_EQ(bits(base_out[b].elec), bits(v3_out[b].elec));
+      EXPECT_EQ(base_bs.inspected[b], v3_bs.inspected[b]);
+      EXPECT_EQ(base_bs.within[b], v3_bs.within[b]);
+    }
+  }
+  return nonzero;
+}
+
+// Skips where there is no second variant to compare: a build for another
+// target, or a CPU without AVX2.
+class CrossVariant : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!kernel_variant_supported(KernelVariant::kX86_64_v3))
+      GTEST_SKIP() << "this build or CPU has no x86-64-v3 kernels";
+  }
+};
+
+class KernelVariantSweep : public CrossVariant,
+                           public ::testing::WithParamInterface<SweepCase> {};
+
+// The sweep's couples: each sweep pose alone (a 1-wide tile), then a
+// tight and a loose 12-wide tile at contact distance. The loose tile's
+// lanes inspect different pair counts on the 650- and 1500-atom couples.
+TEST_P(KernelVariantSweep, BitEqualAcrossVariants) {
+  const SweepCase c = GetParam();
+  const auto receptor = sweep_receptor(c);
+  const auto ligand = sweep_ligand(c);
+  const EnergyParams params;
+  std::vector<std::vector<Dof6>> batches;
+  for (const Dof6& pose : sweep_poses(c, receptor, params))
+    batches.push_back({pose});
+  Dof6 contact;
+  contact.x = 0.6 * receptor.bounding_radius();
+  contact.alpha = 0.3;
+  contact.beta = 0.2;
+  batches.push_back(probes(contact, 1e-3));
+  batches.push_back(probes(contact, 1.0));
+  EXPECT_GT(expect_variants_agree(receptor, ligand, params, batches), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, KernelVariantSweep,
+                         ::testing::ValuesIn(kSweepCases));
+
+TEST_F(CrossVariant, LigandOutsideTheReceptorGrid) {
+  const auto receptor = proteins::generate_protein(1, 200, 1.2, 73);
+  const auto ligand = proteins::generate_protein(2, 50, 1.0, 74);
+  const EnergyParams params;
+  Dof6 far;
+  far.x = receptor.bounding_radius() + ligand.bounding_radius() +
+          3.0 * params.cutoff;
+  far.y = -0.5 * params.cutoff;
+  EXPECT_EQ(expect_variants_agree(receptor, ligand, params,
+                                  {{far}, probes(far, 1e-3)}),
+            0u);
+}
+
+TEST_F(CrossVariant, EmptyReceptor) {
+  const ReducedProtein receptor;
+  const auto ligand = proteins::generate_protein(2, 40, 1.0, 75);
+  const Dof6 origin;
+  EXPECT_EQ(expect_variants_agree(receptor, ligand, EnergyParams{},
+                                  {{origin}, probes(origin, 1e-3)}),
+            0u);
+}
+
+TEST_F(CrossVariant, PairsClampedAtMinDistance) {
+  const auto receptor = proteins::generate_protein(1, 300, 1.0, 76);
+  const auto ligand = proteins::generate_protein(2, 60, 1.0, 77);
+  EnergyParams params;
+  params.min_distance = 2.0;
+  // The ligand sits on the receptor's centre: deep overlap.
+  Dof6 overlap;
+  overlap.alpha = 0.4;
+  std::size_t clamped = 0;
+  const proteins::RigidTransform t = overlap.to_transform();
+  for (const auto& l : ligand.atoms()) {
+    const proteins::Vec3 p = t.apply(l.position);
+    for (const auto& r : receptor.atoms()) {
+      const double dx = p.x - r.position.x, dy = p.y - r.position.y,
+                   dz = p.z - r.position.z;
+      if (dx * dx + dy * dy + dz * dz < params.min_distance * params.min_distance)
+        ++clamped;
+    }
+  }
+  ASSERT_GT(clamped, 0u);
+  EXPECT_GT(expect_variants_agree(receptor, ligand, params,
+                                  {{overlap}, probes(overlap, 1e-3),
+                                   probes(overlap, 1.0)}),
+            0u);
+}
 
 TEST(EngineMinimize, DeterministicAndImproving) {
   const auto receptor = proteins::generate_protein(1, 90, 1.0, 63);

@@ -8,7 +8,8 @@
 //   phase2 [grid_vftp] [denom]    run a Phase II scenario
 //   project [proteins] [cut] [weeks] [share]
 //                                 closed-form Phase II projection (Table 3)
-//   dock [rec_atoms] [lig_atoms]  run the docking kernel on one couple
+//   dock [rec_atoms] [lig_atoms]  run the docking kernel on one couple and
+//                                 name the kernel variant it ran
 //   calibrate                     replay the Grid'5000 calibration campaign
 //
 // campaign/phase2 observation flags:
@@ -221,6 +222,14 @@ double positional_double(const std::vector<const char*>& pos, std::size_t i,
                          double lo = std::numeric_limits<double>::lowest()) {
   return i < pos.size() ? parse_double_flag(name, pos[i], print_usage, lo)
                         : fallback;
+}
+
+/// Throws ConfigError, after the main usage, when a subcommand got more
+/// than the `max` positional arguments it takes.
+void reject_surplus(const std::vector<const char*>& pos, std::size_t max) {
+  if (pos.size() <= max) return;
+  print_usage();
+  throw ConfigError(std::string("unexpected argument ") + pos[max]);
 }
 
 /// Observation flags shared by `campaign` and `phase2`.
@@ -506,6 +515,8 @@ int cmd_dock(std::uint32_t rec_atoms, std::uint32_t lig_atoms) {
               "E_tot = %.3f kcal/mol; %llu energy evaluations\n",
               cp.records.size(), task.isep_end, best,
               static_cast<unsigned long long>(program.work().evaluations));
+  std::printf("kernel variant: %s\n",
+              docking::kernel_variant_name(program.engine().kernel_variant()));
   return 0;
 }
 
@@ -836,19 +847,25 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   try {
-    if (cmd == "workload") return cmd_workload();
     // The arguments after the subcommand (serve and loadgen parse theirs
     // below).
     const std::vector<const char*> args(argv + 2, argv + argc);
     constexpr long kMaxAtoms = 1000000;
-    if (cmd == "package")
+    if (cmd == "workload") {
+      reject_surplus(args, 0);
+      return cmd_workload();
+    }
+    if (cmd == "package") {
+      reject_surplus(args, 1);
       return args.empty() ? usage()
                           : cmd_package(parse_double_flag("hours", args[0],
                                                           print_usage));
+    }
     if (cmd == "campaign" || cmd == "phase2") {
       RunOptions opts;
       std::vector<const char*> pos;
       parse_run_args(argc, argv, 2, opts, pos);
+      reject_surplus(pos, 2);
       if (cmd == "campaign")
         return cmd_campaign(
             static_cast<int>(
@@ -860,14 +877,22 @@ int main(int argc, char** argv) {
               positional_long(pos, 1, "scale_denom", 200, 1, kMaxCount)),
           opts);
     }
-    if (cmd == "project") return cmd_project(args);
-    if (cmd == "dock")
+    if (cmd == "project") {
+      reject_surplus(args, 4);
+      return cmd_project(args);
+    }
+    if (cmd == "dock") {
+      reject_surplus(args, 2);
       return cmd_dock(
           static_cast<std::uint32_t>(positional_long(
               args, 0, "receptor_atoms", 120, 1, kMaxAtoms)),
           static_cast<std::uint32_t>(positional_long(
               args, 1, "ligand_atoms", 80, 1, kMaxAtoms)));
-    if (cmd == "calibrate") return cmd_calibrate();
+    }
+    if (cmd == "calibrate") {
+      reject_surplus(args, 0);
+      return cmd_calibrate();
+    }
     if (cmd == "serve") {
       if (argc > 2 && std::string_view(argv[2]) == "--help") {
         serve_usage();
