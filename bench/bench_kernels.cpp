@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bench_memory.hpp"
+#include "client/loadgen.hpp"
 #include "client/wire.hpp"
 #include "server/net.hpp"
 #include "server/service.hpp"
@@ -673,6 +674,38 @@ void BM_ServeIssueP99(benchmark::State& state) {
   grid.stop();
 }
 BENCHMARK(BM_ServeIssueP99)->UseManualTime()->Unit(benchmark::kMillisecond);
+
+/// The client farm (client::run_loadgen) on one connection for a 1 s
+/// window at 1,024 and at 32,768 devices. Manual time is the farm's own
+/// wall time, so items_per_second is loadgen's req/s; the same-run law in
+/// tools/bench_gate.py holds the 32k row to at least 0.8x the 1k row, so
+/// the farm's work per reply cannot grow with its device count. The
+/// catalogue is too large for the window to drain.
+void BM_LoadgenDevices(benchmark::State& state) {
+  server::GridServer grid(server::synthetic_catalog(2'400'000, 4.0),
+                          bench_serve_config(), server::NetOptions{});
+  grid.start();
+  client::LoadgenOptions load;
+  load.port = grid.port();
+  load.devices = static_cast<std::uint32_t>(state.range(0));
+  load.connections = 1;
+  load.duration_seconds = 1.0;
+  std::uint64_t replies = 0;
+  for (auto _ : state) {
+    const client::LoadgenReport report = client::run_loadgen(load);
+    replies += report.replies;
+    state.SetIterationTime(report.wall_seconds);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(replies));
+  grid.stop();
+}
+BENCHMARK(BM_LoadgenDevices)
+    ->ArgName("devices")
+    ->Arg(1024)
+    ->Arg(32768)
+    ->Iterations(1)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -69,9 +69,15 @@ struct ThreadStats {
 
 class FarmThread {
  public:
+  /// `devices` is this connection's share of the farm, dealt round-robin:
+  /// slot s holds gid s * stride + devices[0].gid.
   FarmThread(const LoadgenOptions& options, const faults::FaultSchedule& faults,
-             std::vector<Device> devices)
-      : options_(options), faults_(faults), devices_(std::move(devices)) {}
+             std::vector<Device> devices, std::uint32_t stride)
+      : options_(options), faults_(faults), devices_(std::move(devices)),
+        stride_(stride) {
+    idle_.reserve(devices_.size());
+    for (std::uint32_t s = 0; s < devices_.size(); ++s) idle_.push_back(s);
+  }
 
   void run() {
     try {
@@ -92,59 +98,73 @@ class FarmThread {
         .count();
   }
 
+  // Each pass drains the replies that have arrived, queues a request for
+  // every idle device whose backoff has passed, and sends all of it, the
+  // reports the replies produced included, in one flush. Its cost follows
+  // the replies and the idle devices, never the size of the farm.
   void loop(WireClient& client) {
-    pending_out_ = &client;
     start_ = std::chrono::steady_clock::now();
-    while (wall() < options_.duration_seconds) {
-      const double w = wall();
-      const double now = w * options_.time_scale;  // service seconds
-
-      bool sent = false;
-      for (Device& d : devices_) {
-        if (d.phase != Device::Phase::kIdle || now < d.backoff_until) continue;
-        if (d.pending_report) {
-          d.pending.seq = ++d.seq;
-          client.queue(d.pending);
-          d.phase = Device::Phase::kAwaitAck;
-        } else {
-          proto::RequestWork req;
-          req.device = d.gid;
-          req.seq = ++d.seq;
-          if (options_.spans) req.flags = proto::kFlagWantSpan;
-          client.queue(req);
-          d.phase = Device::Phase::kAwaitWork;
-        }
-        d.send_wall = w;
-        ++stats_.requests_sent;
-        sent = true;
-      }
-      if (sent) client.flush();
-
+    while (wall() < options_.duration_seconds && done_ < devices_.size()) {
       bool received = false;
       while (std::optional<WireReply> r = client.poll_reply()) {
-        dispatch(*r, wall());
+        dispatch(client, *r, wall());
         received = true;
       }
+      const bool sent = send_idle(client);
+      client.flush();
       if (!sent && !received) {
         // Everything is in flight or backing off: sleep on the socket
         // instead of spinning.
         pollfd p{client.fd(), POLLIN, 0};
         ::poll(&p, 1, 1);
       }
-      if (std::all_of(devices_.begin(), devices_.end(), [](const Device& d) {
-            return d.phase == Device::Phase::kDone;
-          }))
-        break;
     }
   }
 
-  Device* find(std::uint32_t gid) {
-    for (Device& d : devices_)
-      if (d.gid == gid) return &d;
-    return nullptr;
+  /// Queues a request for each idle device whose backoff has passed and
+  /// takes it off the idle list; devices still backing off stay on it.
+  bool send_idle(WireClient& client) {
+    const double w = wall();
+    const double now = w * options_.time_scale;  // service seconds
+    std::size_t kept = 0;
+    for (const std::uint32_t slot : idle_) {
+      Device& d = devices_[slot];
+      if (now < d.backoff_until) {
+        idle_[kept++] = slot;
+        continue;
+      }
+      if (d.pending_report) {
+        d.pending.seq = ++d.seq;
+        client.queue(d.pending);
+        d.phase = Device::Phase::kAwaitAck;
+      } else {
+        proto::RequestWork req;
+        req.device = d.gid;
+        req.seq = ++d.seq;
+        if (options_.spans) req.flags = proto::kFlagWantSpan;
+        client.queue(req);
+        d.phase = Device::Phase::kAwaitWork;
+      }
+      d.send_wall = w;
+      ++stats_.requests_sent;
+    }
+    const bool sent = kept < idle_.size();
+    idle_.resize(kept);
+    return sent;
   }
 
-  void dispatch(const WireReply& r, double w) {
+  Device* find(std::uint32_t gid) {
+    const std::size_t slot = gid / stride_;
+    if (slot >= devices_.size() || devices_[slot].gid != gid) return nullptr;
+    return &devices_[slot];
+  }
+
+  void make_idle(Device& d) {
+    d.phase = Device::Phase::kIdle;
+    idle_.push_back(static_cast<std::uint32_t>(&d - devices_.data()));
+  }
+
+  void dispatch(WireClient& client, const WireReply& r, double w) {
     ++stats_.replies;
     Device* dp = find(r.device);
     if (dp == nullptr || r.seq != dp->seq) return;  // stale or foreign echo
@@ -185,7 +205,7 @@ class FarmThread {
           // The finished result evaporates before upload; only the server's
           // deadline pass can recover the workunit.
           ++stats_.reports_lost;
-          d.phase = Device::Phase::kIdle;
+          make_idle(d);
           break;
         }
         if (fate != faults::ResultFate::kClean) {
@@ -195,16 +215,19 @@ class FarmThread {
           ++stats_.reports_corrupted;
         }
         report.seq = ++d.seq;
-        client_queue_report(report, d);
+        queue_report(client, report, d, w);
         break;
       }
       case proto::Verb::kNoWork:
         stats_.issue_latency.record(rtt);
         ++stats_.no_work;
         d.attempt = 0;
-        d.phase = r.get<proto::NoWork>().project_complete
-                      ? Device::Phase::kDone
-                      : Device::Phase::kIdle;
+        if (r.get<proto::NoWork>().project_complete) {
+          d.phase = Device::Phase::kDone;
+          ++done_;
+        } else {
+          make_idle(d);
+        }
         break;
       case proto::Verb::kBusy: {
         // The server is in an outage window: back off on the same capped
@@ -218,7 +241,7 @@ class FarmThread {
         const double delay = faults_.backoff_delay(d.attempt, d.rng);
         ++d.attempt;
         d.backoff_until = now + delay;
-        d.phase = Device::Phase::kIdle;  // pending_report survives for retry
+        make_idle(d);  // pending_report survives for retry
         break;
       }
       case proto::Verb::kReportAck:
@@ -227,12 +250,12 @@ class FarmThread {
         if (r.get<proto::ReportAck>().duplicate) ++stats_.duplicate_acks;
         d.attempt = 0;
         d.pending_report = false;
-        d.phase = Device::Phase::kIdle;
+        make_idle(d);
         break;
       case proto::Verb::kError:
         ++stats_.errors;
         d.pending_report = false;
-        d.phase = Device::Phase::kIdle;
+        make_idle(d);
         break;
       default:
         ++stats_.errors;
@@ -240,30 +263,30 @@ class FarmThread {
     }
   }
 
-  void client_queue_report(const proto::ReportResult& report, Device& d) {
-    // Buffer for the Busy/retry path before sending: the ack may be an
-    // outage refusal and the report must survive to the retry.
+  /// Queues a report; the pass's flush sends it. Buffered on the device
+  /// first: the ack may be an outage refusal and the report must survive
+  /// to the retry.
+  void queue_report(WireClient& client, const proto::ReportResult& report,
+                    Device& d, double w) {
     d.pending = report;
     if (options_.spans) d.pending.flags = proto::kFlagWantSpan;
     d.pending_report = true;
     d.phase = Device::Phase::kAwaitAck;
-    d.send_wall = wall();
+    d.send_wall = w;
     ++stats_.requests_sent;
-    pending_out_->queue(d.pending);
-    pending_out_->flush();
+    client.queue(d.pending);
   }
 
   const LoadgenOptions& options_;
   const faults::FaultSchedule& faults_;
   std::vector<Device> devices_;
+  std::uint32_t stride_;
+  /// Slots of the devices in Phase::kIdle, backing-off ones included.
+  std::vector<std::uint32_t> idle_;
+  std::size_t done_ = 0;  ///< devices in Phase::kDone
   ThreadStats stats_;
   std::string error_;
   std::chrono::steady_clock::time_point start_;
-
- public:
-  /// Set by loop() so dispatch can send follow-up reports on the same
-  /// connection.
-  WireClient* pending_out_ = nullptr;
 };
 
 void emit_histogram(obs::JsonWriter& w, const obs::LogHistogram& h) {
@@ -321,8 +344,8 @@ LoadgenReport run_loadgen(const LoadgenOptions& options) {
   std::vector<std::unique_ptr<FarmThread>> farm;
   farm.reserve(connections);
   for (std::uint32_t c = 0; c < connections; ++c)
-    farm.push_back(std::make_unique<FarmThread>(options, faults,
-                                                std::move(partitions[c])));
+    farm.push_back(std::make_unique<FarmThread>(
+        options, faults, std::move(partitions[c]), connections));
 
   const auto wall_start = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;

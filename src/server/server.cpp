@@ -1,6 +1,7 @@
 #include "server/server.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -35,14 +36,13 @@ void ProjectServer::set_instruments(obs::Tracer* tracer,
 std::uint64_t ProjectServer::issue(std::uint32_t wu_index,
                                    std::uint32_t device_id, double now) {
   WorkunitRecord& rec = records_[wu_index];
-  ResultInstance inst;
-  inst.result_id = results_.size();
+  const std::uint64_t result_id = results_.size();
   // pending_result stores ids in 32 bits (ids are dense indices).
-  HCMD_ASSERT_MSG(inst.result_id < kNoPending, "result id overflows 32 bits");
+  HCMD_ASSERT_MSG(result_id < kNoPending, "result id overflows 32 bits");
+  ResultInstance inst;
+  inst.sent_time = now;
   inst.workunit_index = wu_index;
   inst.device_id = device_id;
-  inst.sent_time = now;
-  inst.deadline = now + config_.deadline;
   results_.push_back(inst);
   // The issue counter is a full count (the original u8 silently saturated
   // at 255, corrupting re-issue statistics on pathological workunits).
@@ -55,13 +55,16 @@ std::uint64_t ProjectServer::issue(std::uint32_t wu_index,
   ++counters_.results_sent;
   if (tracer_)
     tracer_->record(obs::TraceCat::kWorkunit, obs::TraceEv::kWuIssue, now,
-                    static_cast<std::uint32_t>(inst.result_id), wu_index,
+                    static_cast<std::uint32_t>(result_id), wu_index,
                     static_cast<std::uint16_t>(device_id & 0xFFFFu));
-  return inst.result_id;
+  return result_id;
 }
 
 std::optional<Assignment> ProjectServer::request_work(std::uint32_t device_id,
                                                       double now) {
+  if (device_id >= kMaxDevices)
+    throw ConfigError("ProjectServer: device id " + std::to_string(device_id) +
+                      " does not fit the result record's 24 bits");
   last_now_ = now;
   if (registry_)
     registry_->observe(hist_reissue_depth_,
@@ -138,7 +141,7 @@ std::optional<Assignment> ProjectServer::request_work(std::uint32_t device_id,
   Assignment a;
   a.result_id = issue(wu_index, device_id, now);
   a.workunit = catalog_[wu_index];
-  a.deadline = results_[a.result_id].deadline;
+  a.deadline = result_deadline(a.result_id);
   return a;
 }
 
@@ -236,10 +239,7 @@ ResultState ProjectServer::report_result(std::uint64_t result_id, double now,
   }
 
   endgame_dirty_ = true;
-  inst.received_time = now;
-  inst.reported_runtime = report.reported_runtime;
   inst.silent_error = report.silent_error;
-  inst.corruption_tag = report.corruption_tag;
   if (registry_) registry_->observe(hist_turnaround_, now - inst.sent_time);
   // Trace the return once the instance's final state is known (the paths
   // below all end by returning inst.state).
@@ -300,7 +300,7 @@ ResultState ProjectServer::report_result(std::uint64_t result_id, double now,
     assimilate(inst.workunit_index);
     // Remember the canonical result so late spot-check copies can vouch
     // for (or against) its device.
-    rec.pending_result = static_cast<std::uint32_t>(inst.result_id);
+    rec.pending_result = static_cast<std::uint32_t>(result_id);
     trace_return();
     return inst.state;
   }
@@ -308,7 +308,9 @@ ResultState ProjectServer::report_result(std::uint64_t result_id, double now,
   // Quorum of 2: hold the first clean-looking result, compare on the
   // second.
   if (rec.pending_result == kNoPending) {
-    rec.pending_result = static_cast<std::uint32_t>(inst.result_id);
+    rec.pending_result = static_cast<std::uint32_t>(result_id);
+    if (report.corruption_tag != 0)
+      held_tags_.emplace(rec.pending_result, report.corruption_tag);
     inst.state = ResultState::kPendingValidation;
     ++counters_.results_pending;
     policy_->on_result(inst.device_id, now, ResultEvent::kPendingQuorum);
@@ -316,6 +318,8 @@ ResultState ProjectServer::report_result(std::uint64_t result_id, double now,
     return inst.state;
   }
   ResultInstance& partner = results_[rec.pending_result];
+  const auto held = held_tags_.extract(rec.pending_result);
+  const std::uint64_t partner_tag = held.empty() ? 0 : held.mapped();
   rec.pending_result = kNoPending;
   --counters_.results_pending;
   // Results agree when both are clean, or both are corrupt *the same way*
@@ -323,7 +327,7 @@ ResultState ProjectServer::report_result(std::uint64_t result_id, double now,
   // hardware or injected faults, with a tag of its own, so two
   // independently corrupted copies never match.
   if (partner.silent_error == inst.silent_error &&
-      partner.corruption_tag == inst.corruption_tag) {
+      partner_tag == report.corruption_tag) {
     partner.state = ResultState::kValid;
     ++counters_.results_quorum_extra;
     inst.state = ResultState::kValid;
@@ -336,7 +340,7 @@ ResultState ProjectServer::report_result(std::uint64_t result_id, double now,
     policy_->on_result(inst.device_id, now, ResultEvent::kQuorumVerified);
     policy_->on_result(partner.device_id, now, ResultEvent::kPartnerVerified);
     assimilate(inst.workunit_index);
-    rec.pending_result = static_cast<std::uint32_t>(inst.result_id);
+    rec.pending_result = static_cast<std::uint32_t>(result_id);
   } else {
     // Disagreement: discard both, penalise both devices, re-issue twice to
     // rebuild the quorum.
@@ -365,7 +369,7 @@ bool ProjectServer::handle_deadline(std::uint64_t result_id, double now) {
   HCMD_ASSERT(result_id < results_.size());
   ResultInstance& inst = results_[result_id];
   if (inst.state != ResultState::kInProgress) return false;
-  if (now < inst.deadline) return false;
+  if (now < result_deadline(result_id)) return false;
   last_now_ = now;
   inst.state = ResultState::kTimedOut;
   ++counters_.results_timed_out;

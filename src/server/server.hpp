@@ -25,6 +25,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -87,18 +88,26 @@ struct ResultReport {
   std::uint64_t corruption_tag = 0;
 };
 
+/// Device ids from here up are refused: a ResultInstance keeps the id in
+/// 24 bits (ProjectServer::request_work throws ConfigError), and the wire
+/// service answers them kBadFrame before they reach the server, so hostile
+/// input cannot grow its per-device history arrays without bound either.
+inline constexpr std::uint32_t kMaxDevices = 1u << 24;
+
+/// One issued result copy: 16 bytes, because the server keeps every copy
+/// it ever issued (4.83 M at scale 1.0). The result id is the record's
+/// index, the deadline is `sent_time + ServerConfig::deadline`, and a
+/// result's corruption tag is kept (in ProjectServer) only while it waits
+/// for its quorum partner. The state and the silent-error bit share the
+/// device id's top byte.
 struct ResultInstance {
-  std::uint64_t result_id = 0;
-  std::uint32_t workunit_index = 0;  ///< index into catalogue
-  std::uint32_t device_id = 0;
   double sent_time = 0.0;
-  double deadline = 0.0;
-  double received_time = -1.0;  ///< < 0 while in progress
-  double reported_runtime = 0.0;
-  std::uint64_t corruption_tag = 0;  ///< see ResultReport::corruption_tag
-  bool silent_error = false;
-  ResultState state = ResultState::kInProgress;
+  std::uint32_t workunit_index = 0;  ///< index into catalogue
+  std::uint32_t device_id : 24 = 0;  ///< < kMaxDevices
+  ResultState state : 3 = ResultState::kInProgress;
+  bool silent_error : 1 = false;
 };
+static_assert(sizeof(ResultInstance) == 16);
 
 /// Aggregate lifecycle counters (the Fig. 6(b) quantities).
 ///
@@ -159,7 +168,8 @@ class ProjectServer {
                 ServerConfig config);
 
   /// Scheduler RPC: next instance for `device` at time `now`, or nullopt if
-  /// no work remains to issue.
+  /// no work remains to issue. Throws ConfigError, changing nothing, for a
+  /// device id >= kMaxDevices.
   std::optional<Assignment> request_work(std::uint32_t device_id, double now);
 
   /// A device returns a result. Handles validation, quorum bookkeeping and
@@ -195,6 +205,11 @@ class ProjectServer {
   const ServerCounters& counters() const { return counters_; }
   const std::vector<packaging::Workunit>& catalog() const { return catalog_; }
   const ResultInstance& result(std::uint64_t result_id) const;
+  /// The deadline the result's Assignment carried: sent_time plus
+  /// ServerConfig::deadline, the one place it is computed.
+  double result_deadline(std::uint64_t result_id) const {
+    return result(result_id).sent_time + config_.deadline;
+  }
   WorkunitState workunit_state(std::uint32_t index) const;
   std::uint64_t workunits_remaining() const {
     return catalog_.size() - counters_.workunits_completed;
@@ -213,6 +228,8 @@ class ProjectServer {
     return extra_copy_queue_.size();
   }
   std::size_t endgame_queue_size() const { return endgame_queue_.size(); }
+  /// Corruption tags held for results waiting for their quorum partner.
+  std::size_t held_tags() const { return held_tags_.size(); }
 
   /// The validation policy driving redundancy decisions (reports, tests).
   const ValidationPolicy& policy() const { return *policy_; }
@@ -274,6 +291,11 @@ class ProjectServer {
   /// references stable across issues and avoids the ~2x transient of vector
   /// doubling on the campaign's hundreds of thousands of instances.
   util::ChunkedVector<ResultInstance, 1024> results_;
+  /// Nonzero corruption tags of the results held in a pending_result slot
+  /// for their quorum partner, by result index; the comparison takes the
+  /// tag out. Only silently corrupt returns carry a tag, so this stays as
+  /// small as the pending corrupt results.
+  std::unordered_map<std::uint32_t, std::uint64_t> held_tags_;
   /// Finds an outstanding workunit for end-game duplication, or returns
   /// false. Picks pop a staging queue; when it drains, a rebuild scans the
   /// survivors (the workunits not yet done), so its cost is proportional to

@@ -43,10 +43,6 @@
 
 namespace hcmd::server {
 
-/// Devices with ids >= this are rejected (kBadFrame) instead of growing
-/// the per-device history arrays without bound on hostile input.
-inline constexpr std::uint32_t kMaxDevices = 1u << 24;
-
 /// Deterministic 1-in-N sampling for the span *statistics* (stage
 /// histograms and flight-recorder events). Counters, the SLO violation
 /// count and per-request span echoes stay exact regardless — sampling only

@@ -6,6 +6,7 @@
 
 #include "core/shard_engine.hpp"
 #include "util/duration.hpp"
+#include "wu_returns.hpp"
 
 namespace hcmd::client {
 namespace {
@@ -296,6 +297,10 @@ TEST(Fleet, ShardedHarnessMatchesSequentialExactly) {
   Harness seq(12, 1.0 * 3600.0);
   Harness par(12, 1.0 * 3600.0, Harness::plain_server_config(),
               Harness::always_hcmd(), AgentConfig{}, /*shards=*/3);
+  obs::Tracer seq_trace(tests::workunit_trace());
+  obs::Tracer par_trace(tests::workunit_trace());
+  seq.project.set_instruments(&seq_trace, nullptr);
+  par.project.set_instruments(&par_trace, nullptr);
   for (auto* h : {&seq, &par}) {
     for (std::uint32_t i = 0; i < 4; ++i)
       h->add(Harness::reliable_device(i));
@@ -308,12 +313,14 @@ TEST(Fleet, ShardedHarnessMatchesSequentialExactly) {
   EXPECT_EQ(a.results_received, b.results_received);
   EXPECT_EQ(a.results_valid, b.results_valid);
   EXPECT_EQ(seq.engine.runtimes_by_device(), par.engine.runtimes_by_device());
-  for (std::uint64_t i = 0; i < a.results_sent; ++i) {
+  for (std::uint64_t i = 0; i < a.results_sent; ++i)
     EXPECT_DOUBLE_EQ(seq.project.result(i).sent_time,
                      par.project.result(i).sent_time);
-    EXPECT_DOUBLE_EQ(seq.project.result(i).received_time,
-                     par.project.result(i).received_time);
-  }
+  // Every return, with its time and final state, in the same order.
+  ASSERT_EQ(seq_trace.dropped(), 0u);
+  ASSERT_EQ(par_trace.dropped(), 0u);
+  EXPECT_EQ(tests::wu_returns(seq_trace).size(), a.results_received);
+  EXPECT_EQ(tests::wu_returns(seq_trace), tests::wu_returns(par_trace));
 }
 
 TEST(Fleet, EveryRequestIsAnsweredWhenRunUntilReturns) {

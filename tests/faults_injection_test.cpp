@@ -9,6 +9,7 @@
 #include "client/fleet.hpp"
 #include "core/shard_engine.hpp"
 #include "util/duration.hpp"
+#include "wu_returns.hpp"
 
 namespace hcmd::client {
 namespace {
@@ -111,6 +112,10 @@ TEST(FaultsInjection, InertScheduleIsBitExact) {
   Harness with(inert, 6);
   Harness without(6);
   ASSERT_FALSE(with.engine.faults_active());
+  obs::Tracer with_trace(tests::workunit_trace());
+  obs::Tracer without_trace(tests::workunit_trace());
+  with.project.set_instruments(&with_trace, nullptr);
+  without.project.set_instruments(&without_trace, nullptr);
   for (auto* h : {&with, &without}) {
     h->add(Harness::reliable_device(0));
     h->add(Harness::reliable_device(1));
@@ -122,12 +127,13 @@ TEST(FaultsInjection, InertScheduleIsBitExact) {
   EXPECT_EQ(a.results_received, b.results_received);
   EXPECT_EQ(a.results_valid, b.results_valid);
   ASSERT_EQ(a.results_sent, b.results_sent);
-  for (std::uint64_t i = 0; i < a.results_sent; ++i) {
+  for (std::uint64_t i = 0; i < a.results_sent; ++i)
     EXPECT_DOUBLE_EQ(with.project.result(i).sent_time,
                      without.project.result(i).sent_time);
-    EXPECT_DOUBLE_EQ(with.project.result(i).received_time,
-                     without.project.result(i).received_time);
-  }
+  ASSERT_EQ(with_trace.dropped(), 0u);
+  ASSERT_EQ(without_trace.dropped(), 0u);
+  EXPECT_EQ(tests::wu_returns(with_trace).size(), a.results_received);
+  EXPECT_EQ(tests::wu_returns(with_trace), tests::wu_returns(without_trace));
   EXPECT_EQ(with.fault_counters().outage_denied_requests, 0u);
   EXPECT_EQ(with.fault_counters().lost_results, 0u);
 }
@@ -140,6 +146,8 @@ TEST(FaultsInjection, OutageBlocksIssueAndDefersDelivery) {
   plan.backoff_initial_seconds = 5.0 * 60.0;
   plan.backoff_cap_seconds = 30.0 * 60.0;
   Harness h(plan, 8);
+  obs::Tracer trace(tests::workunit_trace());
+  h.project.set_instruments(&trace, nullptr);
   h.add(Harness::reliable_device(0));
   h.run(2.0 * kSecondsPerWeek);
 
@@ -154,11 +162,14 @@ TEST(FaultsInjection, OutageBlocksIssueAndDefersDelivery) {
     const auto& r = h.project.result(i);
     EXPECT_FALSE(r.sent_time >= begin && r.sent_time < end)
         << "result " << i << " issued mid-outage at " << r.sent_time;
-    if (r.received_time >= 0.0) {
-      EXPECT_FALSE(r.received_time >= begin && r.received_time < end)
-          << "result " << i << " received mid-outage at " << r.received_time;
-    }
   }
+  ASSERT_EQ(trace.dropped(), 0u);
+  const std::vector<tests::WuReturn> returns = tests::wu_returns(trace);
+  EXPECT_EQ(returns.size(), c.results_received);
+  for (const auto& [t, id, state] : returns)
+    EXPECT_FALSE(t >= begin && t < end)
+        << "result " << id << " received mid-outage at " << t << " (state "
+        << state << ")";
 
   // The device finished a workunit inside the window: its upload was
   // deferred and its next work request denied and backed off.
@@ -260,6 +271,10 @@ TEST(FaultsInjection, ShardedChaosMatchesSequentialExactly) {
   cfg.validation.quorum2_until = 1e12;
   Harness seq(plan, 30, 2.0 * 3600.0, cfg);
   Harness par(plan, 30, 2.0 * 3600.0, cfg, /*shards=*/4);
+  obs::Tracer seq_trace(tests::workunit_trace());
+  obs::Tracer par_trace(tests::workunit_trace());
+  seq.project.set_instruments(&seq_trace, nullptr);
+  par.project.set_instruments(&par_trace, nullptr);
   for (auto* h : {&seq, &par}) {
     for (std::uint32_t i = 0; i < 9; ++i)
       h->add(Harness::reliable_device(i));
@@ -280,12 +295,13 @@ TEST(FaultsInjection, ShardedChaosMatchesSequentialExactly) {
   EXPECT_EQ(fa.churn_spikes, fb.churn_spikes);
   EXPECT_EQ(fa.straggler_devices, fb.straggler_devices);
   ASSERT_EQ(a.results_sent, b.results_sent);
-  for (std::uint64_t i = 0; i < a.results_sent; ++i) {
+  for (std::uint64_t i = 0; i < a.results_sent; ++i)
     EXPECT_DOUBLE_EQ(seq.project.result(i).sent_time,
                      par.project.result(i).sent_time);
-    EXPECT_DOUBLE_EQ(seq.project.result(i).received_time,
-                     par.project.result(i).received_time);
-  }
+  ASSERT_EQ(seq_trace.dropped(), 0u);
+  ASSERT_EQ(par_trace.dropped(), 0u);
+  EXPECT_EQ(tests::wu_returns(seq_trace).size(), a.results_received);
+  EXPECT_EQ(tests::wu_returns(seq_trace), tests::wu_returns(par_trace));
 }
 
 }  // namespace

@@ -277,7 +277,7 @@ TEST(ServerQueue, EndgamePicksMatchAFullScanOracle) {
     } else if (action < 13) {
       if (live.empty()) continue;
       const std::uint64_t id = take(live);
-      now = std::max(now, server.result(id).deadline);
+      now = std::max(now, server.result_deadline(id));
       ASSERT_TRUE(server.handle_deadline(id, now));
       oracle.changed();
       const std::uint32_t wu = server.result(id).workunit_index;

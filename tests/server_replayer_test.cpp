@@ -114,7 +114,7 @@ TEST(Replayer, TickDeferredPastTheBatchEndIsRearmed) {
 
 TEST(Replayer, ReportCannotStopATickPoppedAtOpen) {
   Fixture f;
-  const double deadline = f.project.result(0).deadline;
+  const double deadline = f.project.result_deadline(0);
   f.replayer.arm(0, deadline);
   f.replayer.open(deadline + 3600.0);
   f.replayer.fire_until(deadline - 1.0);

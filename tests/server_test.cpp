@@ -230,14 +230,26 @@ TEST(Server, ResultInstanceBookkeeping) {
   cfg.deadline = 500.0;
   ProjectServer server(make_catalog(1), cfg);
   const auto a = server.request_work(9, 100.0);
+  EXPECT_DOUBLE_EQ(a->deadline, 600.0);
+  EXPECT_DOUBLE_EQ(server.result_deadline(a->result_id), 600.0);
   const ResultInstance& inst = server.result(a->result_id);
   EXPECT_EQ(inst.device_id, 9u);
   EXPECT_DOUBLE_EQ(inst.sent_time, 100.0);
-  EXPECT_DOUBLE_EQ(inst.deadline, 600.0);
   EXPECT_EQ(inst.state, ResultState::kInProgress);
   server.report_result(a->result_id, 250.0, ok_report(42.0));
-  EXPECT_DOUBLE_EQ(server.result(a->result_id).received_time, 250.0);
-  EXPECT_DOUBLE_EQ(server.result(a->result_id).reported_runtime, 42.0);
+  EXPECT_EQ(server.result(a->result_id).state, ResultState::kValid);
+  EXPECT_DOUBLE_EQ(server.counters().reported_runtime_seconds, 42.0);
+}
+
+TEST(Server, DeviceIdPastTheRecordIsRefused) {
+  // A result record keeps the device id in 24 bits.
+  ProjectServer server(make_catalog(2), plain_config());
+  EXPECT_THROW(server.request_work(kMaxDevices, 0.0), hcmd::ConfigError);
+  EXPECT_EQ(server.counters().results_sent, 0u);
+  const auto a = server.request_work(kMaxDevices - 1, 0.0);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a->workunit.id, 0u);  // the refused call issued nothing
+  EXPECT_EQ(server.result(a->result_id).device_id, kMaxDevices - 1);
 }
 
 TEST(Server, DoubleReportIsALogicError) {

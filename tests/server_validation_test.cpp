@@ -98,6 +98,65 @@ TEST(Validation, MatchingCorruptPairSlipsThrough) {
   EXPECT_EQ(server.counters().quorum_mismatches, 0u);
 }
 
+ResultReport corrupt(std::uint64_t tag) {
+  ResultReport r = corrupt();
+  r.corruption_tag = tag;
+  return r;
+}
+
+// The held partner's tag comes from the server's side table, which empties
+// as each comparison takes its tag out.
+TEST(Validation, QuorumAgreesOnEqualCorruptionTags) {
+  ProjectServer server(make_catalog(1), quorum_config());
+  const auto a = server.request_work(1, 0.0);
+  const auto b = server.request_work(2, 0.0);
+  EXPECT_EQ(server.report_result(a->result_id, 10.0, corrupt(7)),
+            ResultState::kPendingValidation);
+  EXPECT_EQ(server.held_tags(), 1u);
+  EXPECT_EQ(server.report_result(b->result_id, 20.0, corrupt(7)),
+            ResultState::kValid);
+  EXPECT_EQ(server.result(a->result_id).state, ResultState::kValid);
+  EXPECT_EQ(server.counters().corrupt_assimilated, 1u);
+  EXPECT_EQ(server.counters().quorum_mismatches, 0u);
+  EXPECT_EQ(server.held_tags(), 0u);
+}
+
+TEST(Validation, QuorumRejectsDifferentCorruptionTags) {
+  ProjectServer server(make_catalog(1), quorum_config());
+  const auto a = server.request_work(1, 0.0);
+  const auto b = server.request_work(2, 0.0);
+  server.report_result(a->result_id, 10.0, corrupt(7));
+  EXPECT_EQ(server.report_result(b->result_id, 20.0, corrupt(8)),
+            ResultState::kInvalid);
+  EXPECT_EQ(server.result(a->result_id).state, ResultState::kInvalid);
+  EXPECT_EQ(server.counters().quorum_mismatches, 1u);
+  EXPECT_EQ(server.counters().results_invalid, 2u);
+  EXPECT_EQ(server.counters().corrupt_assimilated, 0u);
+  EXPECT_EQ(server.reissue_queue_size(), 2u);
+  EXPECT_EQ(server.held_tags(), 0u);
+  EXPECT_FALSE(server.complete());
+}
+
+TEST(Validation, QuorumRejectsCleanAgainstTaggedCorrupt) {
+  // Either order: a tagged corrupt result held against a clean one, and a
+  // clean result held (no tag to keep) against a tagged corrupt one.
+  for (const bool corrupt_first : {true, false}) {
+    ProjectServer server(make_catalog(1), quorum_config());
+    const auto a = server.request_work(1, 0.0);
+    const auto b = server.request_work(2, 0.0);
+    server.report_result(a->result_id, 10.0,
+                         corrupt_first ? corrupt(7) : clean());
+    EXPECT_EQ(server.held_tags(), corrupt_first ? 1u : 0u);
+    EXPECT_EQ(server.report_result(b->result_id, 20.0,
+                                   corrupt_first ? clean() : corrupt(7)),
+              ResultState::kInvalid);
+    EXPECT_EQ(server.result(a->result_id).state, ResultState::kInvalid);
+    EXPECT_EQ(server.counters().quorum_mismatches, 1u);
+    EXPECT_EQ(server.reissue_queue_size(), 2u);
+    EXPECT_EQ(server.held_tags(), 0u);
+  }
+}
+
 TEST(Validation, LateSpotCheckDetectsAfterTheFact) {
   ServerConfig cfg = range_only_config();
   cfg.validation.spot_check_fraction = 1.0;

@@ -382,6 +382,40 @@ TEST_F(WireTest, LoadgenDrainsCatalog) {
   EXPECT_GE(report.server_status.rpc_assignments, 512u);
 }
 
+// The farm's backoff path: an outage over the first two service hours
+// refuses every device's first requests, each refused device waits out its
+// backoff on the idle list, and the catalogue completes after the window.
+TEST_F(WireTest, LoadgenBacksOffThroughAnOutage) {
+  constexpr double kTimeScale = 7200.0;  // the window lasts 1 wall second
+  ServiceConfig config = quorum1_config();
+  faults::OutageWindow w;
+  w.begin_seconds = 0.0;
+  w.end_seconds = 7200.0;
+  config.faults.outages.push_back(w);
+  start_server(4096, config, kTimeScale);
+
+  client::LoadgenOptions opts;
+  opts.port = server_->port();
+  opts.devices = 1024;
+  opts.connections = 1;
+  opts.duration_seconds = 30.0;  // upper bound; exits early when drained
+  opts.time_scale = kTimeScale;
+  opts.faults = config.faults;
+  const client::LoadgenReport report = client::run_loadgen(opts);
+
+  EXPECT_GT(report.busy, 0u);
+  EXPECT_GT(report.backoff_waits, 0u);
+  EXPECT_EQ(report.errors, 0u);
+  EXPECT_TRUE(report.server_status.complete);
+  EXPECT_EQ(report.server_status.workunits_completed, 4096u);
+  EXPECT_EQ(report.server_status.outage_denied, report.busy);
+  // The window closes before any work is issued, so no report is refused
+  // and every Busy answered a work request.
+  EXPECT_EQ(report.deferred_uploads, 0u);
+  EXPECT_EQ(report.issue_latency.total(),
+            report.assignments + report.no_work + report.busy);
+}
+
 TEST_F(WireTest, SpanEchoOverTheWire) {
   start_server(8, quorum1_config());
   WireClient c("127.0.0.1", server_->port());

@@ -82,8 +82,12 @@ OVERHEADS = [
 #    0.13–0.21; ROADMAP's target is 0.7);
 #  - end-game RPC cost flat across catalogue size: a request that rebuilds
 #    the end-game queue costs the same within 2x on a 1M catalogue as on a
-#    100k one (the rescan made it grow with the catalogue).
-LAW_FILTER = "^BM_CampaignScaleSweep/permille:(10|250)/|^BM_SchedulerRpcEndgame/"
+#    100k one (the rescan made it grow with the catalogue);
+#  - loadgen req/s flat across device count: the client farm on one
+#    connection serves at least 0.8x the 1k-device req/s at 32k devices (a
+#    farm that walked every device per reply read 0.07).
+LAW_FILTER = ("^BM_CampaignScaleSweep/permille:(10|250)/|^BM_SchedulerRpcEndgame/"
+              "|^BM_LoadgenDevices/")
 LAWS = [
     ("per-event cost flat across fleet scale",
      "BM_CampaignScaleSweep/permille:250/iterations:1",
@@ -93,6 +97,10 @@ LAWS = [
      "BM_SchedulerRpcEndgame/workunits:1000000/iterations:2048/repeats:5",
      "BM_SchedulerRpcEndgame/workunits:100000/iterations:2048/repeats:5",
      "real_time", 0.5, 2.0),
+    ("loadgen req/s flat across device count",
+     "BM_LoadgenDevices/devices:32768/iterations:1/manual_time",
+     "BM_LoadgenDevices/devices:1024/iterations:1/manual_time",
+     "items_per_second", 0.8, None),
 ]
 
 
