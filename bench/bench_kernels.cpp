@@ -159,58 +159,71 @@ BENCHMARK(BM_MaxDoPosition)
     ->Args({1200, 0})
     ->Args({1200, 1});
 
-// A callable sized like the simulator's own (the agent and transitioner
-// lambdas capture 24-40 bytes: an object pointer plus ids and a deadline),
-// which fits SmallFn's 48-byte inline buffer.
-struct AppCallback {
-  std::uint64_t* fired;
-  std::uint64_t result_id;
-  double deadline;
-  void* server;
-  void operator()() const { ++*fired; }
+// Counts fired timers. Tag 0 is a one-shot that always fires; tag t > 0 is
+// a cancellable timer whose live key sits in live[t - 1], and a key no
+// longer there is refused (lazy cancel, as the fleet does it).
+struct BenchTimers final : sim::Dispatcher {
+  explicit BenchTimers(sim::Simulation& s) { s.set_dispatcher(this); }
+  bool fire(sim::Key key) override {
+    const std::uint32_t tag = sim::tag_of(key);
+    if (tag > 0) {
+      sim::Key& slot = live[tag - 1];
+      if (slot != key) return false;
+      slot = sim::kNoTimer;
+    }
+    ++fired;
+    return true;
+  }
+  std::vector<sim::Key> live;
+  std::uint64_t fired = 0;
 };
 
 // Steady-state schedule/fire churn at a constant pending depth, in two
 // shapes:
-//  * mix:0 — pure one-shot churn: each iteration schedules one event
+//  * mix:0 — pure one-shot churn: each iteration schedules one timer
 //    (uniform horizon) and dispatches one. Isolates the raw queue cost.
 //  * mix:1 — the F6a server's event lifecycle around one result: schedule
 //    a completion (fires) and a deadline timer (cancelled later, since
 //    reports overwhelmingly beat their ~12-day deadlines), dispatch one
-//    event, cancel the deadline armed ~pending/2 iterations ago. The
-//    indexed heap removes each cancelled deadline eagerly in O(log n).
-// items == events dispatched.
+//    event, cancel the deadline armed ~pending/2 iterations ago. Cancels
+//    are lazy: a cancelled deadline is dropped when it reaches the front.
+// Horizons are up to 1e6 s (277 hours), deadlines 2e6-3e6 s, so timers
+// pass through the hour buckets and the far heap. items == iterations.
 void BM_EventQueue(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool app_mix = state.range(1) != 0;
   sim::Simulation sim;
+  BenchTimers timers(sim);
   util::Rng rng(7);
-  std::uint64_t fired = 0;
-  AppCallback cb{&fired, 42, 1e6, nullptr};
   if (!app_mix) {
     for (std::size_t i = 0; i < n; ++i)
-      sim.schedule_at(rng.uniform(0.0, 1e6), cb);
+      sim.schedule_at(rng.uniform(0.0, 1e6), 0);
     for (auto _ : state) {
-      sim.schedule_at(sim.now() + rng.uniform(1.0, 1e6), cb);
+      sim.schedule_at(sim.now() + rng.uniform(1.0, 1e6), 0);
       sim.step();
     }
   } else {
-    std::vector<sim::EventHandle> deadlines(n);
+    std::vector<sim::Key>& deadlines = timers.live;
+    deadlines.assign(n, sim::kNoTimer);
+    const auto deadline_tag = [](std::size_t i) {
+      return static_cast<std::uint32_t>(i + 1);
+    };
     for (std::size_t i = 0; i < n / 2; ++i)
-      sim.schedule_at(rng.uniform(0.0, 1e6), cb);
+      sim.schedule_at(rng.uniform(0.0, 1e6), 0);
     for (std::size_t i = 0; i < n / 2; ++i)
-      deadlines[i] = sim.schedule_at(2e6 + rng.uniform(0.0, 1e6), cb);
+      deadlines[i] =
+          sim.schedule_at(2e6 + rng.uniform(0.0, 1e6), deadline_tag(i));
     std::size_t di = n / 2;
     for (auto _ : state) {
-      sim.schedule_at(sim.now() + rng.uniform(1.0, 1e6), cb);
-      deadlines[di % n] =
-          sim.schedule_at(sim.now() + 2e6 + rng.uniform(0.0, 1e6), cb);
+      sim.schedule_at(sim.now() + rng.uniform(1.0, 1e6), 0);
+      deadlines[di % n] = sim.schedule_at(
+          sim.now() + 2e6 + rng.uniform(0.0, 1e6), deadline_tag(di % n));
       sim.step();
-      deadlines[(di + n / 2) % n].cancel();
+      sim.cancel(deadlines[(di + n / 2) % n]);
       ++di;
     }
   }
-  benchmark::DoNotOptimize(fired);
+  benchmark::DoNotOptimize(timers.fired);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueue)
@@ -224,26 +237,24 @@ BENCHMARK(BM_EventQueue)
 
 // Deadline-heavy workload: per round, schedule `n` timers and cancel 90 %
 // of them before they can fire (the transitioner retires most deadlines
-// early), then drain the rest. The indexed heap removes each cancelled
-// timer eagerly. items == timers scheduled.
+// early), then drain the rest; the drain drops each cancelled timer as it
+// reaches the front. items == timers scheduled.
 void BM_EventCancel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   sim::Simulation sim;
+  BenchTimers timers(sim);
   util::Rng rng(11);
-  std::uint64_t fired = 0;
-  auto tick = [&fired] { ++fired; };
-  std::vector<sim::EventHandle> handles;
-  handles.reserve(n);
+  timers.live.assign(n, sim::kNoTimer);
   for (auto _ : state) {
-    handles.clear();
     const double base = sim.now();
     for (std::size_t i = 0; i < n; ++i)
-      handles.push_back(sim.schedule_at(base + rng.uniform(1.0, 1e4), tick));
+      timers.live[i] = sim.schedule_at(base + rng.uniform(1.0, 1e4),
+                                       static_cast<std::uint32_t>(i + 1));
     for (std::size_t i = 0; i < n; ++i)
-      if (i % 10 != 0) handles[i].cancel();
+      if (i % 10 != 0) sim.cancel(timers.live[i]);
     sim.run_until();
   }
-  benchmark::DoNotOptimize(fired);
+  benchmark::DoNotOptimize(timers.fired);
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_EventCancel)->ArgName("timers")->Arg(10'000)->Arg(100'000);

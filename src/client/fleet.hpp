@@ -28,13 +28,18 @@
 // (one shard) goes through the identical mailbox-and-barrier machinery,
 // sharded runs are bit-identical to it by construction.
 //
-// Layout: one VolunteerFleet owns every device's state in dense arrays
-// indexed by shard-local device index — phase, work item, RNG, event
-// handles — instead of one heap-allocated agent object per device.
-// Scheduled callbacks all go through a single 16-byte trampoline
-// {fleet, device, action}. Every RNG stream a device consumes (behaviour
-// stream, fault stream) is forked from the device's *global* id before the
-// fleet is partitioned, so shard count never changes a device's draws.
+// Layout: one VolunteerFleet keeps every device's state in one record per
+// device (phase, work item, RNG, live timer keys, spec), indexed by
+// shard-local device index, instead of one heap-allocated agent object per
+// device: a fired timer touches one device, so it touches one record. The
+// fleet is its simulation's Dispatcher. Each timer's tag is
+// (device << 4 | action); the fleet keeps the live key of each cancellable
+// action in the record, cancels by forgetting it, and refuses a fired key
+// it no longer holds. Arming a cancellable action while its previous timer
+// is still live is a fatal error: that older timer would vanish. Every RNG
+// stream a device consumes (behaviour stream, fault stream) is forked from
+// the device's *global* id before the fleet is partitioned, so shard count
+// never changes a device's draws.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +67,20 @@ struct AgentConfig {
   double work_request_retry_hours = 6.0;
 };
 
+/// The part of a work request's answer the fleet acts on. The engine queues
+/// one per answer on the device's shard at a barrier, instead of the whole
+/// server::Decision (104 bytes, 40 of them an Assignment's span block,
+/// which the engine never sets).
+struct WorkReply {
+  std::uint64_t result_id = 0;
+  double reference_seconds = 0.0;
+  std::uint32_t device = 0;     ///< shard-local device index
+  std::uint32_t positions = 0;  ///< isep_end - isep_begin of the workunit
+  bool assigned = false;        ///< false: a NoWork denial
+  bool project_complete = false;
+};
+static_assert(sizeof(WorkReply) == 32);
+
 /// Registry counters the fleet emits (interned once at construction).
 namespace metric {
 inline constexpr const char* kWorkRequests = "fleet.work_requests";
@@ -71,7 +90,7 @@ inline constexpr const char* kLongPauses = "fleet.long_pauses";
 inline constexpr const char* kDeviceDeaths = "fleet.device_deaths";
 }  // namespace metric
 
-class VolunteerFleet {
+class VolunteerFleet final : public sim::Dispatcher {
  public:
   /// The fleet posts all server traffic to `uplink` and accrues its
   /// run-time meters into shard-local exact weekly bins (merged by the
@@ -96,9 +115,9 @@ class VolunteerFleet {
   std::uint32_t add_device(const volunteer::DeviceSpec& spec, util::Rng rng,
                            util::Rng fault_rng = util::Rng(0));
 
-  std::size_t size() const { return specs_.size(); }
+  std::size_t size() const { return devices_.size(); }
   const volunteer::DeviceSpec& spec(std::uint32_t device) const {
-    return specs_[device];
+    return devices_[device].spec;
   }
 
   /// Optional tracer for the device-lifecycle stream (join/death/pause on
@@ -117,29 +136,34 @@ class VolunteerFleet {
   /// only, so every shard sees the same value throughout an epoch.
   void set_project_complete(bool complete) { server_complete_ = complete; }
 
-  /// Answers a posted work request of local device `device` with an
-  /// Assignment or a NoWork. Called with the shard quiescent at the
+  /// Answers a posted work request of local device `reply.device` with an
+  /// assignment or a denial. Called with the shard quiescent at the
   /// barrier time, before the shard advances past it. An assignment to a
   /// device that died in the meantime is dropped silently (the deadline
   /// recovers it); a device that went offline stores it and resumes on
   /// re-attach. A denial with `project_complete` routes the device to
   /// another project's work, mirroring the synchronous fall-through of the
   /// old engine.
-  void deliver(std::uint32_t device, const server::Decision& reply);
+  void deliver(const WorkReply& reply);
 
   /// Devices whose work request has not been answered yet. Zero whenever
   /// the engine is between run_until calls.
   std::size_t awaiting_reply() const;
 
-  /// Correlated mass-churn spike over this shard's slice: every alive
-  /// device dies independently with probability `death_fraction` (drawn
-  /// from its own fault stream). Returns the shard's tallies; the engine
-  /// aggregates across shards and notes the spike once.
+  /// Tallies of a correlated mass-churn spike over this shard's slice.
   struct ChurnResult {
     std::uint32_t killed = 0;
     std::uint32_t alive_before = 0;
   };
-  ChurnResult mass_churn(double death_fraction);
+  /// Schedules a mass-churn spike at time `t`: every alive device dies
+  /// independently with probability `death_fraction`, drawn from its own
+  /// fault stream. Spikes are numbered in the order they are scheduled;
+  /// the engine aggregates churn_result(spike) across shards and notes the
+  /// spike once. A spike kills nothing unless the fault schedule is active.
+  void schedule_churn_spike(double t, double death_fraction);
+  ChurnResult churn_result(std::size_t spike) const {
+    return spikes_[spike].result;
+  }
 
   /// Shard-local exact run-time meters (weekly bins from t = 0). The
   /// engine merges the shards into the campaign's weekly series.
@@ -154,9 +178,15 @@ class VolunteerFleet {
   enum class Phase : std::uint8_t {
     kUnborn, kOffline, kIdle, kComputing, kDead
   };
+  /// What a timer does. The first kCancellable actions keep their live key
+  /// in the device record; the others are never cancelled. A churn spike's
+  /// tag carries the spike's index where a device's carries the device.
   enum class Action : std::uint8_t {
-    kJoin, kOnline, kOffline, kDeath, kPause, kComplete, kRetry, kUploadRetry
+    kOnline, kOffline, kComplete, kPause, kRetry, kUploadRetry,
+    kJoin, kDeath, kChurnSpike
   };
+  static constexpr std::size_t kCancellable = 6;
+  static constexpr std::uint32_t kActionBits = 4;
 
   struct WorkItem {
     bool active = false;          ///< a workunit is assigned
@@ -169,15 +199,19 @@ class VolunteerFleet {
     double long_pause_at = -1.0;  ///< progress threshold (< 0: none pending)
   };
 
-  /// Compact handles (8 bytes each): the fleet owns the Simulation, so the
-  /// per-handle back pointer would be 40 wasted bytes per device.
-  struct Handles {
-    sim::CompactEventHandle offline;
-    sim::CompactEventHandle complete;
-    sim::CompactEventHandle pause;
-    sim::CompactEventHandle online;
-    sim::CompactEventHandle retry;
-    sim::CompactEventHandle upload;  ///< outage-deferred upload retry
+  /// All per-device state but the fault layer's.
+  struct Device {
+    Phase phase = Phase::kUnborn;
+    bool long_pause_due = false;   ///< consumed by go_offline's draw
+    bool pending_request = false;  ///< a work request awaits its answer
+    /// Live key of each cancellable action's timer (kNoTimer: none).
+    sim::Key timer[kCancellable] = {};
+    util::Rng rng;
+    WorkItem work;
+    double segment_start = 0.0;
+    double offline_at = 0.0;
+    std::uint64_t msg_seq = 0;
+    volunteer::DeviceSpec spec;
   };
 
   /// A finished result buffered in the agent's outbox while the server is
@@ -189,32 +223,33 @@ class VolunteerFleet {
     bool active = false;
   };
 
-  /// The one callable type every fleet event schedules: 16 bytes, stored
-  /// inline in the event arena.
-  struct Trampoline {
-    VolunteerFleet* fleet;
-    std::uint32_t device;
-    Action action;
-    void operator()() const { fleet->dispatch(device, action); }
+  struct ChurnSpike {
+    double death_fraction;
+    ChurnResult result;
   };
-  sim::EventHandle schedule_in(double delay, std::uint32_t device,
-                               Action action) {
-    return sim_.schedule_in(delay, Trampoline{this, device, action});
+
+  bool fire(sim::Key key) override;
+  /// Arms device d's cancellable `action` at time t.
+  void arm_at(std::uint32_t d, Action action, double t);
+  void arm_in(std::uint32_t d, Action action, double delay) {
+    arm_at(d, action, sim_.now() + delay);
   }
-  sim::EventHandle schedule_at(double t, std::uint32_t device,
-                               Action action) {
-    return sim_.schedule_at(t, Trampoline{this, device, action});
+  void cancel(std::uint32_t d, Action action) {
+    sim_.cancel(devices_[d].timer[static_cast<std::size_t>(action)]);
+  }
+  /// Schedules a timer that is never cancelled.
+  void schedule_at(double t, std::uint32_t index, Action action) {
+    sim_.schedule_at(t, index << kActionBits |
+                            static_cast<std::uint32_t>(action));
   }
 
-  void dispatch(std::uint32_t d, Action action);
   void on_join(std::uint32_t d);
   void go_online(std::uint32_t d);
   void go_offline(std::uint32_t d);
   void on_death(std::uint32_t d);
   void trigger_long_pause(std::uint32_t d);
   void request_work(std::uint32_t d);
-  void deliver_assignment(std::uint32_t d,
-                          const server::proto::Assignment& assignment);
+  void deliver_assignment(const WorkReply& reply);
   void deliver_denial(std::uint32_t d, bool project_complete);
   void start_other_project(std::uint32_t d);
   void begin_segment(std::uint32_t d);
@@ -224,13 +259,15 @@ class VolunteerFleet {
   /// happen here, from the device's own fault stream).
   void post_result(std::uint32_t d, server::proto::ReportResult report);
   void retry_upload(std::uint32_t d);
+  ChurnResult mass_churn(double death_fraction);
 
   bool faults_on() const { return faults_ != nullptr && faults_->active(); }
   /// Effective speed including any straggler slowdown (keyed by the global
   /// device id: the classification must be shard-independent).
   double device_speed(std::uint32_t d) const {
-    const double speed = specs_[d].effective_speed();
-    return faults_on() ? speed / faults_->slowdown(specs_[d].id) : speed;
+    const double speed = devices_[d].spec.effective_speed();
+    return faults_on() ? speed / faults_->slowdown(devices_[d].spec.id)
+                       : speed;
   }
 
   sim::Simulation& sim_;
@@ -242,17 +279,8 @@ class VolunteerFleet {
   faults::FaultSchedule* faults_ = nullptr;
   bool server_complete_ = false;
 
-  // --- per-device state, dense, indexed by shard-local device index ---
-  std::vector<volunteer::DeviceSpec> specs_;
-  std::vector<util::Rng> rngs_;
-  std::vector<Phase> phases_;
-  std::vector<WorkItem> work_;
-  std::vector<double> segment_start_;
-  std::vector<double> offline_at_;
-  std::vector<std::uint8_t> long_pause_due_;
-  std::vector<std::uint8_t> pending_request_;
-  std::vector<std::uint64_t> msg_seq_;
-  std::vector<Handles> handles_;
+  std::vector<Device> devices_;  ///< indexed by shard-local device index
+  std::vector<ChurnSpike> spikes_;
   // --- fault-injection state; sized only when a schedule is active ---
   std::vector<util::Rng> fault_rngs_;
   std::vector<std::uint32_t> corruption_seq_;

@@ -12,9 +12,9 @@
 // from shard-count-independent quantities, which is what makes a K-shard
 // run bit-identical to the sequential (K = 1) engine.
 //
-// The answers (server::Decision) travel back on the device's shard: the
-// replay queues each one there, and the shard hands its queue, in merged
-// order, to VolunteerFleet::deliver before it next advances.
+// The answers travel back on the device's shard: the replay queues each
+// one there as a client::WorkReply, and the shard hands its queue, in
+// merged order, to VolunteerFleet::deliver before it next advances.
 #pragma once
 
 #include <vector>

@@ -23,6 +23,9 @@ namespace {
 /// work request waits for the next barrier, so the epoch sets assignment
 /// latency. An hour divides the campaign's weekly chunks 168 times.
 constexpr double kEpochSeconds = 3600.0;
+// A shard's timer buckets are one epoch wide, so the open bucket holds about
+// one advance's timers.
+static_assert(kEpochSeconds == sim::kBucketSeconds);
 
 }  // namespace
 
@@ -83,27 +86,19 @@ ShardEngine::ShardEngine(server::ProjectServer& project,
 
   // --- fault-plan events (only an *active* plan schedules anything) ---
   if (server_faults_.active()) {
-    const std::uint32_t k = options_.shards;
-    spike_results_.resize(fault_plan.churn_spikes.size() *
-                          static_cast<std::size_t>(k));
     for (std::size_t j = 0; j < fault_plan.churn_spikes.size(); ++j) {
       const auto& spike = fault_plan.churn_spikes[j];
-      for (std::uint32_t s = 0; s < k; ++s) {
-        shards_[s]->sim.schedule_at(
-            spike.time_seconds,
-            [this, s, idx = j * k + s, f = spike.death_fraction] {
-              spike_results_[idx] = shards_[s]->fleet.mass_churn(f);
-            });
-      }
+      for (auto& s : shards_)
+        s->fleet.schedule_churn_spike(spike.time_seconds,
+                                      spike.death_fraction);
       // The spike is one fleet-wide incident: aggregate the shard tallies
       // and note it once, at the spike's own timestamp, in the barrier's
       // deterministic control order.
-      schedule_control(spike.time_seconds, [this, j, k,
-                                            t = spike.time_seconds] {
+      schedule_control(spike.time_seconds, [this, j, t = spike.time_seconds] {
         client::VolunteerFleet::ChurnResult total;
-        for (std::uint32_t s = 0; s < k; ++s) {
-          total.killed += spike_results_[j * k + s].killed;
-          total.alive_before += spike_results_[j * k + s].alive_before;
+        for (const auto& s : shards_) {
+          total.killed += s->fleet.churn_result(j).killed;
+          total.alive_before += s->fleet.churn_result(j).alive_before;
         }
         server_faults_.note_churn_spike(t, total.killed, total.alive_before);
       });
@@ -153,7 +148,7 @@ void ShardEngine::add_device(const volunteer::DeviceSpec& spec,
 
 void ShardEngine::run_until(double until) {
   if (!events_reserved_) {
-    // Warm-start each shard's event arena near its expected high-water mark
+    // Size each shard's timer storage near its expected high-water mark
     // (each live device keeps a few timers pending).
     for (auto& s : shards_) s->sim.reserve_events(s->fleet.size() * 2);
     events_reserved_ = true;
@@ -169,8 +164,8 @@ void ShardEngine::run_until(double until) {
 }
 
 void ShardEngine::deliver_replies(Shard& shard) {
-  for (const auto& [device, reply] : shard.downlink)
-    shard.fleet.deliver(device, reply);
+  for (const client::WorkReply& reply : shard.downlink)
+    shard.fleet.deliver(reply);
   shard.downlink.clear();
 }
 
@@ -239,11 +234,20 @@ void ShardEngine::process_message(const server::BatchEntry& m) {
   const auto k = static_cast<std::uint32_t>(shards_.size());
   Shard& sh = *shards_[gid % k];
   if (std::holds_alternative<server::proto::RequestWork>(m.msg)) {
-    server::Decision reply = replayer_.apply(m);
-    // The fleet only asks while the server is up: never Busy.
-    HCMD_ASSERT(std::holds_alternative<server::proto::Assignment>(reply) ||
-                std::holds_alternative<server::proto::NoWork>(reply));
-    sh.downlink.emplace_back(gid / k, std::move(reply));
+    const server::Decision decision = replayer_.apply(m);
+    client::WorkReply& reply = sh.downlink.emplace_back();
+    reply.device = gid / k;
+    if (const auto* a = std::get_if<server::proto::Assignment>(&decision)) {
+      reply.assigned = true;
+      reply.result_id = a->result_id;
+      reply.reference_seconds = a->reference_seconds;
+      reply.positions = a->isep_end - a->isep_begin;
+    } else {
+      const auto* denial = std::get_if<server::proto::NoWork>(&decision);
+      // The fleet only asks while the server is up: never Busy.
+      HCMD_ASSERT(denial != nullptr);
+      reply.project_complete = denial->project_complete;
+    }
     return;
   }
 

@@ -19,9 +19,9 @@
 //     ascending (time, lane, key) order. Each entry goes through
 //     Replayer::apply, the apply the wire service uses too; the engine
 //     adds only what a campaign needs on top: the answer to a work
-//     request (a server::Decision) is queued on the downlink of shard
-//     gid % K for local device gid / K, and a report feeds the weekly
-//     series, credit and the Fig. 8 buffer;
+//     request, cut down to the client::WorkReply the fleet acts on, is
+//     queued on the downlink of shard gid % K for local device gid / K,
+//     and a report feeds the weekly series, credit and the Fig. 8 buffer;
 //   * each shard applies its downlink, in merged order, at the start of
 //     its next advance, in parallel with the other shards; run_until
 //     applies the last barrier's downlinks before it returns, so observers
@@ -181,9 +181,8 @@ class ShardEngine {
   struct Shard {
     sim::Simulation sim;
     client::UplinkMailbox mailbox;
-    /// Answers from the last barrier, in merged order, not yet delivered:
-    /// (local device index, Assignment or NoWork).
-    std::vector<std::pair<std::uint32_t, server::Decision>> downlink;
+    /// Answers from the last barrier, in merged order, not yet delivered.
+    std::vector<client::WorkReply> downlink;
     faults::FaultSchedule faults;
     client::VolunteerFleet fleet;
     /// Private tracer when K > 1 and tracing is on (absorbed at finalize).
@@ -218,10 +217,6 @@ class ShardEngine {
   util::Rng faults_rng_;  ///< per-device fault streams fork from this
   /// Control lane, transitioner deadlines and outage deferral.
   server::Replayer replayer_;
-  /// Per-spike churn outcomes, slot spike*K + shard: each shard writes its
-  /// own slot while advancing; the spike's control item aggregates them.
-  std::vector<client::VolunteerFleet::ChurnResult> spike_results_;
-
   // Barrier scratch, reused across epochs (no per-epoch allocation in
   // steady state).
   std::vector<MessageRef> msg_order_;

@@ -1,107 +1,124 @@
 #include "sim/simulation.hpp"
 
+#include <algorithm>
+
 namespace hcmd::sim {
 
-bool EventHandle::pending() const {
-  return sim_ != nullptr && sim_->slot_pending(slot_, generation_);
+Simulation::Simulation() : ring_(kRingHours) {}
+
+void Simulation::enqueue(const Timer& timer) {
+  const std::uint64_t hour = hour_of(timer.time);
+  if (hour <= open_hour_)
+    heap_.push(timer);
+  else if (hour - open_hour_ < kRingHours)
+    bucket_push(hour, timer);
+  else
+    far_.push(timer);
 }
 
-bool EventHandle::cancel() {
-  return sim_ != nullptr && sim_->cancel_slot(slot_, generation_);
+void Simulation::bucket_push(std::uint64_t hour, const Timer& timer) {
+  Bucket& b = ring_[hour & (kRingHours - 1)];
+  if (b.head == nullptr || b.fill == Chunk::kTimers) {
+    Chunk* chunk = take_chunk();
+    chunk->next = b.head;
+    b.head = chunk;
+    b.fill = 0;
+  }
+  b.head->timers[b.fill++] = timer;
+  ++bucketed_;
 }
 
-bool CompactEventHandle::pending(const Simulation& sim) const {
-  return slot_ != kNull && sim.slot_pending(slot_, generation_);
+Simulation::Chunk* Simulation::take_chunk() {
+  if (free_ != nullptr) {
+    Chunk* chunk = free_;
+    free_ = chunk->next;
+    return chunk;
+  }
+  if (made_ == blocks_.size() * kBlockChunks) grow_chunk_pool(made_ + 1);
+  const std::size_t i = made_++;
+  return &blocks_[i / kBlockChunks][i % kBlockChunks];
 }
 
-bool CompactEventHandle::cancel(Simulation& sim) {
-  return slot_ != kNull && sim.cancel_slot(slot_, generation_);
-}
-
-std::uint32_t Simulation::grow_arena() {
-  HCMD_ASSERT_MSG(meta_.size() < kSlotMask, "event arena exhausted");
-  const auto slot = static_cast<std::uint32_t>(meta_.size());
-  meta_.emplace_back();
-  if ((slot >> kChunkBits) == chunks_.size())
-    chunks_.emplace_back(new Payload[kChunkSize]);
-  return slot;
-}
-
-void Simulation::release_slot(std::uint32_t slot) {
-  payload(slot).fn.reset();  // drop captures eagerly
-  Meta& m = meta_[slot];
-  ++m.generation;
-  m.pos = free_head_;
-  free_head_ = slot;
-}
-
-bool Simulation::slot_pending(std::uint32_t slot,
-                              std::uint32_t generation) const {
-  if (slot >= meta_.size()) return false;
-  const Meta& m = meta_[slot];
-  // A generation match implies the slot is queued or firing (released slots
-  // bump the generation before any handle to the new occupant exists).
-  return m.generation == generation && m.pos != kFiringMark;
-}
-
-bool Simulation::cancel_slot(std::uint32_t slot, std::uint32_t generation) {
-  if (!slot_pending(slot, generation)) return false;
-  heap_.remove(meta_[slot].pos);  // eager: no tombstones
-  release_slot(slot);
-  return true;
+void Simulation::grow_chunk_pool(std::size_t chunks) {
+  const std::size_t blocks = (chunks + kBlockChunks - 1) / kBlockChunks;
+  blocks_.reserve(blocks);
+  // Default-initialised: a block's pages are first touched when a bucket
+  // fills its chunks.
+  while (blocks_.size() < blocks) blocks_.emplace_back(new Chunk[kBlockChunks]);
 }
 
 void Simulation::reserve_events(std::size_t n) {
   heap_.reserve(n);
-  if (n > meta_.size()) {
-    // Pre-build arena slots (and their payload chunks) and thread them onto
-    // the free list in ascending order, so a burst that fills the
-    // reservation allocates nothing and hands out slots in the same order
-    // as organic growth.
-    const std::size_t first = meta_.size();
-    meta_.resize(n);
-    const std::size_t want_chunks = (n + kChunkSize - 1) >> kChunkBits;
-    chunks_.reserve(want_chunks);
-    while (chunks_.size() < want_chunks)
-      chunks_.emplace_back(new Payload[kChunkSize]);
-    for (std::size_t slot = n; slot-- > first;) {
-      meta_[slot].pos = free_head_;
-      free_head_ = static_cast<std::uint32_t>(slot);
+  far_.reserve(n);
+  // n timers spread over the ring: full chunks plus one partly filled chunk
+  // per bucket in use.
+  grow_chunk_pool((n + Chunk::kTimers - 1) / Chunk::kTimers +
+                  std::min<std::size_t>(n, kRingHours));
+}
+
+bool Simulation::open_next_hour(std::uint64_t last) {
+  while (bucketed_ + far_.size() > 0) {
+    std::uint64_t next = open_hour_ + 1;
+    // With the ring empty, jump straight to the first far timer's hour.
+    if (bucketed_ == 0) next = std::max(next, hour_of(far_.top().time));
+    if (next > last) return false;
+    open_hour_ = next;
+
+    Bucket& b = ring_[next & (kRingHours - 1)];
+    std::size_t count = b.fill;
+    for (Chunk* chunk = b.head; chunk != nullptr;) {
+      for (std::size_t i = 0; i < count; ++i) heap_.push(chunk->timers[i]);
+      bucketed_ -= count;
+      count = Chunk::kTimers;
+      Chunk* const later = chunk->next;
+      chunk->next = free_;
+      free_ = chunk;
+      chunk = later;
     }
+    b = Bucket{};
+
+    // The ring now reaches one hour further.
+    while (!far_.empty() &&
+           hour_of(far_.top().time) - open_hour_ < kRingHours) {
+      const Timer timer = far_.top();
+      far_.pop();
+      enqueue(timer);
+    }
+    if (!heap_.empty()) return true;
+  }
+  return false;
+}
+
+bool Simulation::fire_next(SimTime until, std::uint64_t last) {
+  for (;;) {
+    if (heap_.empty() && !open_next_hour(last)) return false;
+    const Timer top = heap_.top();
+    if (top.time > until) return false;
+    heap_.pop();
+    HCMD_ASSERT(top.time >= now_);
+    const SimTime before = now_;
+    now_ = top.time;
+    if (dispatcher_->fire(top.key)) {
+      ++processed_;
+      return true;
+    }
+    // A cancelled timer: dropped without a trace.
+    now_ = before;
+    HCMD_ASSERT(cancelled_ > 0);
+    --cancelled_;
   }
 }
 
 std::uint64_t Simulation::run_until(SimTime until) {
+  const std::uint64_t last = hour_of(until);
   std::uint64_t ran = 0;
-  while (!heap_.empty() && heap_.top().time <= until) {
-    if (step()) ++ran;
-  }
+  while (fire_next(until, last)) ++ran;
   if (now_ < until && until != kTimeInfinity) now_ = until;
   return ran;
 }
 
 bool Simulation::step() {
-  if (heap_.empty()) return false;
-  const Entry top = heap_.top();
-  const auto slot = static_cast<std::uint32_t>(top.key & kSlotMask);
-#if defined(__GNUC__)
-  // The fired slot's callable was written up to |queue| events ago, so its
-  // cache line is usually cold. Request it before the pop's sift, whose
-  // O(log n) memory traffic fully hides the fetch.
-  __builtin_prefetch(&payload(slot));
-#endif
-  heap_.pop();
-  HCMD_ASSERT(top.time >= now_);
-  now_ = top.time;
-
-  meta_[slot].pos = kFiringMark;
-  // Payload chunks are pointer-stable, so the callable runs *in place* even
-  // if it schedules events and grows the arena. meta_ may reallocate during
-  // the callback, so no reference into it is held across it.
-  payload(slot).fn();
-  ++processed_;
-  release_slot(slot);
-  return true;
+  return fire_next(kTimeInfinity, hour_of(kTimeInfinity));
 }
 
 }  // namespace hcmd::sim

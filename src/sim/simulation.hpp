@@ -1,31 +1,28 @@
-// Discrete-event simulation engine.
+// Discrete-event simulation engine over typed timers.
 //
-// A single-threaded, deterministic event loop: events fire in (time, seq)
-// order, where seq is the scheduling order, so simultaneous events are
-// processed FIFO and runs replay bit-identically for a fixed seed. This is
-// the substrate under both grids (volunteer and dedicated): hosts, servers
-// and availability processes are all expressed as scheduled callbacks.
+// A single-threaded, deterministic event loop. A queued timer is 16 bytes,
+// (time, key): the key packs the scheduling order `seq` above a 28-bit tag
+// that the simulation's owner chooses (the fleet packs a shard-local device
+// and an action into it), and the owner's Dispatcher gives each fired key
+// its meaning. Timers fire in (time, seq) order, so simultaneous timers fire
+// FIFO and a run replays bit-identically for a fixed seed. Plain data, unlike
+// a callable, can also be written out and read back.
 //
-// Throughput design (this is the kernel every campaign artefact runs on):
-//  * callables live in a small-buffer move-only `util::SmallFn` — the
-//    callables the fleet and the engine schedule capture at most a few
-//    pointers and stay inline, so scheduling performs no heap allocation;
-//  * event state lives in a pooled arena of generation-stamped slots with
-//    free-list reuse. An `EventHandle` is {engine, slot, generation}: 16
-//    bytes, trivially copyable, and stale handles (the slot was reused)
-//    fail the generation check instead of keeping dead state alive. The
-//    arena is split hot/cold: 8-byte slot metadata (heap position +
-//    generation) in one dense array — the only thing the heap's sift
-//    traffic touches — and the 64-byte callable payload in pointer-stable
-//    chunks, touched once at schedule and once at fire. Chunk stability
-//    also means callables fire *in place*: no move-out, even though a
-//    callback may grow the arena mid-fire;
-//  * the ready queue is an indexed 4-ary implicit heap over 16-byte
-//    (time, key) entries, where key packs (seq, slot); child groups are
-//    cache-line-aligned. Cancels remove their entry eagerly in O(log n) —
-//    no tombstone buildup in deadline-heavy runs.
-// In steady state (arena and heap at their high-water mark) schedule,
-// cancel and fire are all allocation-free.
+// Cancel is lazy. An owner keeps the key of each timer it may cancel;
+// cancel() clears that key and only counts the entry as dead. When a dead
+// entry reaches the front, the dispatcher refuses it and the simulation drops
+// it without moving now(), processed_events() or pending_events().
+//
+// Storage follows the clock. Timers due in the open hour wait in a 4-ary
+// heap. Timers due in the next kRingHours - 1 hours wait unordered in hour
+// buckets, built from pooled fixed-size chunks. Later timers wait in a far
+// heap. When the open hour runs dry, the next bucket that holds timers is
+// poured into the heap, and far timers the ring now reaches move into their
+// buckets. Bucket hours are monotone in time, so this is exactly the global
+// (time, seq) order, and the heap stays about one hour deep. A bucket is
+// kBucketSeconds wide, the campaign engine's epoch; the width never changes
+// which timer fires when. In steady state schedule, cancel and fire allocate
+// nothing.
 //
 // Time is a double in *seconds* since the scenario epoch.
 #pragma once
@@ -33,12 +30,10 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "util/dary_heap.hpp"
 #include "util/error.hpp"
-#include "util/small_fn.hpp"
 
 namespace hcmd::sim {
 
@@ -47,187 +42,149 @@ using SimTime = double;
 inline constexpr SimTime kTimeInfinity =
     std::numeric_limits<SimTime>::infinity();
 
-class Simulation;
+/// Width of a timer bucket: one hour, the campaign engine's epoch.
+inline constexpr SimTime kBucketSeconds = 3600.0;
 
-/// Handle used to cancel a scheduled event.
-/// Cheap to copy; cancelling twice or cancelling a fired event is a no-op.
-/// A handle must not be *used* after its Simulation is destroyed (copying
-/// and destroying it remain fine).
-class EventHandle {
+/// A queued timer's identity: (seq << kTagBits) | tag. Sequence numbers
+/// start at 1, so no key is ever kNoTimer.
+using Key = std::uint64_t;
+inline constexpr std::uint32_t kTagBits = 28;
+inline constexpr std::uint32_t kTagMask = (1u << kTagBits) - 1;
+/// An owner's "no live timer" key.
+inline constexpr Key kNoTimer = 0;
+
+inline constexpr std::uint32_t tag_of(Key key) {
+  return static_cast<std::uint32_t>(key) & kTagMask;
+}
+
+/// Gives a simulation's timers their meaning.
+class Dispatcher {
  public:
-  EventHandle() = default;
-  /// True if the event has neither fired nor been cancelled.
-  bool pending() const;
-  /// Cancels if still pending. Returns true if it was pending.
-  bool cancel();
+  /// Runs timer `key` at now(). Returns false, having done nothing, when the
+  /// owner has cancelled the timer.
+  virtual bool fire(Key key) = 0;
 
- private:
-  friend class Simulation;
-  friend class CompactEventHandle;
-  EventHandle(Simulation* sim, std::uint32_t slot, std::uint32_t generation)
-      : sim_(sim), slot_(slot), generation_(generation) {}
-
-  Simulation* sim_ = nullptr;
-  std::uint32_t slot_ = 0;
-  std::uint32_t generation_ = 0;
+ protected:
+  ~Dispatcher() = default;
 };
 
-/// 8-byte (slot, generation) form of EventHandle for bulk owners that
-/// already hold the Simulation — fleet-scale state keeps thousands of
-/// timers, and the back pointer would double their footprint. Same
-/// semantics: cancelling twice or cancelling a fired event is a no-op.
-class CompactEventHandle {
- public:
-  CompactEventHandle() = default;
-  /// Implicit: lets `compact = sim.schedule_in(...)` assign directly.
-  CompactEventHandle(const EventHandle& h)
-      : slot_(h.sim_ != nullptr ? h.slot_ : kNull),
-        generation_(h.generation_) {}
-
-  bool pending(const Simulation& sim) const;
-  bool cancel(Simulation& sim);
-
- private:
-  static constexpr std::uint32_t kNull = ~std::uint32_t{0};
-  std::uint32_t slot_ = kNull;
-  std::uint32_t generation_ = 0;
-};
-
-/// The event loop.
 class Simulation {
  public:
-  using EventFn = util::SmallFn<void(), 48>;
-
-  Simulation() = default;
+  Simulation();
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
+  /// Must be set before the first timer fires.
+  void set_dispatcher(Dispatcher* dispatcher) { dispatcher_ = dispatcher; }
+
   SimTime now() const { return now_; }
 
-  /// Schedules `fn()` to run at absolute time `t` (>= now). Returns a
-  /// handle that can cancel it.
-  template <typename F>
-  EventHandle schedule_at(SimTime t, F&& fn) {
+  /// Queues a timer carrying `tag` (<= kTagMask) at absolute time `t`
+  /// (>= now) and returns its key.
+  Key schedule_at(SimTime t, std::uint32_t tag) {
     HCMD_ASSERT_MSG(t >= now_, "cannot schedule an event in the past");
-    HCMD_ASSERT_MSG(next_seq_ < kMaxSeq, "event sequence space exhausted");
-    const std::uint32_t slot =
-        free_head_ != kNullIndex ? pop_free_slot() : grow_arena();
-    // Constructed directly into the slot's payload (no SmallFn moves).
-    payload(slot).fn = std::forward<F>(fn);
-    const std::uint32_t generation = meta_[slot].generation;
-    heap_.push(Entry{t, (next_seq_++ << kSlotBits) | slot});
-    return EventHandle(this, slot, generation);
+    HCMD_ASSERT(tag <= kTagMask);
+    HCMD_ASSERT_MSG(next_seq_ < kMaxSeq, "timer sequence space exhausted");
+    const Key key = (next_seq_++ << kTagBits) | tag;
+    enqueue({t, key});
+    return key;
   }
 
-  /// Schedules `fn()` to run `delay` seconds from now (delay >= 0).
-  template <typename F>
-  EventHandle schedule_in(SimTime delay, F&& fn) {
+  /// Queues a timer `delay` seconds from now (delay >= 0).
+  Key schedule_in(SimTime delay, std::uint32_t tag) {
     HCMD_ASSERT(delay >= 0.0);
-    return schedule_at(now_ + delay, std::forward<F>(fn));
+    return schedule_at(now_ + delay, tag);
   }
 
-  /// Runs until the queue is empty or the clock passes `until`. Events at
-  /// exactly `until` are executed; afterwards the clock is advanced to
-  /// `until` (when finite) even if the queue drained earlier.
-  /// Returns the number of events processed.
+  /// Cancels the timer whose key `live` holds and clears `live`. Returns
+  /// false if `live` held none. The owner must clear its live key when the
+  /// timer fires, and its dispatcher must refuse a key it no longer holds.
+  bool cancel(Key& live) {
+    if (live == kNoTimer) return false;
+    live = kNoTimer;
+    ++cancelled_;
+    return true;
+  }
+
+  /// Runs until no timer is due at or before `until`. Timers at exactly
+  /// `until` fire; afterwards the clock is advanced to `until` (when finite)
+  /// even if the queue drained earlier. Returns the number of timers fired.
   std::uint64_t run_until(SimTime until = kTimeInfinity);
 
-  /// Runs a single event. Returns false if the queue was empty.
+  /// Fires the next live timer. Returns false if none is queued.
   bool step();
 
-  /// Grows the arena and heap to hold `n` concurrently pending events, so
-  /// the first `n`-deep burst performs no allocation either.
+  /// Sizes the heaps and the bucket chunks for `n` concurrently queued
+  /// timers, so the first `n`-deep burst allocates nothing.
   void reserve_events(std::size_t n);
 
-  std::size_t pending_events() const { return heap_.size(); }
+  /// Queued timers that have not been cancelled.
+  std::size_t pending_events() const {
+    return heap_.size() + bucketed_ + far_.size() - cancelled_;
+  }
   std::uint64_t processed_events() const { return processed_; }
 
  private:
-  friend class EventHandle;
-  friend class CompactEventHandle;
-
-  // Heap entries are 16 bytes: four children per cache line. `key` packs
-  // (seq << kSlotBits) | slot, so comparing keys compares schedule order
-  // (FIFO among simultaneous events) and the owning arena slot rides along
-  // for free.
-  static constexpr std::uint32_t kSlotBits = 24;
-  static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
-  static constexpr std::uint64_t kMaxSeq = 1ull << (64 - kSlotBits);
-  static constexpr std::uint32_t kNullIndex = ~std::uint32_t{0};
-  /// `Meta::pos` value while the slot's callable is mid-fire. Distinct from
-  /// any heap position or free-list link (links are slot ids < 2^24).
-  static constexpr std::uint32_t kFiringMark = kNullIndex - 1;
-  // Payload chunk size: 512 slots x 64 B callable = 32 KiB.
-  static constexpr std::uint32_t kChunkBits = 9;
-  static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
-
-  struct Entry {
+  struct Timer {
     SimTime time;
-    std::uint64_t key;
+    Key key;
   };
-  struct EntryLess {
-    bool operator()(const Entry& a, const Entry& b) const {
-      // Written with non-short-circuit & and | so the comparison compiles
-      // branch-free: event keys are effectively random, so a branchy
-      // tiebreak mispredicts half the time in the sift loops.
+  struct TimerLess {
+    bool operator()(const Timer& a, const Timer& b) const {
+      // Non-short-circuit & and | compile branch-free: keys are effectively
+      // random, so a branchy tiebreak mispredicts half the time in a sift.
       return (a.time < b.time) | ((a.time == b.time) & (a.key < b.key));
     }
   };
+  using Heap = util::DaryHeap<Timer, TimerLess, 4>;
 
-  /// Hot per-slot metadata, packed to 8 bytes: everything the heap's sift
-  /// traffic and handle checks touch stays in one dense, mostly-cached
-  /// array. `pos` is overloaded by slot state: the current heap position
-  /// while queued, the next free slot (or kNullIndex) while on the free
-  /// list, kFiringMark while the callable runs. The overload is safe
-  /// because a released slot bumps `generation`, so no live handle can
-  /// mistake a free-list link for a heap position.
-  struct Meta {
-    std::uint32_t pos = kNullIndex;
-    std::uint32_t generation = 0;
+  static constexpr std::uint64_t kMaxSeq = std::uint64_t{1}
+                                           << (64 - kTagBits);
+  /// Hours the bucket ring reaches past the open one (a power of two):
+  /// about six weeks, past most of a device's timers but its death.
+  static constexpr std::uint64_t kRingHours = 1024;
+  /// The hour of +infinity, and of anything beyond 2^53 bucket widths.
+  static constexpr double kLastHour = 9007199254740992.0;  // 2^53
+
+  /// Half a KiB of timers; a bucket is a list of them, the newest first.
+  /// Small, because every bucket in use keeps one partly filled.
+  struct Chunk {
+    static constexpr std::size_t kTimers = 31;
+    Timer timers[kTimers];
+    Chunk* next;
   };
-
-  /// Cold per-slot payload, touched at schedule and fire only: exactly one
-  /// cache line per slot (SmallFn<..., 48> is 64 bytes). Lives in
-  /// pointer-stable chunks: callbacks may grow the arena while their own
-  /// payload is mid-invocation.
-  struct alignas(64) Payload {
-    EventFn fn;
+  struct Bucket {
+    Chunk* head = nullptr;
+    std::uint32_t fill = 0;  ///< timers in `head`; later chunks are full
   };
-  static_assert(sizeof(Payload) == 64);
+  static constexpr std::size_t kBlockChunks = 128;  ///< 63 KiB blocks
 
-  /// Keeps each queued slot's heap position current as the heap moves
-  /// entries.
-  struct TouchIndex {
-    std::vector<Meta>* meta;
-    void operator()(const Entry& e, std::size_t index) const {
-      (*meta)[static_cast<std::size_t>(e.key & kSlotMask)].pos =
-          static_cast<std::uint32_t>(index);
-    }
-  };
-
-  Payload& payload(std::uint32_t slot) {
-    return chunks_[slot >> kChunkBits][slot & (kChunkSize - 1)];
+  std::uint64_t hour_of(SimTime t) const {
+    const double h = t * (1.0 / kBucketSeconds);
+    return static_cast<std::uint64_t>(h < kLastHour ? h : kLastHour);
   }
+  void enqueue(const Timer& timer);
+  void bucket_push(std::uint64_t hour, const Timer& timer);
+  bool open_next_hour(std::uint64_t last);
+  bool fire_next(SimTime until, std::uint64_t last);
+  Chunk* take_chunk();
+  void grow_chunk_pool(std::size_t chunks);
 
-  std::uint32_t pop_free_slot() {
-    const std::uint32_t slot = free_head_;
-    free_head_ = meta_[slot].pos;
-    return slot;
-  }
-
-  std::uint32_t grow_arena();
-  bool cancel_slot(std::uint32_t slot, std::uint32_t generation);
-  bool slot_pending(std::uint32_t slot, std::uint32_t generation) const;
-  void release_slot(std::uint32_t slot);
-
+  Dispatcher* dispatcher_ = nullptr;
   SimTime now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
+  std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
-  std::vector<Meta> meta_;
-  std::vector<std::unique_ptr<Payload[]>> chunks_;
-  std::uint32_t free_head_ = kNullIndex;
-  util::DaryHeap<Entry, EntryLess, 4, TouchIndex> heap_{EntryLess{},
-                                                        TouchIndex{&meta_}};
+  std::size_t cancelled_ = 0;  ///< dead timers still queued
+  std::uint64_t open_hour_ = 0;
+  std::size_t bucketed_ = 0;
+  Heap heap_;  ///< the open hour, and any earlier
+  std::vector<Bucket> ring_;
+  Heap far_;  ///< kRingHours or more past the open hour
+  // Chunk pool: blocks never move; `made_` chunks have been handed out at
+  // least once, and returned ones wait on `free_`.
+  std::vector<std::unique_ptr<Chunk[]>> blocks_;
+  std::size_t made_ = 0;
+  Chunk* free_ = nullptr;
 };
 
 }  // namespace hcmd::sim

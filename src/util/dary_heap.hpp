@@ -1,10 +1,9 @@
-// Implicit d-ary min-heap with O(log n) removal at arbitrary positions.
+// Implicit d-ary min-heap: push, pop and top.
 //
-// Replaces std::priority_queue where either (a) entries must be removable
-// before they reach the top — the DES core cancels timers eagerly instead of
-// letting tombstones rot in the queue — or (b) the flatter fan-out pays:
-// a 4-ary heap does ~half the levels of a binary heap, and the event loop's
-// sift time goes to memory traffic, not comparisons.
+// Replaces std::priority_queue where the flatter fan-out pays: a 4-ary heap
+// does about half the levels of a binary heap, and the event loop's sift
+// time goes to memory traffic, not comparisons. The DES core's timer heaps
+// and dedicated/grid.cpp's processor free-list use it.
 //
 // Storage is a 64-byte-aligned buffer with a *shifted* layout: the root sits
 // at physical index Arity-1 (physical slots [0, Arity-1) are unused), the
@@ -15,12 +14,6 @@
 // entries and Arity = 4 every child scan reads exactly one cache line —
 // the classic layout (children at Arity*i + 1) straddles two lines on
 // every level.
-//
-// Position changes are reported to an `IndexObserver` (called as
-// `observer(entry, physical_index)`), so an external arena can keep
-// per-entry heap indices current and hand them back to `remove()`. The
-// default observer is a no-op, which makes the heap a drop-in priority
-// queue (see dedicated/grid.cpp's processor free-list).
 #pragma once
 
 #include <algorithm>
@@ -33,13 +26,7 @@
 
 namespace hcmd::util {
 
-struct NoIndexObserver {
-  template <typename T>
-  void operator()(const T&, std::size_t) const {}
-};
-
-template <typename T, typename Less, std::size_t Arity = 4,
-          typename IndexObserver = NoIndexObserver>
+template <typename T, typename Less, std::size_t Arity = 4>
 class DaryHeap {
   static_assert(Arity >= 2, "a heap needs at least two children per node");
   static_assert(std::is_nothrow_move_constructible_v<T> &&
@@ -47,8 +34,7 @@ class DaryHeap {
                 "heap entries must be nothrow-movable");
 
  public:
-  explicit DaryHeap(Less less = Less(), IndexObserver observer = {})
-      : less_(std::move(less)), observe_(std::move(observer)) {}
+  explicit DaryHeap(Less less = Less()) : less_(std::move(less)) {}
 
   DaryHeap(const DaryHeap&) = delete;
   DaryHeap& operator=(const DaryHeap&) = delete;
@@ -83,28 +69,37 @@ class DaryHeap {
     sift_up(phys);
   }
 
-  void pop() { remove(kRoot); }
-
-  /// Removes the entry at *physical* heap position `index` (as last
-  /// reported to the observer). O(Arity * log n).
-  void remove(std::size_t index) {
-    HCMD_ASSERT(count_ > 0 && index >= kRoot && index < end_phys());
-    const std::size_t last = pos_of(count_ - 1);
-    if (index == last) {
-      slots_[last].~T();
-      --count_;
-      return;
-    }
-    slots_[index] = std::move(slots_[last]);
-    slots_[last].~T();
+  /// Bottom-up: the root's hole walks the smaller-child path down to a
+  /// leaf, and the last entry sifts up from there. The last entry is
+  /// nearly always large, so this saves the per-level comparison against
+  /// it, and the sift up almost always stops at once.
+  void pop() {
+    HCMD_ASSERT(count_ > 0);
     --count_;
-    // The transplanted entry may violate the heap property in either
-    // direction relative to its new parent/children.
-    if (index != kRoot && less_(slots_[index], slots_[parent_of(index)])) {
-      sift_up(index);
-    } else {
-      sift_down(index);
+    const std::size_t last = pos_of(count_);
+    T value = std::move(slots_[last]);
+    slots_[last].~T();
+    if (count_ == 0) return;
+    const std::size_t end = end_phys();
+    std::size_t hole = kRoot;
+    for (;;) {
+      const std::size_t first = first_child_of(hole);
+      if (first >= end) break;
+      // Prefetch the grandchild frontier: the Arity candidate child groups
+      // of this level's children are contiguous, so a few prefetches
+      // overlap the next level's (otherwise serial) cache miss. Prefetch
+      // never faults, so running past `end` is harmless.
+      prefetch_span(first_child_of(first), Arity * Arity);
+      const std::size_t stop = std::min(first + Arity, end);
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < stop; ++c) {
+        if (less_(slots_[c], slots_[best])) best = c;
+      }
+      slots_[hole] = std::move(slots_[best]);
+      hole = best;
     }
+    slots_[hole] = std::move(value);
+    sift_up(hole);
   }
 
  private:
@@ -121,45 +116,17 @@ class DaryHeap {
     return Arity * (p - Arity + 2);
   }
 
-  // Hole-based sifts: the entry in motion is held aside and placed exactly
-  // once, so each level costs one move and one observer call. Indices are
-  // physical throughout.
+  // Hole-based sift: the entry in motion is held aside and placed exactly
+  // once, so each level costs one move. Indices are physical throughout.
   void sift_up(std::size_t index) {
     T value = std::move(slots_[index]);
     while (index != kRoot) {
       const std::size_t parent = parent_of(index);
       if (!less_(value, slots_[parent])) break;
       slots_[index] = std::move(slots_[parent]);
-      observe_(slots_[index], index);
       index = parent;
     }
     slots_[index] = std::move(value);
-    observe_(slots_[index], index);
-  }
-
-  void sift_down(std::size_t index) {
-    const std::size_t end = end_phys();
-    T value = std::move(slots_[index]);
-    for (;;) {
-      const std::size_t first = first_child_of(index);
-      if (first >= end) break;
-      // Prefetch the grandchild frontier: the Arity candidate child groups
-      // of this level's children are contiguous, so a few prefetches
-      // overlap the next level's (otherwise serial) cache miss. Prefetch
-      // never faults, so running past `end` is harmless.
-      prefetch_span(first_child_of(first), Arity * Arity);
-      const std::size_t stop = std::min(first + Arity, end);
-      std::size_t best = first;
-      for (std::size_t c = first + 1; c < stop; ++c) {
-        if (less_(slots_[c], slots_[best])) best = c;
-      }
-      if (!less_(slots_[best], value)) break;
-      slots_[index] = std::move(slots_[best]);
-      observe_(slots_[index], index);
-      index = best;
-    }
-    slots_[index] = std::move(value);
-    observe_(slots_[index], index);
   }
 
   void prefetch_span(std::size_t phys, std::size_t count) const {
@@ -203,7 +170,6 @@ class DaryHeap {
   std::size_t count_ = 0;
   std::size_t capacity_ = 0;
   Less less_;
-  IndexObserver observe_;
 };
 
 }  // namespace hcmd::util

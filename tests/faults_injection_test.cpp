@@ -220,6 +220,30 @@ TEST(FaultsInjection, LostResultsAreRecoveredByDeadlineReissue) {
   EXPECT_EQ(c.results_valid, 5u);
 }
 
+// Two outages a short gap apart. A device whose first-outage upload is still
+// backing off (retries 4.5-7.5 h apart by then) can fetch work in the 2 h
+// gap and finish it inside the second outage: the new result displaces the
+// older one from the one-slot outbox, and takes over its retry timer.
+TEST(FaultsInjection, OutboxDisplacedAcrossCloseOutagesIsLost) {
+  faults::FaultPlan plan;
+  plan.outages.push_back({1.0 * kSecondsPerHour, 30.0 * kSecondsPerHour});
+  plan.outages.push_back({32.0 * kSecondsPerHour, 60.0 * kSecondsPerHour});
+  server::ServerConfig cfg = Harness::plain_server_config();
+  cfg.deadline = 1.0 * kSecondsPerDay;  // keep the recovery cycle short
+  Harness h(plan, 64, 2.0 * 3600.0, cfg);
+  for (std::uint32_t i = 0; i < 16; ++i) h.add(Harness::reliable_device(i));
+  h.run(4.0 * kSecondsPerWeek);
+
+  EXPECT_TRUE(h.project.complete());
+  const auto& c = h.project.counters();
+  const auto f = h.fault_counters();
+  // No loss rate and no deaths: every loss is a displaced outbox result,
+  // recovered by its deadline.
+  EXPECT_GE(f.lost_results, 1u);
+  EXPECT_GE(c.results_timed_out, f.lost_results);
+  EXPECT_EQ(c.results_valid, 64u);
+}
+
 TEST(FaultsInjection, StragglersRunSlower) {
   faults::FaultPlan plan;
   plan.straggler_fraction = 1.0;  // every device is a straggler
