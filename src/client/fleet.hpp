@@ -1,5 +1,6 @@
 // Volunteer fleet: the per-device state machines of the campaign
-// simulation, stored structure-of-arrays.
+// simulation, one record per device (the fault layer's state, sized only
+// when a schedule is active, lives in arrays beside it).
 //
 // Behaviour mirrors the UD/BOINC agent the paper describes:
 //  * the agent alternates attached (crunching) and detached periods —
@@ -103,8 +104,9 @@ class VolunteerFleet final : public sim::Dispatcher {
   VolunteerFleet(const VolunteerFleet&) = delete;
   VolunteerFleet& operator=(const VolunteerFleet&) = delete;
 
-  /// Pre-sizes the per-device arrays for `n` devices (use the analytic
-  /// expected fleet size; drawing it from an RNG would perturb the stream).
+  /// Pre-sizes the device records (and the fault layer's per-device
+  /// arrays, when active) for `n` devices (use the analytic expected fleet
+  /// size; drawing it from an RNG would perturb the stream).
   void reserve_devices(std::size_t n);
 
   /// Registers a device and schedules its join event; must be called before

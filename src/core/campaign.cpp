@@ -219,8 +219,8 @@ CampaignReport run_campaign(const CampaignConfig& config,
                       std::to_string(specs.size()) + ")");
 
   // --- engine ---
-  // The epoch-barrier engine owns the shard simulations, the transitioner
-  // deadline book and the whole fault layer (one schedule per shard plus a
+  // The epoch-barrier engine owns the shard simulations, the barrier
+  // replay and the whole fault layer (one schedule per shard plus a
   // server-side instance, every one forked from the same dedicated stream,
   // so they classify stragglers and see outage windows identically). An
   // inert fault plan makes no draws and schedules nothing: a faults-off run

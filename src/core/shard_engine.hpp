@@ -174,8 +174,6 @@ class ShardEngine {
   const client::VolunteerFleet& fleet(std::uint32_t shard) const {
     return shards_[shard]->fleet;
   }
-  /// Armed transitioner deadlines (test introspection).
-  std::size_t deadlines_armed() const { return replayer_.armed(); }
 
  private:
   struct Shard {

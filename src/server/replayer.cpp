@@ -19,6 +19,18 @@ M reply_to(const BatchEntry& entry) {
   return m;
 }
 
+/// The transitioner's order: time, then result id, so equal-time ticks
+/// run in the same order at any shard count.
+bool tick_before(const DeadlineTick& a, const DeadlineTick& b) {
+  if (a.time != b.time) return a.time < b.time;
+  return a.result_id < b.result_id;
+}
+
+/// Heap order for the deferred ticks: the earliest (time, id) on top.
+bool tick_after(const DeadlineTick& a, const DeadlineTick& b) {
+  return tick_before(b, a);
+}
+
 }  // namespace
 
 void Replayer::schedule_control(double t, std::function<void()> fn) {
@@ -40,7 +52,15 @@ void Replayer::open(double t) {
   end_ = t;
   due_.clear();
   next_due_ = 0;
-  book_.pop_due(t, due_);
+  project_.pop_due(t, due_);
+  const auto from_server = static_cast<std::ptrdiff_t>(due_.size());
+  while (!deferred_.empty() && deferred_.front().time <= t) {
+    std::pop_heap(deferred_.begin(), deferred_.end(), tick_after);
+    due_.push_back(deferred_.back());
+    deferred_.pop_back();
+  }
+  std::inplace_merge(due_.begin(), due_.begin() + from_server, due_.end(),
+                     tick_before);
 }
 
 void Replayer::fire_until(double t) {
@@ -82,8 +102,6 @@ Decision Replayer::apply(const BatchEntry& entry) {
       denial.project_complete = project_.complete();
       return denial;
     }
-    // The transitioner tick, independent of the device's fate.
-    arm(a->result_id, a->deadline);
     auto wire = reply_to<proto::Assignment>(entry);
     wire.result_id = a->result_id;
     wire.workunit = a->workunit.id;
@@ -113,34 +131,29 @@ Decision Replayer::apply(const BatchEntry& entry) {
     return ack;
   }
   ack.state = project_.report_result(rep->result_id, now, rep->to_report());
-  // The result is in: retire its deadline tick eagerly (a no-op for late
-  // uploads whose tick already fired).
-  disarm(rep->result_id);
   return ack;
 }
 
-void Replayer::run_tick(DeadlineBook::Due due) {
-  if (faults_.active() && faults_.server_down(due.time)) {
-    faults_.note_deadline_deferred(due.time, due.result_id);
-    const DeadlineBook::Due moved{faults_.outage_end_after(due.time),
-                                  due.result_id};
+void Replayer::run_tick(DeadlineTick tick) {
+  if (faults_.active() && faults_.server_down(tick.time)) {
+    faults_.note_deadline_deferred(tick.time, tick.result_id);
+    const DeadlineTick moved{faults_.outage_end_after(tick.time),
+                             tick.result_id};
     if (moved.time > end_) {
-      book_.arm(moved.result_id, moved.time);
+      deferred_.push_back(moved);
+      std::push_heap(deferred_.begin(), deferred_.end(), tick_after);
       return;
     }
     const auto pos = std::upper_bound(
         due_.begin() + static_cast<std::ptrdiff_t>(next_due_), due_.end(),
-        moved, [](const DeadlineBook::Due& a, const DeadlineBook::Due& b) {
-          if (a.time != b.time) return a.time < b.time;
-          return a.result_id < b.result_id;
-        });
+        moved, tick_before);
     due_.insert(pos, moved);
     return;
   }
-  const bool timed_out = project_.handle_deadline(due.result_id, due.time);
+  const bool timed_out = project_.handle_deadline(tick.result_id, tick.time);
   if (tracer_ != nullptr)
     tracer_->record(obs::TraceCat::kServer, obs::TraceEv::kSrvTransitionerPass,
-                    due.time, static_cast<std::uint32_t>(due.result_id),
+                    tick.time, static_cast<std::uint32_t>(tick.result_id),
                     timed_out ? 1u : 0u);
 }
 

@@ -19,25 +19,27 @@
 //     replayer.fire_until(e.time);  decision = replayer.apply(e)
 //   replayer.fire_until(t);
 //
-// so equal-time items run control < deadline < message. `open` pops every
-// tick due by t up front: a report applied later in the batch disarms its
-// result in the book but cannot stop a tick already popped, which then
-// runs as a no-op transitioner pass.
+// so equal-time items run control < deadline < message. The server's
+// result records are the transitioner's schedule: `open` takes every
+// tick due by t from ProjectServer::pop_due, whose cursor passes the
+// results in id order, which is deadline order, and keeps those still in
+// progress. A report applied later in the batch cannot stop a tick
+// already taken, which then runs as a no-op transitioner pass.
 //
 // `apply` is the server-facing half of a request, the same for both
-// callers: an outage answers Busy; a work request is issued (and its
-// deadline armed) or denied; a report for a result never issued to the
-// reporting device is refused, a repeated one is acked as a duplicate and
-// moves nothing, and a first one is validated (and its deadline retired).
-// The engine adds fleet delivery, the weekly series and credit; the
-// service adds its admin verbs, counters and encoding.
+// callers: an outage answers Busy; a work request is issued or denied; a
+// report for a result never issued to the reporting device is refused, a
+// repeated one is acked as a duplicate and moves nothing, and a first one
+// is validated. The engine adds fleet delivery, the weekly series and
+// credit; the service adds its admin verbs, counters and encoding.
 //
 // Outage deferral: a tick that falls inside a fault-plan outage runs no
 // transitioner pass. It is noted and moved to the moment the outage lifts:
 // into this batch, in (time, id) order, when that is at or before t, and
-// back into the book otherwise. The deferred pass sees a time past the
-// original deadline, so the timeout still registers then, unless the
-// result is reported first.
+// otherwise into the deferred heap, which `open` merges with the server's
+// ticks in (time, id) order once the new time is due. The deferred pass
+// sees a time past the original deadline, so the timeout still registers
+// then, unless the result is reported first.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +49,6 @@
 
 #include "faults/schedule.hpp"
 #include "obs/trace.hpp"
-#include "server/deadline_book.hpp"
 #include "server/merge_order.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
@@ -93,17 +94,9 @@ class Replayer {
   /// server through here.
   Decision apply(const BatchEntry& entry);
 
-  /// Arms (or re-arms, superseding) the transitioner tick for a result.
-  void arm(std::uint64_t result_id, double deadline) {
-    book_.arm(result_id, deadline);
-  }
-  /// Retires a result's tick (no-op once it fired or was popped by open).
-  void disarm(std::uint64_t result_id) { book_.disarm(result_id); }
-  std::size_t armed() const { return book_.armed(); }
-
-  /// Starts the batch ending at `t` and pops every tick due by then.
+  /// Starts the batch ending at `t` and takes every tick due by then.
   void open(double t);
-  /// Runs, in merge order, every control item and popped tick with
+  /// Runs, in merge order, every control item and taken tick with
   /// time <= t.
   void fire_until(double t);
 
@@ -113,20 +106,21 @@ class Replayer {
     std::function<void()> fn;
   };
 
-  void run_tick(DeadlineBook::Due due);
+  void run_tick(DeadlineTick tick);
 
   ProjectServer& project_;
   faults::FaultSchedule& faults_;
   obs::Tracer* tracer_;
-  DeadlineBook book_;
   std::vector<Control> controls_;  ///< sorted by time at the first open
   std::size_t next_control_ = 0;
   bool opened_ = false;
   double end_ = 0.0;  ///< the open batch's end time
-  /// Ticks popped for the open batch, (time, id) order; reused across
+  /// Ticks taken for the open batch, (time, id) order; reused across
   /// batches, so steady-state replay does not allocate.
-  std::vector<DeadlineBook::Due> due_;
+  std::vector<DeadlineTick> due_;
   std::size_t next_due_ = 0;
+  /// Min-heap of the ticks an outage moved past their batch's end.
+  std::vector<DeadlineTick> deferred_;
 };
 
 }  // namespace hcmd::server

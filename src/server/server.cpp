@@ -40,7 +40,12 @@ std::uint64_t ProjectServer::issue(std::uint32_t wu_index,
   // pending_result stores ids in 32 bits (ids are dense indices).
   HCMD_ASSERT_MSG(result_id < kNoPending, "result id overflows 32 bits");
   ResultInstance inst;
-  inst.sent_time = now;
+  // Sent times never decrease with the id, so pop_due's cursor walks the
+  // deadlines in order. Only the wire service can bind the clamp: two
+  // network workers' arrival stamps may cross a drain boundary by a
+  // fraction of a millisecond. The barrier replay issues in time order.
+  inst.sent_time =
+      results_.empty() ? now : std::max(now, results_.back().sent_time);
   inst.workunit_index = wu_index;
   inst.device_id = device_id;
   results_.push_back(inst);
@@ -53,6 +58,7 @@ std::uint64_t ProjectServer::issue(std::uint32_t wu_index,
   if (rec.state == WorkunitState::kUnsent)
     rec.state = WorkunitState::kInProgress;
   ++counters_.results_sent;
+  ++in_progress_;
   if (tracer_)
     tracer_->record(obs::TraceCat::kWorkunit, obs::TraceEv::kWuIssue, now,
                     static_cast<std::uint32_t>(result_id), wu_index,
@@ -236,6 +242,7 @@ ResultState ProjectServer::report_result(std::uint64_t result_id, double now,
   if (was_outstanding) {
     HCMD_ASSERT(rec.outstanding > 0);
     --rec.outstanding;
+    --in_progress_;
   }
 
   endgame_dirty_ = true;
@@ -373,6 +380,7 @@ bool ProjectServer::handle_deadline(std::uint64_t result_id, double now) {
   last_now_ = now;
   inst.state = ResultState::kTimedOut;
   ++counters_.results_timed_out;
+  --in_progress_;
   if (tracer_)
     tracer_->record(obs::TraceCat::kWorkunit, obs::TraceEv::kWuTimeout, now,
                     static_cast<std::uint32_t>(result_id),
@@ -384,6 +392,15 @@ bool ProjectServer::handle_deadline(std::uint64_t result_id, double now) {
   if (rec.state != WorkunitState::kDone)
     push_reissue(inst.workunit_index);
   return true;
+}
+
+void ProjectServer::pop_due(double t, std::vector<DeadlineTick>& out) {
+  for (; next_due_ < results_.size(); ++next_due_) {
+    const double deadline = result_deadline(next_due_);
+    if (deadline > t) return;
+    if (results_[next_due_].state == ResultState::kInProgress)
+      out.push_back({deadline, next_due_});
+  }
 }
 
 const ResultInstance& ProjectServer::result(std::uint64_t result_id) const {

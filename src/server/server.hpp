@@ -96,10 +96,11 @@ inline constexpr std::uint32_t kMaxDevices = 1u << 24;
 
 /// One issued result copy: 16 bytes, because the server keeps every copy
 /// it ever issued (4.83 M at scale 1.0). The result id is the record's
-/// index, the deadline is `sent_time + ServerConfig::deadline`, and a
-/// result's corruption tag is kept (in ProjectServer) only while it waits
-/// for its quorum partner. The state and the silent-error bit share the
-/// device id's top byte.
+/// index, the deadline is `sent_time + ServerConfig::deadline` (so the
+/// record is also the result's deadline tick), and a result's corruption
+/// tag is kept (in ProjectServer) only while it waits for its quorum
+/// partner. The state and the silent-error bit share the device id's top
+/// byte.
 struct ResultInstance {
   double sent_time = 0.0;
   std::uint32_t workunit_index = 0;  ///< index into catalogue
@@ -160,6 +161,13 @@ struct Assignment {
   double deadline = 0.0;
 };
 
+/// One transitioner tick: a result's deadline, or the outage end an
+/// outage moved it to.
+struct DeadlineTick {
+  double time = 0.0;
+  std::uint64_t result_id = 0;
+};
+
 class ProjectServer {
  public:
   /// The catalogue must already be in launch order (cheapest receptor
@@ -189,6 +197,17 @@ class ProjectServer {
   /// it is marked timed out and the workunit is queued for re-issue.
   /// Returns true if a timeout actually occurred.
   bool handle_deadline(std::uint64_t result_id, double now);
+
+  /// The transitioner's schedule. Moves a cursor over the results whose
+  /// deadline is at or before `t` and appends a tick for each one still
+  /// in progress, skipping those reported since their issue. Each result
+  /// is passed once. Sent times never decrease with the result id (see
+  /// issue), so id order is deadline order and the ticks come out in
+  /// (time, id) order.
+  void pop_due(double t, std::vector<DeadlineTick>& out);
+  /// Results issued and neither reported nor timed out: between replay
+  /// batches, the live deadline ticks.
+  std::uint64_t results_in_progress() const { return in_progress_; }
 
   /// Attaches telemetry (both optional, may be nullptr). The tracer gets
   /// the workunit lifecycle stream; the registry gets the server's latency
@@ -328,6 +347,10 @@ class ProjectServer {
   /// end-game rebuild so empty rebuilds are not repeated needlessly.
   bool endgame_dirty_ = true;
   std::size_t next_unsent_ = 0;
+  /// pop_due's cursor: the first result id whose deadline it has not
+  /// passed.
+  std::uint64_t next_due_ = 0;
+  std::uint64_t in_progress_ = 0;
   ServerCounters counters_;
 
   // --- telemetry sinks (optional; decisions never read them) ---

@@ -192,7 +192,6 @@ GridService::default_diagnostics_dump() {
 }
 
 void GridService::apply(const WireRequest& m, std::vector<WireResponse>& out) {
-  ++rpc_requests_;
   registry_.add(ctr_requests_);
 
   if (m.device() >= kMaxDevices &&
@@ -244,7 +243,7 @@ void GridService::apply(const WireRequest& m, std::vector<WireResponse>& out) {
         s.workunits_completed = c.workunits_completed;
         s.workunits_total = project_.catalog().size();
         s.outage_denied = faults_.counters().outage_denied_requests;
-        s.rpc_requests = rpc_requests_;
+        s.rpc_requests = registry_.total(ctr_requests_);
         s.now = std::max(now_, m.time);
         s.complete = project_.complete();
         s.uptime_seconds = time_scale_ > 0.0 ? s.now / time_scale_ : s.now;

@@ -173,8 +173,11 @@ class GridService {
   const obs::Registry& registry() const { return registry_; }
   obs::Tracer& tracer() { return tracer_; }
   const obs::Tracer& tracer() const { return tracer_; }
-  std::uint64_t rpc_requests() const { return rpc_requests_; }
-  std::size_t deadlines_armed() const { return replayer_.armed(); }
+  std::uint64_t rpc_requests() const { return registry_.total(ctr_requests_); }
+  /// Live deadline ticks between batches: the results in progress.
+  std::uint64_t deadlines_armed() const {
+    return project_.results_in_progress();
+  }
   double last_batch_time() const { return now_; }
 
  private:
@@ -203,7 +206,6 @@ class GridService {
   double time_scale_ = 1.0;
   double now_ = 0.0;
   double dequeue_time_ = 0.0;  ///< current batch's drain stamp (t_dequeue)
-  std::uint64_t rpc_requests_ = 0;
   std::uint32_t span_countdown_ = 1;  ///< 1-in-kSpanSampleEvery cursor
 
   // Interned once at construction; the hot path is indexed adds only.

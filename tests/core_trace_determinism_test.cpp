@@ -2,13 +2,17 @@
 // instrumentation that rides along) may not perturb the simulation, and the
 // trace stream itself must be a deterministic function of the config.
 //
-// Two properties, both at the golden scale-0.01 default-seed config:
+// Three properties, all at the golden scale-0.01 default-seed config:
 //   1. two traced runs produce byte-identical trace streams (JSONL and
 //      Chrome export alike);
 //   2. a traced run reproduces the golden regression numbers bit-exactly
 //      (the same constants core_campaign_regression_test pins for the
-//      untraced run — tracing changed nothing).
+//      untraced run — tracing changed nothing);
+//   3. the stream shows result ids issued densely and in time order at
+//      K = 1 and K = 4, the order the transitioner's cursor relies on.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "core/campaign.hpp"
 #include "core/run_report.hpp"
@@ -114,6 +118,41 @@ TEST(TraceDeterminism, TelemetrySnapshotPopulated) {
       saw_turnaround = true;
   EXPECT_TRUE(saw_requests);
   EXPECT_TRUE(saw_turnaround);
+}
+
+// ProjectServer::pop_due walks result ids as deadline order, and
+// ProjectServer::issue clamps a sent time to the previous one to keep it
+// so. The barrier replay issues in merge order, so in a campaign the clamp
+// never binds: the traced issue times (the request times, before any
+// clamp) never decrease with the result id.
+TEST(TraceDeterminism, ResultIdsAreIssuedInTimeOrder) {
+  for (const std::uint32_t k : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << k);
+    obs::Tracer::Options options;
+    options.sample_every = {1, 0, 0, 0, 0, 0};  // every workunit event only
+    obs::Tracer tracer(options);
+    CampaignInstruments instruments;
+    instruments.tracer = &tracer;
+    CampaignConfig config = golden_config();
+    config.shards = k;
+    const CampaignReport r = run_campaign(config, instruments);
+    ASSERT_LE(tracer.recorded(), tracer.capacity()) << "ring overwritten";
+
+    constexpr auto kIssue = static_cast<std::uint8_t>(obs::TraceEv::kWuIssue);
+    std::vector<double> issued(r.counters.results_sent, -1.0);
+    for (const obs::TraceEvent& e : tracer.snapshot()) {
+      if (e.ev != kIssue) continue;
+      ASSERT_LT(e.id, issued.size());
+      ASSERT_EQ(issued[e.id], -1.0) << "result " << e.id << " issued twice";
+      issued[e.id] = e.t;
+    }
+    std::uint64_t inversions = 0;
+    for (std::size_t id = 0; id < issued.size(); ++id) {
+      ASSERT_GE(issued[id], 0.0) << "result " << id << " never issued";
+      if (id > 0 && issued[id] < issued[id - 1]) ++inversions;
+    }
+    EXPECT_EQ(inversions, 0u);
+  }
 }
 
 }  // namespace

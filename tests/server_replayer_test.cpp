@@ -1,7 +1,9 @@
 // Replayer's contract, as the epoch barrier and GridService rely on it:
 // equal-time items run control < deadline < message, an outage defers a
-// tick into its own batch or past it, and a tick popped at open still runs
-// after a report earlier in simulated time disarms its result.
+// tick into its own batch or past it, a deferred tick fires once, at the
+// outage end, and a tick taken at open still runs after a report earlier
+// in simulated time. Every tick is a result's deadline: the fixture issues
+// results through the ProjectServer at chosen times.
 #include "server/replayer.hpp"
 
 #include <gtest/gtest.h>
@@ -36,11 +38,21 @@ struct Fixture {
   std::string log;
   std::uint64_t passes_logged = 0;
 
-  explicit Fixture(faults::FaultPlan plan = {})
-      : project(synthetic_catalog(8, 1.0), ServerConfig{}),
+  /// Issues result i to device i at issue_times[i], so its tick falls at
+  /// issue_times[i] + deadline.
+  Fixture(double deadline, const std::vector<double>& issue_times,
+          faults::FaultPlan plan = {})
+      : project(synthetic_catalog(8, 1.0), with_deadline(deadline)),
         faults(std::move(plan), util::Rng(1)) {
     faults.set_instruments(&tracer, nullptr);
-    for (std::uint32_t d = 0; d < 4; ++d) project.request_work(d, 0.0);
+    for (std::uint32_t d = 0; d < issue_times.size(); ++d)
+      project.request_work(d, issue_times[d]);
+  }
+
+  static ServerConfig with_deadline(double deadline) {
+    ServerConfig config;
+    config.deadline = deadline;
+    return config;
   }
 
   /// Appends a 'd' per transitioner pass since the last note, then `c`.
@@ -77,8 +89,7 @@ struct Fixture {
 using Passes = std::vector<std::pair<double, std::uint32_t>>;
 
 TEST(Replayer, EqualTimesRunControlThenDeadlineThenMessage) {
-  Fixture f;
-  f.replayer.arm(0, 10.0);
+  Fixture f(10.0, {0.0});
   f.replayer.schedule_control(10.0, [&f] { f.note('c'); });
   f.replayer.schedule_control(3.0, [&f] { f.note('c'); });
   f.replay(20.0, {3.0, 10.0, 15.0});
@@ -87,43 +98,52 @@ TEST(Replayer, EqualTimesRunControlThenDeadlineThenMessage) {
 }
 
 TEST(Replayer, TickDeferredToAnOutageEndInsideTheBatchFiresInOrder) {
-  Fixture f(outage(5.0, 12.0));
-  f.replayer.arm(0, 12.0);
-  f.replayer.arm(1, 8.0);  // dark: moves to 12, between ids 0 and 2
-  f.replayer.arm(2, 12.0);
-  f.replayer.arm(3, 14.0);
+  // Ticks at 6 and 8 (both dark), 12 and 14.
+  Fixture f(6.0, {0.0, 2.0, 6.0, 8.0}, outage(5.0, 12.0));
   f.replay(20.0, {13.0});
+  // Both dark ticks move to 12, ahead of id 2: id 1 lands between ids 0
+  // and 2.
   EXPECT_EQ(f.log, "dddmd");
   EXPECT_EQ(f.passes(),
             (Passes{{12.0, 0}, {12.0, 1}, {12.0, 2}, {14.0, 3}}));
-  EXPECT_EQ(f.faults.counters().deadline_deferrals, 1u);
-  EXPECT_EQ(f.replayer.armed(), 0u);
+  EXPECT_EQ(f.faults.counters().deadline_deferrals, 2u);
+  EXPECT_EQ(f.project.results_in_progress(), 0u);
 }
 
 TEST(Replayer, TickDeferredPastTheBatchEndIsRearmed) {
-  Fixture f(outage(5.0, 30.0));
-  f.replayer.arm(0, 8.0);
+  Fixture f(8.0, {0.0}, outage(5.0, 30.0));
   f.replay(20.0, {});
   EXPECT_TRUE(f.passes().empty());
   EXPECT_EQ(f.faults.counters().deadline_deferrals, 1u);
-  EXPECT_EQ(f.replayer.armed(), 1u);
+  EXPECT_EQ(f.project.results_in_progress(), 1u);  // its tick is live
   f.replay(40.0, {});
   EXPECT_EQ(f.passes(), (Passes{{30.0, 0}}));
   EXPECT_EQ(f.faults.counters().deadline_deferrals, 1u);
 }
 
+TEST(Replayer, DeferredTickFiresOnceAtTheOutageEnd) {
+  Fixture f(10.0, {0.0}, outage(5.0, 25.0));
+  f.replay(20.0, {});
+  f.replay(24.0, {});
+  EXPECT_TRUE(f.passes().empty());
+  f.replay(25.0, {});  // the outage end is due at a batch ending there
+  EXPECT_EQ(f.passes(), (Passes{{25.0, 0}}));
+  f.replay(1e9, {});
+  EXPECT_EQ(f.passes(), (Passes{{25.0, 0}}));
+  EXPECT_EQ(f.faults.counters().deadline_deferrals, 1u);
+  EXPECT_EQ(f.project.counters().results_timed_out, 1u);
+}
+
 TEST(Replayer, ReportCannotStopATickPoppedAtOpen) {
-  Fixture f;
+  Fixture f(100.0, {0.0});
   const double deadline = f.project.result_deadline(0);
-  f.replayer.arm(0, deadline);
   f.replayer.open(deadline + 3600.0);
   f.replayer.fire_until(deadline - 1.0);
   f.project.report_result(0, deadline - 1.0, ResultReport{});
-  f.replayer.disarm(0);
   f.replayer.fire_until(deadline + 3600.0);
   EXPECT_EQ(f.passes(), (Passes{{deadline, 0}}));  // ran, as a no-op pass
   EXPECT_EQ(f.project.counters().results_timed_out, 0u);
-  EXPECT_EQ(f.replayer.armed(), 0u);
+  EXPECT_EQ(f.project.results_in_progress(), 0u);
 }
 
 }  // namespace

@@ -281,6 +281,42 @@ TEST(GridService, DeadlineTickDefersThroughOutage) {
   EXPECT_EQ(svc.deadlines_armed(), 0u);
 }
 
+// Two network workers' arrival stamps can cross a drain boundary, so a
+// batch may carry a request stamped before the previous batch's last
+// issue. The server sends it no earlier than that issue: its deadline is
+// the same, and result-id order stays deadline order.
+TEST(GridService, RequestStampedBeforeThePreviousIssueSharesItsDeadline) {
+  ServiceConfig config = quorum1_config();
+  config.server.deadline = 100.0;
+  GridService svc(synthetic_catalog(4, 4.0), config);
+  const auto first = proto::decode<proto::Assignment>(
+      sole_frame(svc.handle(request_work(0, 1, 10.0))));
+
+  std::vector<WireRequest> batch{request_work(1, 1, 9.5)};
+  std::vector<WireResponse> out;
+  svc.process_batch(batch, 10.5, out);
+  ASSERT_EQ(out.size(), 1u);
+  const auto second = proto::decode<proto::Assignment>(sole_frame(out[0]));
+  EXPECT_EQ(second.result_id, first.result_id + 1);
+  EXPECT_EQ(second.deadline, first.deadline);
+  EXPECT_EQ(second.deadline, 110.0);
+
+  // Both ticks fire in the batch that covers 110, first's first: the
+  // timed-out workunits queue for re-issue in tick order.
+  std::vector<WireRequest> empty;
+  svc.process_batch(empty, 109.9, out);
+  EXPECT_EQ(svc.project().counters().results_timed_out, 0u);
+  svc.process_batch(empty, 110.0, out);
+  EXPECT_EQ(svc.project().counters().results_timed_out, 2u);
+  EXPECT_EQ(svc.deadlines_armed(), 0u);
+  const auto reissue_a = proto::decode<proto::Assignment>(
+      sole_frame(svc.handle(request_work(2, 1, 111.0))));
+  const auto reissue_b = proto::decode<proto::Assignment>(
+      sole_frame(svc.handle(request_work(3, 1, 112.0))));
+  EXPECT_EQ(reissue_a.workunit, first.workunit);
+  EXPECT_EQ(reissue_b.workunit, second.workunit);
+}
+
 // The service replays a batch in (time, lane, device, seq) order: any
 // arrival interleaving of the same stamped traffic produces the identical
 // issue sequence.

@@ -100,6 +100,72 @@ TEST(Server, DeadlineTimeoutReissues) {
   EXPECT_EQ(b->workunit.id, 0u);
 }
 
+// The result records are the transitioner's schedule: pop_due walks them
+// in id order, which is deadline order.
+ProjectServer issued_at(const std::vector<double>& times, double deadline) {
+  ServerConfig cfg = plain_config();
+  cfg.deadline = deadline;
+  ProjectServer server(make_catalog(8), cfg);
+  for (std::uint32_t d = 0; d < times.size(); ++d)
+    server.request_work(d, times[d]);
+  return server;
+}
+
+std::vector<std::uint64_t> ids(const std::vector<DeadlineTick>& due) {
+  std::vector<std::uint64_t> out;
+  for (const DeadlineTick& d : due) out.push_back(d.result_id);
+  return out;
+}
+
+TEST(Server, PopDueYieldsTicksInTimeThenIdOrder) {
+  ProjectServer server = issued_at({0.0, 0.0, 10.0, 10.0, 20.0}, 10.0);
+  std::vector<DeadlineTick> due;
+  server.pop_due(20.0, due);  // time == t is due
+  EXPECT_EQ(ids(due), (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(due.front().time, 10.0);
+  EXPECT_EQ(due.back().time, 20.0);
+
+  due.clear();
+  server.pop_due(29.0, due);
+  EXPECT_TRUE(due.empty());
+  server.pop_due(30.0, due);
+  EXPECT_EQ(ids(due), (std::vector<std::uint64_t>{4}));
+  server.pop_due(1e9, due);  // each result is passed once
+  EXPECT_EQ(due.size(), 1u);
+}
+
+TEST(Server, PopDueSkipsReportedResults) {
+  ProjectServer server = issued_at({0.0, 0.0}, 10.0);
+  server.report_result(0, 5.0, ok_report());
+  std::vector<DeadlineTick> due;
+  server.pop_due(100.0, due);
+  EXPECT_EQ(ids(due), (std::vector<std::uint64_t>{1}));
+}
+
+TEST(Server, ResultsInProgressCountLiveTicks) {
+  ProjectServer server = issued_at({}, 10.0);
+  EXPECT_EQ(server.results_in_progress(), 0u);
+  for (std::uint32_t d = 0; d < 5; ++d) server.request_work(d, d);
+  EXPECT_EQ(server.results_in_progress(), 5u);
+  server.report_result(2, 5.0, ok_report());
+  EXPECT_EQ(server.results_in_progress(), 4u);
+  std::vector<DeadlineTick> due;
+  server.pop_due(11.0, due);  // ids 0 and 1
+  for (const DeadlineTick& d : due)
+    EXPECT_TRUE(server.handle_deadline(d.result_id, d.time));
+  EXPECT_EQ(server.results_in_progress(), 2u);
+}
+
+TEST(Server, IssueTimeNeverDecreasesWithResultId) {
+  // A request stamped before the previous issue is sent at that issue's
+  // time, so its deadline is never earlier.
+  ProjectServer server = issued_at({50.0, 40.0, 60.0}, 10.0);
+  EXPECT_DOUBLE_EQ(server.result(0).sent_time, 50.0);
+  EXPECT_DOUBLE_EQ(server.result(1).sent_time, 50.0);
+  EXPECT_DOUBLE_EQ(server.result(2).sent_time, 60.0);
+  EXPECT_DOUBLE_EQ(server.result_deadline(1), 60.0);
+}
+
 TEST(Server, LateResultAfterTimeoutStillCounts) {
   // "when the agent reconnects and sends back the result ... this result is
   // taken into account even if the result has already been computed".

@@ -84,8 +84,10 @@ OVERHEADS = [
 #    the end-game queue costs the same within 2x on a 1M catalogue as on a
 #    100k one (the rescan made it grow with the catalogue);
 #  - loadgen req/s flat across device count: the client farm on one
-#    connection serves at least 0.8x the 1k-device req/s at 32k devices (a
-#    farm that walked every device per reply read 0.07).
+#    connection serves at least 0.8x the 1k-device req/s at 32k devices,
+#    median of three 1 s windows per arm (a farm that walked every device
+#    per reply read 0.07; single windows of the current farm read as low
+#    as 0.75).
 LAW_FILTER = ("^BM_CampaignScaleSweep/permille:(10|250)/|^BM_SchedulerRpcEndgame/"
               "|^BM_LoadgenDevices/")
 LAWS = [
@@ -98,8 +100,8 @@ LAWS = [
      "BM_SchedulerRpcEndgame/workunits:100000/iterations:2048/repeats:5",
      "real_time", 0.5, 2.0),
     ("loadgen req/s flat across device count",
-     "BM_LoadgenDevices/devices:32768/iterations:1/manual_time",
-     "BM_LoadgenDevices/devices:1024/iterations:1/manual_time",
+     "BM_LoadgenDevices/devices:32768/iterations:1/repeats:3/manual_time_median",
+     "BM_LoadgenDevices/devices:1024/iterations:1/repeats:3/manual_time_median",
      "items_per_second", 0.8, None),
 ]
 
@@ -109,7 +111,7 @@ LAWS = [
 _NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
-def load_rows(path, field="real_time"):
+def load_rows(path, field="real_time", aggregates=False):
     with open(path) as f:
         doc = json.load(f)
     rows = {}
@@ -121,12 +123,17 @@ def load_rows(path, field="real_time"):
             value *= _NS.get(b.get("time_unit", "ns"), 1.0)
         if b.get("run_type", "iteration") == "iteration":
             rows[b["name"]] = value
-        elif b.get("aggregate_name") == "min":
+            continue
+        if b.get("aggregate_name") == "min":
             # Repetition aggregates (ReportAggregatesOnly) land under the
             # repetition-free run_name: the gate reads the custom min
             # statistic — runner noise only ever adds time, so the per-arm
             # minimum is the drift-robust estimator for ratio checks.
             rows[b["run_name"]] = value
+        if aggregates:
+            # Every aggregate under its own name (<run_name>_median, ...),
+            # for laws that read a statistic other than the min.
+            rows[b["name"]] = value
     return rows
 
 
@@ -146,7 +153,7 @@ def check_laws(path):
     """Returns one failure sentence per broken or unmeasured law."""
     failures = []
     for law, num_name, den_name, field, low, high in LAWS:
-        rows = load_rows(path, field)
+        rows = load_rows(path, field, aggregates=True)
         num, den = rows.get(num_name), rows.get(den_name)
         if num is None or den is None or den <= 0:
             failures.append(f"law '{law}': {field} of {num_name} or "
