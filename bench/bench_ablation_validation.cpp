@@ -2,11 +2,11 @@
 //
 // Redundant computing exists "to identify and reject erroneous results"
 // (Section 5.1). This bench injects a realistic hazard the range check
-// cannot see — a small fraction of chronically flaky devices producing
-// silently corrupt results — and compares validation policies on the two
-// axes that matter: how much corruption reaches the science archive, and
-// how much volunteer capacity the policy burns (redundancy factor /
-// campaign length).
+// cannot see — a small fixed subpopulation of devices producing silently
+// corrupt results, declared in the fault plan so every corrupt result is
+// counted — and compares validation policies on the two axes that matter:
+// how much corruption reaches the science archive, and how much volunteer
+// capacity the policy burns (redundancy factor / campaign length).
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -19,8 +19,8 @@ int main() {
     core::CampaignConfig config;
     config.scale = 0.02;
     // The hazard: 3 % of devices silently corrupt 15 % of their results.
-    config.devices.flaky_fraction = 0.03;
-    config.devices.flaky_silent_error_rate = 0.15;
+    config.faults.saboteur_fraction = 0.03;
+    config.faults.saboteur_corruption_rate = 0.15;
     // Start from a bare server (no phase-I quorum period) so each policy's
     // effect is isolated.
     config.server.validation.quorum2_until = 0.0;
@@ -55,24 +55,6 @@ int main() {
     rows.push_back({"quorum 2 always", core::run_campaign(config)});
   }
 
-  util::Table table("Validation policy ablation (3% flaky devices)");
-  table.header({"policy", "corrupt assimilated", "corrupt rate",
-                "mismatches caught", "redundancy", "weeks"});
-  for (const auto& row : rows) {
-    const auto& c = row.report.counters;
-    const double rate =
-        c.workunits_completed
-            ? static_cast<double>(c.corrupt_assimilated) /
-                  static_cast<double>(c.workunits_completed)
-            : 0.0;
-    table.row({row.name, util::Table::cell(c.corrupt_assimilated),
-               util::Table::cell(100.0 * rate, 3) + "%",
-               util::Table::cell(c.quorum_mismatches + c.late_mismatches),
-               util::Table::cell(row.report.redundancy_factor, 2),
-               util::Table::cell(row.report.completion_weeks, 1)});
-  }
-  std::printf("%s\n", table.render().c_str());
-
   const auto corrupt_rate = [](const Row& row) {
     const auto& c = row.report.counters;
     return c.workunits_completed
@@ -80,6 +62,27 @@ int main() {
                      static_cast<double>(c.workunits_completed)
                : 0.0;
   };
+
+  util::Table table("Validation policy ablation (3% corrupting devices)");
+  table.header({"policy", "injected", "corrupt assimilated", "leakage",
+                "corrupt rate", "mismatches caught", "redundancy", "weeks"});
+  for (const auto& row : rows) {
+    const auto& c = row.report.counters;
+    const auto& v = row.report.validation;
+    const double leakage =
+        v.corruption_injected
+            ? static_cast<double>(v.corruption_assimilated) /
+                  static_cast<double>(v.corruption_injected)
+            : 0.0;
+    table.row({row.name, util::Table::cell(v.corruption_injected),
+               util::Table::cell(v.corruption_assimilated),
+               util::Table::cell(leakage, 3),
+               util::Table::cell(100.0 * corrupt_rate(row), 3) + "%",
+               util::Table::cell(c.quorum_mismatches + c.late_mismatches),
+               util::Table::cell(row.report.redundancy_factor, 2),
+               util::Table::cell(row.report.completion_weeks, 1)});
+  }
+  std::printf("%s\n", table.render().c_str());
   const Row& none = rows[0];
   const Row& spot = rows[1];
   const Row& adaptive = rows[2];

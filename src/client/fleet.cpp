@@ -158,8 +158,7 @@ void VolunteerFleet::go_offline(std::uint32_t d) {
     off_len = dev.rng.exponential(config_.long_pause_mean_weeks *
                                   util::kSecondsPerWeek);
   } else {
-    off_len = volunteer::sample_reattach_delay(
-        sim_.now(), dev.spec.off_mean_seconds, dev.spec.diurnal, dev.rng);
+    off_len = dev.rng.exponential(dev.spec.off_mean_seconds);
   }
   arm_in(d, Action::kOnline, off_len);
 }
@@ -399,13 +398,6 @@ void VolunteerFleet::on_complete(std::uint32_t d) {
     server::proto::ReportResult report;
     report.result_id = work.result_id;
     report.computation_error = dev.rng.bernoulli(spec.error_rate);
-    report.silent_error = !report.computation_error &&
-                          dev.rng.bernoulli(spec.silent_error_rate);
-    // Flaky hardware corrupts each result its own way. Result ids are
-    // unique, and the top bit keeps these tags apart from the fault layer's
-    // (global id << 32 | counter) tags, whose ids stay below 2^31.
-    if (report.silent_error)
-      report.corruption_tag = (std::uint64_t{1} << 63) | work.result_id;
     report.reported_runtime =
         spec.reported_runtime(work.attached_wall, work.required_ref);
     report.reference_seconds = work.required_ref;
@@ -443,7 +435,7 @@ void VolunteerFleet::post_result(std::uint32_t d,
   const std::uint32_t gid = dev.spec.id;
   if (faults_on()) {
     const faults::ResultFate fate =
-        faults_->draw_result_fate(gid, report.silent_error, fault_rngs_[d]);
+        faults_->draw_result_fate(gid, fault_rngs_[d]);
     if (fate == faults::ResultFate::kLost) {
       // Dropped in flight: the server never sees it, and the deadline tick
       // recovers the workunit via re-issue.

@@ -200,7 +200,7 @@ class FarmThread {
         report.reported_runtime = a.reference_seconds / d.speed;
         report.reference_seconds = a.reference_seconds;
         const faults::ResultFate fate =
-            faults_.draw_result_fate(d.gid, /*already_corrupt=*/false, d.rng);
+            faults_.draw_result_fate(d.gid, d.rng);
         if (fate == faults::ResultFate::kLost) {
           // The finished result evaporates before upload; only the server's
           // deadline pass can recover the workunit.

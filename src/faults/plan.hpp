@@ -42,13 +42,15 @@ struct FaultPlan {
   /// reaches the server (deadline timeout -> reissue recovers it).
   double loss_rate = 0.0;
 
-  /// Fraction of devices that are saboteurs: hostile hosts that corrupt
-  /// their own results at `saboteur_corruption_rate` per returned result.
+  /// Fraction of devices that are saboteurs: hosts that corrupt their own
+  /// results at `saboteur_corruption_rate` per returned result. The same
+  /// subpopulation models faulty hardware (bad RAM, an aggressive
+  /// overclock) that passes the range check with wrong values.
   /// Membership is a deterministic per-device hash (same discipline as
   /// stragglers) so a given device is a saboteur in every replay. Unlike
   /// `corruption_rate` (in-flight, uniform over the fleet), saboteur
-  /// corruption is concentrated on a fixed hostile subpopulation — the
-  /// threat model trust-based validation is designed to contain.
+  /// corruption is concentrated on a fixed subpopulation — the threat
+  /// model trust-based validation is designed to contain.
   double saboteur_fraction = 0.0;
   double saboteur_corruption_rate = 0.0;
 

@@ -61,12 +61,10 @@ double FaultSchedule::backoff_delay(std::uint32_t attempt,
 }
 
 ResultFate FaultSchedule::draw_result_fate(std::uint32_t device_id,
-                                           bool already_corrupt,
                                            util::Rng& rng) const {
   if (rng.bernoulli(plan_.loss_rate)) return ResultFate::kLost;
   if (rng.bernoulli(plan_.corruption_rate)) return ResultFate::kCorrupted;
-  if (!already_corrupt && is_saboteur(device_id) &&
-      rng.bernoulli(plan_.saboteur_corruption_rate))
+  if (is_saboteur(device_id) && rng.bernoulli(plan_.saboteur_corruption_rate))
     return ResultFate::kSabotaged;
   return ResultFate::kClean;
 }

@@ -106,10 +106,9 @@ class FaultSchedule {
   // The plan supplies the rates, the device supplies the stream.
   /// The fate of one returned result. Draws in a fixed order, stopping at
   /// the first hit: loss, injected corruption, then saboteur corruption
-  /// (saboteur devices only, and only while the result is still clean;
-  /// `already_corrupt` says the device model corrupted it first).
-  ResultFate draw_result_fate(std::uint32_t device_id, bool already_corrupt,
-                              util::Rng& rng) const;
+  /// (saboteur devices only). The plan is the only source of silent
+  /// corruption, so every corrupt result is counted here.
+  ResultFate draw_result_fate(std::uint32_t device_id, util::Rng& rng) const;
   bool draw_churn_death(double fraction, util::Rng& rng) const {
     return rng.bernoulli(fraction);
   }

@@ -330,9 +330,8 @@ ResultState ProjectServer::report_result(std::uint64_t result_id, double now,
   rec.pending_result = kNoPending;
   --counters_.results_pending;
   // Results agree when both are clean, or both are corrupt *the same way*
-  // (same payload tag). The fleet stamps every corrupt result, from flaky
-  // hardware or injected faults, with a tag of its own, so two
-  // independently corrupted copies never match.
+  // (same payload tag). The fault plan stamps every corrupt result with a
+  // tag of its own, so two independently corrupted copies never match.
   if (partner.silent_error == inst.silent_error &&
       partner_tag == report.corruption_tag) {
     partner.state = ResultState::kValid;

@@ -82,8 +82,8 @@ struct ResultReport {
   double reported_runtime = 0.0;   ///< agent-accounted run time (seconds)
   double reference_seconds = 0.0;  ///< true reference CPU the WU required
   /// Which wrong payload a silently-corrupt result carries. Equal tags
-  /// agree in quorum. The fleet stamps a unique nonzero tag per corrupted
-  /// return (device-model silent errors and fault injection alike), so two
+  /// agree in quorum. Every corrupt return comes from the fault plan, which
+  /// stamps it with a unique nonzero `faults::corruption_tag`, so two
   /// independently corrupted quorum partners never validate each other.
   std::uint64_t corruption_tag = 0;
 };

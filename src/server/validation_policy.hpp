@@ -57,10 +57,10 @@ struct ValidationConfig {
   /// established clean history are validated by a quorum of 2 instead of
   /// the range check alone. Off by default (the Phase I reproduction).
   /// AdaptiveTrustPolicy does not replace it on intermittent corruption: on
-  /// bench_ablation_validation's fleet (3 % of devices silently corrupt 15 %
-  /// of their results; scale 0.02, seeds 11/22/33) this knob assimilates
-  /// 0.08-0.12 % of workunits corrupt, the trust ledger 0.36-0.45 % and the
-  /// range check alone 0.45-0.52 %.
+  /// bench_ablation_validation's fleet (the fault plan's 3 % of devices
+  /// silently corrupt 15 % of their results; scale 0.02, seeds 11/22/33)
+  /// this knob assimilates 0.098-0.120 % of workunits corrupt, the trust
+  /// ledger 0.370-0.511 % and the range check alone 0.430-0.534 %.
   bool adaptive = false;
   /// Results a device must return before it can be trusted.
   std::uint32_t adaptive_min_samples = 5;

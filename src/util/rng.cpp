@@ -118,22 +118,6 @@ Rng Rng::fork(std::string_view tag) const {
   return Rng(sm.next());
 }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  HCMD_ASSERT(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    HCMD_ASSERT(w >= 0.0);
-    total += w;
-  }
-  HCMD_ASSERT_MSG(total > 0.0, "weighted_index requires a positive total");
-  double r = uniform(0.0, total);
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r < 0.0) return i;
-  }
-  return weights.size() - 1;  // numerical fallthrough
-}
-
 std::uint64_t hash64(std::string_view s) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (unsigned char c : s) {

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 namespace hcmd::util {
 
@@ -79,9 +78,6 @@ class Rng {
   /// derivation so distinct call sites get distinct streams even when forked
   /// from the same parent in the same order.
   Rng fork(std::string_view tag) const;
-
-  /// Draws a random index weighted by `weights` (need not be normalised).
-  std::size_t weighted_index(const std::vector<double>& weights);
 
  private:
   std::uint64_t s_[4];

@@ -26,10 +26,6 @@ void check_params(const DeviceParams& p) {
   if (p.result_error_rate < 0.0 || p.result_error_rate > 1.0 ||
       p.abandon_rate < 0.0 || p.abandon_rate > 1.0)
     throw ConfigError("DeviceParams: rates outside [0, 1]");
-  if (p.silent_error_rate < 0.0 || p.silent_error_rate > 1.0 ||
-      p.flaky_fraction < 0.0 || p.flaky_fraction > 1.0 ||
-      p.flaky_silent_error_rate < 0.0 || p.flaky_silent_error_rate > 1.0)
-    throw ConfigError("DeviceParams: silent-error rates outside [0, 1]");
 }
 }  // namespace
 
@@ -60,17 +56,10 @@ DeviceSpec make_device(std::uint32_t id, double join_time,
   } else {
     d.on_mean_seconds = params.on_mean_hours * util::kSecondsPerHour;
     d.off_mean_seconds = params.off_mean_hours * util::kSecondsPerHour;
-    if (params.diurnal_enabled) {
-      d.diurnal = draw_profile(rng, params.diurnal_evening_fraction,
-                               params.diurnal_office_fraction);
-    }
   }
   d.lifetime_seconds =
       rng.exponential(params.lifetime_mean_days * util::kSecondsPerDay);
   d.error_rate = params.result_error_rate;
-  d.silent_error_rate = rng.bernoulli(params.flaky_fraction)
-                            ? params.flaky_silent_error_rate
-                            : params.silent_error_rate;
   d.abandon_rate = params.abandon_rate;
   d.accounting = params.accounting;
   return d;

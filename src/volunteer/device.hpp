@@ -18,7 +18,6 @@
 #include <cstdint>
 
 #include "util/rng.hpp"
-#include "volunteer/diurnal.hpp"
 
 namespace hcmd::volunteer {
 
@@ -74,25 +73,11 @@ struct DeviceParams {
   /// days).
   double lifetime_mean_days = 240.0;
 
-  /// Opt-in time-of-day availability (see volunteer/diurnal.hpp). When
-  /// enabled, interactive devices draw an evening-home or office-day
-  /// profile; always-on machines stay flat. The off-period mean is
-  /// renormalised so the long-run attached fraction is unchanged.
-  bool diurnal_enabled = false;
-  double diurnal_evening_fraction = 0.55;
-  double diurnal_office_fraction = 0.25;
-
   /// Probability that a computed result is erroneous (fails validation).
+  /// Results that pass the range check yet hold wrong values come only
+  /// from the fault plan (faults::FaultPlan::corruption_rate and the
+  /// saboteur subpopulation), which counts every one it injects.
   double result_error_rate = 0.015;
-  /// Probability that a result passes the range check yet holds wrong
-  /// values (bad RAM, aggressive overclock). Only quorum comparison can
-  /// catch these. 0 by default — the Phase I reproduction's validation
-  /// statistics do not separate them.
-  double silent_error_rate = 0.0;
-  /// Fraction of devices that are chronically flaky, and their silent
-  /// error rate (used by the validation-policy ablation).
-  double flaky_fraction = 0.0;
-  double flaky_silent_error_rate = 0.15;
   /// Probability that an assigned workunit is silently abandoned (the
   /// volunteer kills the agent; the server only learns via the deadline).
   double abandon_rate = 0.030;
@@ -112,10 +97,8 @@ struct DeviceSpec {
   double off_mean_seconds = 0.0;
   double lifetime_seconds = 0.0;
   double error_rate = 0.0;
-  double silent_error_rate = 0.0;
   double abandon_rate = 0.0;
   AccountingMode accounting = AccountingMode::kUdWallClock;
-  DiurnalProfile diurnal;  ///< flat unless DeviceParams::diurnal_enabled
 
   /// Reference-CPU seconds of docking progress per attached wall second.
   double effective_speed() const {

@@ -153,23 +153,6 @@ TEST(Rng, ForkSameTagSameStream) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
-TEST(Rng, WeightedIndexRespectsWeights) {
-  Rng rng(43);
-  std::vector<double> weights{1.0, 0.0, 3.0};
-  int counts[3] = {0, 0, 0};
-  const int n = 40000;
-  for (int i = 0; i < n; ++i) ++counts[rng.weighted_index(weights)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[0]) / n, 0.25, 0.02);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.75, 0.02);
-}
-
-TEST(Rng, WeightedIndexRejectsAllZero) {
-  Rng rng(47);
-  std::vector<double> weights{0.0, 0.0};
-  EXPECT_THROW(rng.weighted_index(weights), std::logic_error);
-}
-
 TEST(Hash64, StableAndDistinct) {
   EXPECT_EQ(hash64("abc"), hash64("abc"));
   EXPECT_NE(hash64("abc"), hash64("abd"));

@@ -4,8 +4,11 @@
 CI runs an instrumented scale-0.01 campaign and this script asserts the
 report carries every section downstream tooling depends on: the paper
 series (fig6a/fig6b/fig7/fig8/table2), the outcome block, telemetry, the
-fault-injection summary and — when a trace file is given — the trace-stream
-statistics plus a well-formed trace_event JSON.
+fault-injection summary, the validation block and — when a trace file is
+given — the trace-stream statistics plus a well-formed trace_event JSON.
+Every corrupt result comes from the fault plan, which counts it, so the
+validation block's corruption_assimilated may never exceed
+corruption_injected (checked per replica under --policy too).
 
 Usage:
   tools/validate_report.py report.json [trace.json] [--chaos]
@@ -183,6 +186,14 @@ def validate_metrics(path):
           f"{int(requests)} RPCs served at scrape time")
 
 
+def check_corruption_counted(v, where):
+    """Asserts validation assimilated no more corruption than was injected."""
+    if v["corruption_assimilated"] > v["corruption_injected"]:
+        fail(f"{where}: {v['corruption_assimilated']} corrupt results "
+             f"assimilated but only {v['corruption_injected']} injected — "
+             "some corruption is not counted by the fault plan")
+
+
 def validate_policy(path, expect, min_red, max_red, leak_budget):
     with open(path) as f:
         doc = json.load(f)
@@ -211,6 +222,7 @@ def validate_policy(path, expect, min_red, max_red, leak_budget):
         if v["policy"] != policy:
             fail(f"--policy: replica {i} validation block reports "
                  f"{v['policy']!r}, config says {policy!r}")
+        check_corruption_counted(v, f"--policy: replica {i}")
     reds = [run["redundancy_factor"] for run in runs]
     if min(reds) < min_red:
         fail(f"--policy: redundancy {min(reds):.4f} below the floor "
@@ -293,8 +305,8 @@ def main():
         report = json.load(f)
 
     keys = ["config", "workload", "fig6a", "fig6b", "fig7", "fig8",
-            "table2", "outcome", "counters", "faults", "telemetry",
-            "self_profile"]
+            "table2", "outcome", "counters", "faults", "validation",
+            "telemetry", "self_profile"]
     # The trace section only exists when the run was traced.
     if trace_path:
         keys.append("trace")
@@ -317,6 +329,7 @@ def main():
     for key in ("enabled", "plan", "counters"):
         if key not in faults:
             fail(f"faults section missing {key!r}")
+    check_corruption_counted(report["validation"], "validation")
 
     if chaos:
         if not faults["enabled"]:
