@@ -43,6 +43,7 @@ void VolunteerFleet::set_fault_schedule(faults::FaultSchedule* faults) {
 std::uint32_t VolunteerFleet::add_device(const volunteer::DeviceSpec& spec,
                                          util::Rng rng, util::Rng fault_rng) {
   HCMD_ASSERT(spec.effective_speed() > 0.0);
+  HCMD_ASSERT(spec.on_mean_seconds > 0.0 && spec.off_mean_seconds > 0.0);
   const auto d = static_cast<std::uint32_t>(devices_.size());
   HCMD_ASSERT_MSG(d < (sim::kTagMask >> kActionBits), "too many devices");
   Device& dev = devices_.emplace_back();
@@ -113,11 +114,8 @@ void VolunteerFleet::on_join(std::uint32_t d) {
   // attach by a draw from the off distribution (memoryless, so the residual
   // has the same law), capped at a week. This also prevents a batch of
   // devices created at t = 0 from requesting work in lock-step.
-  const double stagger =
-      std::min(dev.rng.exponential(dev.spec.off_mean_seconds > 0.0
-                                       ? dev.spec.off_mean_seconds
-                                       : 1.0),
-               util::kSecondsPerWeek);
+  const double stagger = std::min(
+      dev.rng.exponential(dev.spec.off_mean_seconds), util::kSecondsPerWeek);
   arm_in(d, Action::kOnline, stagger);
 }
 

@@ -93,6 +93,23 @@ DockingEngine::DockingEngine(const proteins::ReducedProtein& receptor,
   }
 }
 
+[[gnu::always_inline]] inline DockingEngine::Cell DockingEngine::cell_of(
+    double x, double y, double z) const {
+  const double edge = params_.cutoff;
+  return {static_cast<int>(std::floor((x - origin_.x) / edge)),
+          static_cast<int>(std::floor((y - origin_.y) / edge)),
+          static_cast<int>(std::floor((z - origin_.z) / edge))};
+}
+
+[[gnu::always_inline]] inline DockingEngine::Window DockingEngine::window_of(
+    Cell c) const {
+  // A ligand atom outside the receptor box can still interact with
+  // boundary cells; clamp the 3x3x3 window into the grid.
+  return {std::max(0, c.x - 1), std::min(nx_ - 1, c.x + 1),
+          std::max(0, c.y - 1), std::min(ny_ - 1, c.y + 1),
+          std::max(0, c.z - 1), std::min(nz_ - 1, c.z + 1)};
+}
+
 void DockingEngine::build_cell_grid(
     const std::vector<proteins::PseudoAtom>& atoms) {
   const double edge = params_.cutoff;
@@ -112,20 +129,16 @@ void DockingEngine::build_cell_grid(
   nz_ = std::max(1, static_cast<int>(std::floor((hi.z - lo.z) / edge)) + 1);
 
   const std::size_t n_cells = static_cast<std::size_t>(nx_) * ny_ * nz_;
-  auto cell_of = [&](const Vec3& p) {
-    const int cx = std::clamp(
-        static_cast<int>(std::floor((p.x - origin_.x) / edge)), 0, nx_ - 1);
-    const int cy = std::clamp(
-        static_cast<int>(std::floor((p.y - origin_.y) / edge)), 0, ny_ - 1);
-    const int cz = std::clamp(
-        static_cast<int>(std::floor((p.z - origin_.z) / edge)), 0, nz_ - 1);
-    return flat_cell(cx, cy, cz);
+  auto cell_index = [&](const Vec3& p) {
+    const Cell c = cell_of(p.x, p.y, p.z);
+    return flat_cell(std::clamp(c.x, 0, nx_ - 1), std::clamp(c.y, 0, ny_ - 1),
+                     std::clamp(c.z, 0, nz_ - 1));
   };
 
   // Counting sort: CSR offsets, then emit the SoA arrays in cell order so
   // every cell is a contiguous slice of the receptor arrays.
   std::vector<std::uint32_t> counts(n_cells, 0);
-  for (const auto& a : atoms) ++counts[cell_of(a.position)];
+  for (const auto& a : atoms) ++counts[cell_index(a.position)];
   cell_start_.assign(n_cells + 1, 0);
   for (std::size_t c = 0; c < n_cells; ++c)
     cell_start_[c + 1] = cell_start_[c] + counts[c];
@@ -140,7 +153,7 @@ void DockingEngine::build_cell_grid(
   std::vector<std::uint32_t> cursor(cell_start_.begin(),
                                     cell_start_.end() - 1);
   for (const auto& a : atoms) {
-    const std::uint32_t slot = cursor[cell_of(a.position)]++;
+    const std::uint32_t slot = cursor[cell_index(a.position)]++;
     rx_[slot] = a.position.x;
     ry_[slot] = a.position.y;
     rz_[slot] = a.position.z;
@@ -150,57 +163,43 @@ void DockingEngine::build_cell_grid(
   }
 }
 
-DockingEngine::Scratch DockingEngine::make_scratch() const {
-  Scratch s;
-  s.x.resize(lx_.size());
-  s.y.resize(lx_.size());
-  s.z.resize(lx_.size());
-  return s;
-}
-
-namespace {
-
-void size_batch_scratch(DockingEngine::BatchScratch& s, std::size_t lanes,
-                        std::size_t nl) {
-  s.lanes = lanes;
-  s.x.resize(nl * lanes);
-  s.y.resize(nl * lanes);
-  s.z.resize(nl * lanes);
-  s.lj.resize(lanes);
-  s.elec.resize(lanes);
-  s.r2.resize(lanes);
-  s.within_acc.resize(lanes);
-  s.inspected.resize(lanes);
-  s.within.resize(lanes);
-  s.wx0.resize(lanes);
-  s.wx1.resize(lanes);
-  s.wy0.resize(lanes);
-  s.wy1.resize(lanes);
-  s.wz0.resize(lanes);
-  s.wz1.resize(lanes);
-  s.row_begin.resize(lanes);
-  s.row_end.resize(lanes);
-}
-
-}  // namespace
-
-DockingEngine::BatchScratch DockingEngine::make_batch_scratch(
-    std::size_t lanes) const {
-  BatchScratch s;
-  size_batch_scratch(s, lanes, lx_.size());
-  return s;
-}
-
-InteractionEnergy DockingEngine::energy(const proteins::RigidTransform& pose,
-                                        Scratch& scratch,
-                                        WorkCounter* work) const {
+void DockingEngine::fit(Scratch& scratch) const {
   const std::size_t nl = lx_.size();
   if (scratch.x.size() != nl) {
     scratch.x.resize(nl);
     scratch.y.resize(nl);
     scratch.z.resize(nl);
   }
+  if (scratch.hit_j.size() < rx_.size()) {
+    scratch.hit_j.resize(rx_.size());
+    scratch.hit_r2.resize(rx_.size());
+  }
+}
+
+DockingEngine::Scratch DockingEngine::make_scratch() const {
+  Scratch s;
+  fit(s);
+  return s;
+}
+
+DockingEngine::BatchScratch DockingEngine::make_batch_scratch(
+    std::size_t lanes) const {
+  BatchScratch s;
+  if (lanes >= kTileLanes) {
+    s.x.resize(lx_.size() * kTileLanes);
+    s.y.resize(lx_.size() * kTileLanes);
+    s.z.resize(lx_.size() * kTileLanes);
+  }
+  fit(s.lane);
+  return s;
+}
+
+InteractionEnergy DockingEngine::energy(const proteins::RigidTransform& pose,
+                                        Scratch& scratch,
+                                        WorkCounter* work) const {
+  fit(scratch);
   // Transform the whole ligand once per evaluation (SoA in, SoA out).
+  const std::size_t nl = lx_.size();
   const auto& m = pose.rotation.m;
   const Vec3 t = pose.translation;
   for (std::size_t i = 0; i < nl; ++i) {
@@ -213,7 +212,7 @@ InteractionEnergy DockingEngine::energy(const proteins::RigidTransform& pose,
   std::uint64_t inspected = 0, within = 0;
   const InteractionEnergy e =
       accumulate_cells(scratch.x.data(), scratch.y.data(), scratch.z.data(),
-                       &inspected, &within);
+                       scratch, &inspected, &within);
 
   if (work != nullptr) {
     ++work->evaluations;
@@ -228,25 +227,16 @@ void DockingEngine::energy_batch(const proteins::RigidTransform* poses,
                                  std::size_t count, BatchScratch& scratch,
                                  InteractionEnergy* out,
                                  WorkCounter* work) const {
-  if (count == 0) return;
+  constexpr std::size_t W = kTileLanes;
   const std::size_t nl = lx_.size();
-  if (scratch.lanes < count || scratch.x.size() < nl * count)
-    size_batch_scratch(scratch, count, nl);
-  const std::size_t B = count;
+  fit(scratch.lane);
+  WorkCounter local;  // flushed into *work once per batch
 
-  std::fill(scratch.lj.begin(), scratch.lj.begin() + B, 0.0);
-  std::fill(scratch.elec.begin(), scratch.elec.begin() + B, 0.0);
-  std::fill(scratch.within_acc.begin(), scratch.within_acc.begin() + B, 0.0);
-  std::fill(scratch.inspected.begin(), scratch.inspected.begin() + B, 0);
-
-  // Tile the lanes by pose proximity before transforming: a tile shares
-  // one receptor traversal (a walk over the union of its lanes' cell
-  // windows), so lumping distant poses together — e.g. the different gamma
-  // starts — would multiply the masked inner-loop work by the tile
-  // width. Nearby poses — the 12 finite-difference probes of one descent
-  // differ by well under a cell — amortise the traversal perfectly; a
-  // lone distant pose degrades to a tile of one, which routes through
-  // the scalar kernel itself. Tiling cannot change results: per-lane
+  // Tile the lanes by pose proximity: a tile shares one receptor walk, so
+  // lumping distant poses together — e.g. the different gamma starts —
+  // would walk cells no lane needs. Nearby poses — the 12
+  // finite-difference probes of one descent differ by well under a cell
+  // — share the walk perfectly. Tiling cannot change results: per-lane
   // sums are independent and a lane's term order does not depend on its
   // tile.
   const double tile_thresh = 0.25 * params_.cutoff;
@@ -265,29 +255,37 @@ void DockingEngine::energy_batch(const proteins::RigidTransform* poses,
            std::sqrt(fro2) * lig_radius_;
   };
   std::size_t tile = 0;
-  while (tile < B) {
+  while (tile < count) {
     std::size_t tile_end = tile + 1;
     double slack = 0.0;
-    while (tile_end < B) {
+    while (tile_end < count && tile_end - tile < W) {
       const double d = displacement_bound(poses[tile], poses[tile_end]);
       if (d >= tile_thresh) break;
       slack = std::max(slack, d);
       ++tile_end;
     }
-    const std::size_t W = tile_end - tile;
+    if (tile_end - tile < W) {
+      // Too few nearby lanes to fill a tile: each is a scalar evaluation.
+      for (std::size_t b = tile; b < tile_end; ++b)
+        out[b] = energy(poses[b], scratch.lane, &local);
+      tile = tile_end;
+      continue;
+    }
+    if (scratch.x.size() < nl * W) {
+      scratch.x.resize(nl * W);
+      scratch.y.resize(nl * W);
+      scratch.z.resize(nl * W);
+    }
     // Every lane of the tile sits within `slack` of lane 0 (rigid-body
     // displacement bound, conservative), so one lane-0 distance test can
     // prove a receptor atom is beyond the cutoff for the whole tile. The
     // epsilon absorbs the bound's floating-point round-off (~1e-13 at
     // these magnitudes), keeping the prune strictly conservative.
     const double prune = params_.cutoff + slack + 1e-6;
-    const double prune2 = prune * prune;
 
-    // Transform the tile's ligands into the tile-major layout (atom i,
-    // tile lane b at [i * W + b]) — the kernel streams exactly these
-    // coordinates, contiguously. Same expression as the scalar path, so
-    // each lane's world-frame positions are bit-identical to an energy()
-    // call with the same pose.
+    // Transform the tile's ligands into the tile-major layout. Same
+    // expression as the scalar path, so each lane's world-frame positions
+    // are bit-identical to an energy() call with the same pose.
     for (std::size_t b = 0; b < W; ++b) {
       const auto& m = poses[tile + b].rotation.m;
       const Vec3 t = poses[tile + b].translation;
@@ -298,132 +296,123 @@ void DockingEngine::energy_batch(const proteins::RigidTransform* poses,
         scratch.z[i * W + b] = m[2][0] * x + m[2][1] * y + m[2][2] * z + t.z;
       }
     }
-
-    if (W == 1) {
-      // A width-1 tile is the scalar evaluation itself: the transform
-      // above wrote a contiguous ligand, so run the scalar kernel on it
-      // directly — bit-identity by construction, none of the masked
-      // path's bookkeeping. The within count goes through within_acc so
-      // the post-loop conversion below stays uniform.
-      std::uint64_t ins = 0, win = 0;
-      const InteractionEnergy e =
-          accumulate_cells(scratch.x.data(), scratch.y.data(),
-                           scratch.z.data(), &ins, &win);
-      scratch.lj[tile] = e.lj;
-      scratch.elec[tile] = e.elec;
-      scratch.inspected[tile] = ins;
-      scratch.within_acc[tile] = static_cast<double>(win);
-    } else {
-      batch_accumulate_cells(scratch, scratch.x.data(), scratch.y.data(),
-                             scratch.z.data(), tile, W, prune2);
-    }
+    std::uint64_t inspected = 0, within = 0;
+    batch_accumulate_cells(scratch.x.data(), scratch.y.data(),
+                           scratch.z.data(), prune * prune, scratch.lane,
+                           out + tile, &inspected, &within);
+    // The tile's tallies equal what W scalar evaluations would record.
+    local.evaluations += W;
+    local.pair_terms += static_cast<std::uint64_t>(W) * rx_.size() * nl;
+    local.inspected_pairs += inspected;
+    local.within_cutoff_pairs += within;
     tile = tile_end;
   }
-
-  // The kernels tally within-cutoff hits as doubles (so the count shares
-  // the energy terms' vector lanes); each per-lane count is an exact
-  // small integer.
-  for (std::size_t b = 0; b < B; ++b)
-    scratch.within[b] = static_cast<std::uint64_t>(scratch.within_acc[b]);
-
-  // One counter flush per batch, not per pose: the per-lane tallies in the
-  // scratch sum to exactly what B scalar evaluations would have recorded.
-  if (work != nullptr) {
-    std::uint64_t inspected = 0, within = 0;
-    for (std::size_t b = 0; b < B; ++b) {
-      inspected += scratch.inspected[b];
-      within += scratch.within[b];
-    }
-    work->evaluations += B;
-    work->pair_terms += static_cast<std::uint64_t>(B) * rx_.size() * nl;
-    work->inspected_pairs += inspected;
-    work->within_cutoff_pairs += within;
-  }
-  for (std::size_t b = 0; b < B; ++b)
-    out[b] = InteractionEnergy{scratch.lj[b], scratch.elec[b]};
+  if (work != nullptr) *work += local;
 }
 
 // The kernels' bodies. Each is always inlined into one entry point per
 // variant (end of file), so each variant compiles the same source under
 // its own target.
 
-[[gnu::always_inline]] inline InteractionEnergy
-DockingEngine::accumulate_cells_body(
-    const double* x, const double* y, const double* z,
-    std::uint64_t* inspected, std::uint64_t* within) const {
-  InteractionEnergy e;
-  const double edge = params_.cutoff;
-  const double cutoff2 = edge * edge;
-  const double min_d2 = params_.min_distance * params_.min_distance;
-  const double ke = params_.coulomb_constant / params_.dielectric_slope;
-  const std::size_t nl = lx_.size();
-  std::uint64_t looked = 0, hits = 0;
+[[gnu::always_inline]] inline void DockingEngine::atom_terms(
+    std::size_t i, double x, double y, double z,
+    std::uint32_t* __restrict hit_j, double* __restrict hit_r2, double& lj,
+    double& elec, std::uint64_t& inspected, std::uint64_t& within) const {
+  const Window w = window_of(cell_of(x, y, z));
+  if (w.empty()) return;
+  const double cutoff2 = params_.cutoff * params_.cutoff;
   const double* const rx = rx_.data();
   const double* const ry = ry_.data();
   const double* const rz = rz_.data();
-  const double* const rrad = rrad_.data();
-  const double* const rseps = rseps_.data();
-  const double* const rq = rq_.data();
 
-  for (std::size_t i = 0; i < nl; ++i) {
-    const double lxi = x[i], lyi = y[i], lzi = z[i];
-    const double lrad = lrad_[i], lse = lseps_[i];
-    const double lqke = lq_[i] * ke;
-    const int cx = static_cast<int>(std::floor((lxi - origin_.x) / edge));
-    const int cy = static_cast<int>(std::floor((lyi - origin_.y) / edge));
-    const int cz = static_cast<int>(std::floor((lzi - origin_.z) / edge));
-    // A ligand atom outside the receptor box can still interact with
-    // boundary cells; clamp the 3x3x3 window into the grid.
-    const int x0 = std::max(0, cx - 1), x1 = std::min(nx_ - 1, cx + 1);
-    const int y0 = std::max(0, cy - 1), y1 = std::min(ny_ - 1, cy + 1);
-    const int z0 = std::max(0, cz - 1), z1 = std::min(nz_ - 1, cz + 1);
-    if (x0 > x1 || y0 > y1 || z0 > z1) continue;  // window fully outside
-
-    for (int zz = z0; zz <= z1; ++zz) {
-      for (int yy = y0; yy <= y1; ++yy) {
-        // The x-run of a (y, z) row is contiguous in the permuted SoA, so
-        // fuse the three x-cells into one linear slice.
-        const std::uint32_t begin = cell_start_[flat_cell(x0, yy, zz)];
-        const std::uint32_t end = cell_start_[flat_cell(x1, yy, zz) + 1];
-        looked += end - begin;
-        for (std::uint32_t j = begin; j < end; ++j) {
-          const double dx = lxi - rx[j];
-          const double dy = lyi - ry[j];
-          const double dz = lzi - rz[j];
-          double r2 = dx * dx + dy * dy + dz * dz;
-          if (r2 > cutoff2) continue;
-          if (r2 < min_d2) r2 = min_d2;
-          ++hits;
-
-          const double inv_r2 = 1.0 / r2;
-          const double rmin = lrad + rrad[j];
-          const double s2 = (rmin * rmin) * inv_r2;
-          const double s6 = s2 * s2 * s2;
-          e.lj += (lse * rseps[j]) * (s6 * s6 - 2.0 * s6);
-          e.elec += (lqke * rq[j]) * inv_r2;
-        }
+  // Distance pass over every inspected pair. The x-run of a (y, z) row is
+  // contiguous in the permuted SoA, so the three x-cells fuse into one
+  // slice. A slice's r^2 are computed into the buffer after the hits so
+  // far (a loop the compiler vectorises), then compacted in place: each
+  // pair's (j, r^2) goes to the next hit slot, which only advances when
+  // the pair is within the cutoff — no branch to mispredict.
+  std::size_t n = 0;
+  for (int zz = w.z0; zz <= w.z1; ++zz) {
+    for (int yy = w.y0; yy <= w.y1; ++yy) {
+      const std::uint32_t begin = cell_start_[flat_cell(w.x0, yy, zz)];
+      const std::uint32_t end = cell_start_[flat_cell(w.x1, yy, zz) + 1];
+      const std::size_t len = end - begin;
+      inspected += len;
+      double* const slice_r2 = hit_r2 + n;
+      for (std::size_t k = 0; k < len; ++k) {
+        const double dx = x - rx[begin + k];
+        const double dy = y - ry[begin + k];
+        const double dz = z - rz[begin + k];
+        slice_r2[k] = dx * dx + dy * dy + dz * dz;
+      }
+      for (std::size_t k = 0; k < len; ++k) {
+        const double r2 = slice_r2[k];
+        hit_j[n] = begin + static_cast<std::uint32_t>(k);
+        hit_r2[n] = r2;
+        n += static_cast<std::size_t>(!(r2 > cutoff2));
       }
     }
   }
-  *inspected = looked;
-  *within = hits;
-  return e;
+  within += n;
+
+  // Term pass: the division and the LJ powers, for the hits only, in walk
+  // order. The running sums live in locals so the loop-carried additions
+  // stay in registers.
+  const double min_d2 = params_.min_distance * params_.min_distance;
+  const double ke = params_.coulomb_constant / params_.dielectric_slope;
+  const double lrad = lrad_[i], lse = lseps_[i];
+  const double lqke = lq_[i] * ke;
+  const double* const rrad = rrad_.data();
+  const double* const rseps = rseps_.data();
+  const double* const rq = rq_.data();
+  double sum_lj = lj, sum_elec = elec;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::uint32_t j = hit_j[k];
+    double r2 = hit_r2[k];
+    if (r2 < min_d2) r2 = min_d2;
+    const double inv_r2 = 1.0 / r2;
+    const double rmin = lrad + rrad[j];
+    const double s2 = (rmin * rmin) * inv_r2;
+    const double s6 = s2 * s2 * s2;
+    sum_lj += (lse * rseps[j]) * (s6 * s6 - 2.0 * s6);
+    sum_elec += (lqke * rq[j]) * inv_r2;
+  }
+  lj = sum_lj;
+  elec = sum_elec;
 }
 
-// Batched kernel. The lane loop is the innermost, branch-free loop over
-// contiguous lane arrays so the compiler vectorises across poses; masked
-// lanes add an exact 0.0, which is bit-neutral here because the
-// accumulators can never hold -0.0 (they start at +0.0 and round-to-nearest
-// addition from +0.0 never produces -0.0). Per-lane term order is exactly
-// the scalar path's (i outer, j ascending), so lane b's total is
-// bit-identical to energy(poses[b]).
+[[gnu::always_inline]] inline InteractionEnergy
+DockingEngine::accumulate_cells_body(const double* x, const double* y,
+                                     const double* z, Scratch& scratch,
+                                     std::uint64_t* inspected,
+                                     std::uint64_t* within) const {
+  double lj = 0.0, elec = 0.0;
+  std::uint64_t looked = 0, hits = 0;
+  std::uint32_t* const hit_j = scratch.hit_j.data();
+  double* const hit_r2 = scratch.hit_r2.data();
+  const std::size_t nl = lx_.size();
+  for (std::size_t i = 0; i < nl; ++i)
+    atom_terms(i, x[i], y[i], z[i], hit_j, hit_r2, lj, elec, looked, hits);
+  *inspected = looked;
+  *within = hits;
+  return {lj, elec};
+}
+
+// Batched kernel. The lane loops run over compile-time-width local arrays,
+// so the compiler vectorises them across poses with no remainder loop and
+// no aliasing check, and the accumulators stay in the kernel's frame for
+// the whole tile. Masked lanes add an exact 0.0, which is bit-neutral here
+// because the accumulators can never hold -0.0 (they start at +0.0 and
+// round-to-nearest addition from +0.0 never produces -0.0). Per-lane term
+// order is exactly the scalar path's (i outer, j ascending), so lane b's
+// total is bit-identical to energy(poses[b]).
 
 [[gnu::always_inline]] inline void DockingEngine::batch_accumulate_cells_body(
-    BatchScratch& s, const double* x, const double* y, const double* z,
-    std::size_t lane0, std::size_t width, double prune2) const {
-  const std::size_t W = width;
-  const double edge = params_.cutoff;
-  const double cutoff2 = edge * edge;
+    const double* x, const double* y, const double* z, double prune2,
+    Scratch& lane, InteractionEnergy* out, std::uint64_t* inspected,
+    std::uint64_t* within) const {
+  constexpr std::size_t W = kTileLanes;
+  const double cutoff2 = params_.cutoff * params_.cutoff;
   const double min_d2 = params_.min_distance * params_.min_distance;
   const double ke = params_.coulomb_constant / params_.dielectric_slope;
   const std::size_t nl = lx_.size();
@@ -433,248 +422,143 @@ DockingEngine::accumulate_cells_body(
   const double* const rrad = rrad_.data();
   const double* const rseps = rseps_.data();
   const double* const rq = rq_.data();
-  double* const __restrict acc_lj = s.lj.data() + lane0;
-  double* const __restrict acc_el = s.elec.data() + lane0;
-  double* const __restrict r2buf = s.r2.data();
-  double* const __restrict within = s.within_acc.data() + lane0;
-  std::uint64_t* const __restrict inspected = s.inspected.data() + lane0;
-  std::uint32_t* const __restrict row_begin = s.row_begin.data();
-  std::uint32_t* const __restrict row_end = s.row_end.data();
+  double lj[W] = {}, el[W] = {};
+  std::uint64_t looked = 0, hits = 0;
 
   for (std::size_t i = 0; i < nl; ++i) {
-    const double* const px = x + i * W;
-    const double* const py = y + i * W;
-    const double* const pz = z + i * W;
-    const double lrad = lrad_[i], lse = lseps_[i];
-    const double lqke = lq_[i] * ke;
-
-    // Per-lane clamped 3x3x3 windows (same arithmetic as the scalar walk);
-    // a fully-outside lane gets an empty z-range so no row matches it.
-    int uz0 = nz_, uz1 = -1, uy0 = ny_, uy1 = -1;
+    double px[W], py[W], pz[W];
     for (std::size_t b = 0; b < W; ++b) {
-      const int cx =
-          static_cast<int>(std::floor((px[b] - origin_.x) / edge));
-      const int cy =
-          static_cast<int>(std::floor((py[b] - origin_.y) / edge));
-      const int cz =
-          static_cast<int>(std::floor((pz[b] - origin_.z) / edge));
-      int x0 = std::max(0, cx - 1), x1 = std::min(nx_ - 1, cx + 1);
-      int y0 = std::max(0, cy - 1), y1 = std::min(ny_ - 1, cy + 1);
-      int z0 = std::max(0, cz - 1), z1 = std::min(nz_ - 1, cz + 1);
-      if (x0 > x1 || y0 > y1 || z0 > z1) {
-        z0 = 1;
-        z1 = 0;  // empty marker: z0 > z1 never matches a row
-      } else {
-        uz0 = std::min(uz0, z0);
-        uz1 = std::max(uz1, z1);
-        uy0 = std::min(uy0, y0);
-        uy1 = std::max(uy1, y1);
-      }
-      s.wx0[b] = x0;
-      s.wx1[b] = x1;
-      s.wy0[b] = y0;
-      s.wy1[b] = y1;
-      s.wz0[b] = z0;
-      s.wz1[b] = z1;
+      px[b] = x[i * W + b];
+      py[b] = y[i * W + b];
+      pz[b] = z[i * W + b];
     }
-    if (uz0 > uz1) continue;  // every lane's window fully outside
-
-    // Tight probe tiles usually land every lane in the same cells; with
-    // identical windows every row's slice is shared, so the per-lane
-    // bounds loop and the slice masks drop out of the walk entirely.
-    bool same_windows = true;
+    int cx[W], cy[W], cz[W];
+    for (std::size_t b = 0; b < W; ++b) {
+      const Cell c = cell_of(px[b], py[b], pz[b]);
+      cx[b] = c.x;
+      cy[b] = c.y;
+      cz[b] = c.z;
+    }
+    bool same = true;
     for (std::size_t b = 1; b < W; ++b)
-      same_windows &= (s.wx0[b] == s.wx0[0]) & (s.wx1[b] == s.wx1[0]) &
-                      (s.wy0[b] == s.wy0[0]) & (s.wy1[b] == s.wy1[0]) &
-                      (s.wz0[b] == s.wz0[0]) & (s.wz1[b] == s.wz1[0]);
-    if (same_windows) {
-      for (int zz = s.wz0[0]; zz <= s.wz1[0]; ++zz) {
-        for (int yy = s.wy0[0]; yy <= s.wy1[0]; ++yy) {
-          const std::uint32_t begin = cell_start_[flat_cell(s.wx0[0], yy, zz)];
-          const std::uint32_t end = cell_start_[flat_cell(s.wx1[0], yy, zz) + 1];
-          const std::uint64_t n = end - begin;
-          for (std::size_t b = 0; b < W; ++b) inspected[b] += n;
-          for (std::uint32_t j = begin; j < end; ++j) {
-            const double rxj = rx[j], ryj = ry[j], rzj = rz[j];
-            // Tile-wide prune, as in the masked walk below.
-            {
-              const double dx = px[0] - rxj;
-              const double dy = py[0] - ryj;
-              const double dz = pz[0] - rzj;
-              if (dx * dx + dy * dy + dz * dz > prune2) continue;
-            }
-            for (std::size_t b = 0; b < W; ++b) {
-              const double dx = px[b] - rxj;
-              const double dy = py[b] - ryj;
-              const double dz = pz[b] - rzj;
-              r2buf[b] = dx * dx + dy * dy + dz * dz;
-            }
-            std::uint64_t any = 0;
-            for (std::size_t b = 0; b < W; ++b)
-              any += static_cast<std::uint64_t>(r2buf[b] <= cutoff2);
-            if (any == 0) continue;
-
-            const double rm2 = (lrad + rrad[j]) * (lrad + rrad[j]);
-            const double eps = lse * rseps[j];
-            const double qke = lqke * rq[j];
-            if (4 * any <= W) {
-              for (std::size_t b = 0; b < W; ++b) {
-                if (!(r2buf[b] <= cutoff2)) continue;
-                const double r2 = r2buf[b] < min_d2 ? min_d2 : r2buf[b];
-                const double inv_r2 = 1.0 / r2;
-                const double s2 = rm2 * inv_r2;
-                const double s6 = s2 * s2 * s2;
-                acc_lj[b] += eps * (s6 * s6 - 2.0 * s6);
-                acc_el[b] += qke * inv_r2;
-                within[b] += 1.0;
-              }
-              continue;
-            }
-            for (std::size_t b = 0; b < W; ++b) {
-              const bool in = r2buf[b] <= cutoff2;
-              const double r2 = r2buf[b] < min_d2 ? min_d2 : r2buf[b];
-              const double inv_r2 = 1.0 / r2;
-              const double s2 = rm2 * inv_r2;
-              const double s6 = s2 * s2 * s2;
-              acc_lj[b] += in ? eps * (s6 * s6 - 2.0 * s6) : 0.0;
-              acc_el[b] += in ? qke * inv_r2 : 0.0;
-              within[b] += in ? 1.0 : 0.0;
-            }
-          }
-        }
-      }
+      same &= (cx[b] == cx[0]) & (cy[b] == cy[0]) & (cz[b] == cz[0]);
+    if (!same) {
+      // The lanes straddle a cell boundary: walk each lane's own window.
+      for (std::size_t b = 0; b < W; ++b)
+        atom_terms(i, px[b], py[b], pz[b], lane.hit_j.data(),
+                   lane.hit_r2.data(), lj[b], el[b], looked, hits);
       continue;
     }
+    const Window w = window_of({cx[0], cy[0], cz[0]});
+    if (w.empty()) continue;
 
-    // Walk the union of the lanes' (y, z) rows in the scalar order (z
-    // ascending, y ascending, j ascending within the fused x-slice). A
-    // lane's own rows form a subsequence of the union walk, so its term
-    // order is unchanged; per-row lane masks keep non-member lanes out.
-    for (int zz = uz0; zz <= uz1; ++zz) {
-      for (int yy = uy0; yy <= uy1; ++yy) {
-        std::uint32_t ubegin = UINT32_MAX, uend = 0;
-        for (std::size_t b = 0; b < W; ++b) {
-          std::uint32_t begin = 0, end = 0;
-          if (zz >= s.wz0[b] && zz <= s.wz1[b] && yy >= s.wy0[b] &&
-              yy <= s.wy1[b]) {
-            begin = cell_start_[flat_cell(s.wx0[b], yy, zz)];
-            end = cell_start_[flat_cell(s.wx1[b], yy, zz) + 1];
-            inspected[b] += end - begin;
-            if (begin < end) {
-              ubegin = std::min(ubegin, begin);
-              uend = std::max(uend, end);
-            }
-          }
-          row_begin[b] = begin;
-          row_end[b] = end;
+    // Tile-wide prune: one lane-0 distance beyond cutoff + slack proves
+    // the pair is out of cutoff for every lane (triangle inequality), for
+    // a twelfth of the per-lane distance work. Lane 0's r^2 over the
+    // window's fused x-slices are computed and the receptor atoms that
+    // survive the prune compacted without a branch, in walk order, as
+    // atom_terms() does with its hits.
+    std::uint32_t* const near = lane.hit_j.data();
+    double* const near_r2 = lane.hit_r2.data();
+    std::size_t n = 0;
+    for (int zz = w.z0; zz <= w.z1; ++zz) {
+      for (int yy = w.y0; yy <= w.y1; ++yy) {
+        const std::uint32_t begin = cell_start_[flat_cell(w.x0, yy, zz)];
+        const std::uint32_t end = cell_start_[flat_cell(w.x1, yy, zz) + 1];
+        const std::size_t len = end - begin;
+        looked += W * len;
+        double* const slice_r2 = near_r2 + n;
+        for (std::size_t k = 0; k < len; ++k) {
+          const double dx = px[0] - rx[begin + k];
+          const double dy = py[0] - ry[begin + k];
+          const double dz = pz[0] - rz[begin + k];
+          slice_r2[k] = dx * dx + dy * dy + dz * dz;
         }
-        if (ubegin >= uend) continue;
-
-        for (std::uint32_t j = ubegin; j < uend; ++j) {
-          const double rxj = rx[j], ryj = ry[j], rzj = rz[j];
-          // Tile-wide prune: one lane-0 distance beyond cutoff + slack
-          // proves the pair is out of cutoff for every lane (triangle
-          // inequality — valid whether or not lane 0 is in this row's
-          // slice), for a twelfth of the per-lane distance work.
-          {
-            const double dx = px[0] - rxj;
-            const double dy = py[0] - ryj;
-            const double dz = pz[0] - rzj;
-            if (dx * dx + dy * dy + dz * dz > prune2) continue;
-          }
-          // Distance pass for the tile, then the scalar path's early-out:
-          // only pairs some lane sees within the cutoff pay for the
-          // division and LJ powers (~15 % of the inspected pairs).
-          for (std::size_t b = 0; b < W; ++b) {
-            const double dx = px[b] - rxj;
-            const double dy = py[b] - ryj;
-            const double dz = pz[b] - rzj;
-            r2buf[b] = dx * dx + dy * dy + dz * dz;
-          }
-          std::uint64_t any = 0;
-          for (std::size_t b = 0; b < W; ++b)
-            any += static_cast<std::uint64_t>(
-                (j >= row_begin[b]) & (j < row_end[b]) &
-                (r2buf[b] <= cutoff2));
-          if (any == 0) continue;
-
-          const double rm2 = (lrad + rrad[j]) * (lrad + rrad[j]);
-          const double eps = lse * rseps[j];
-          const double qke = lqke * rq[j];
-          if (4 * any <= W) {
-            // Sparse: only a lane or two sees this pair (the probes have
-            // decorrelated at the cutoff shell). A full-width masked pass
-            // would pay the division and LJ powers for every lane, so
-            // handle just the hit lanes scalarly — ascending b keeps each
-            // lane's own term order, so bit-identity is untouched.
-            for (std::size_t b = 0; b < W; ++b) {
-              if (!((j >= row_begin[b]) & (j < row_end[b]) &
-                    (r2buf[b] <= cutoff2)))
-                continue;
-              const double r2 = r2buf[b] < min_d2 ? min_d2 : r2buf[b];
-              const double inv_r2 = 1.0 / r2;
-              const double s2 = rm2 * inv_r2;
-              const double s6 = s2 * s2 * s2;
-              acc_lj[b] += eps * (s6 * s6 - 2.0 * s6);
-              acc_el[b] += qke * inv_r2;
-              within[b] += 1.0;
-            }
-            continue;
-          }
-          for (std::size_t b = 0; b < W; ++b) {
-            const bool in_slice = (j >= row_begin[b]) & (j < row_end[b]);
-            const bool in = in_slice & (r2buf[b] <= cutoff2);
-            const double r2 = r2buf[b] < min_d2 ? min_d2 : r2buf[b];
-            const double inv_r2 = 1.0 / r2;
-            const double s2 = rm2 * inv_r2;
-            const double s6 = s2 * s2 * s2;
-            acc_lj[b] += in ? eps * (s6 * s6 - 2.0 * s6) : 0.0;
-            acc_el[b] += in ? qke * inv_r2 : 0.0;
-            within[b] += in ? 1.0 : 0.0;
-          }
+        for (std::size_t k = 0; k < len; ++k) {
+          near[n] = begin + static_cast<std::uint32_t>(k);
+          n += static_cast<std::size_t>(!(slice_r2[k] > prune2));
         }
+      }
+    }
+
+    const double lrad = lrad_[i], lse = lseps_[i];
+    const double lqke = lq_[i] * ke;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::uint32_t j = near[k];
+      const double rxj = rx[j], ryj = ry[j], rzj = rz[j];
+      // Distance pass for the tile, then the scalar path's early-out: only
+      // pairs some lane sees within the cutoff pay for the division and
+      // LJ powers.
+      double r2[W];
+      for (std::size_t b = 0; b < W; ++b) {
+        const double dx = px[b] - rxj;
+        const double dy = py[b] - ryj;
+        const double dz = pz[b] - rzj;
+        r2[b] = dx * dx + dy * dy + dz * dz;
+      }
+      std::uint64_t any = 0;
+      for (std::size_t b = 0; b < W; ++b)
+        any += static_cast<std::uint64_t>(r2[b] <= cutoff2);
+      if (any == 0) continue;
+      hits += any;
+
+      const double rm2 = (lrad + rrad[j]) * (lrad + rrad[j]);
+      const double eps = lse * rseps[j];
+      const double qke = lqke * rq[j];
+      for (std::size_t b = 0; b < W; ++b) {
+        const bool in = r2[b] <= cutoff2;
+        const double r2c = r2[b] < min_d2 ? min_d2 : r2[b];
+        const double inv_r2 = 1.0 / r2c;
+        const double s2 = rm2 * inv_r2;
+        const double s6 = s2 * s2 * s2;
+        lj[b] += in ? eps * (s6 * s6 - 2.0 * s6) : 0.0;
+        el[b] += in ? qke * inv_r2 : 0.0;
       }
     }
   }
+  for (std::size_t b = 0; b < W; ++b) out[b] = InteractionEnergy{lj[b], el[b]};
+  *inspected = looked;
+  *within = hits;
 }
 
 // The entry points, one per kernel and variant.
 
 InteractionEnergy DockingEngine::accumulate_cells(
-    const double* x, const double* y, const double* z,
+    const double* x, const double* y, const double* z, Scratch& scratch,
     std::uint64_t* inspected, std::uint64_t* within) const {
 #ifdef HCMD_TARGET_X86_64_V3
   if (variant_ == KernelVariant::kX86_64_v3)
-    return accumulate_cells_x86_64_v3(x, y, z, inspected, within);
+    return accumulate_cells_x86_64_v3(x, y, z, scratch, inspected, within);
 #endif
-  return accumulate_cells_body(x, y, z, inspected, within);
+  return accumulate_cells_body(x, y, z, scratch, inspected, within);
 }
 
-void DockingEngine::batch_accumulate_cells(BatchScratch& s, const double* x,
-                                           const double* y, const double* z,
-                                           std::size_t lane0,
-                                           std::size_t width,
-                                           double prune2) const {
+void DockingEngine::batch_accumulate_cells(
+    const double* x, const double* y, const double* z, double prune2,
+    Scratch& lane, InteractionEnergy* out, std::uint64_t* inspected,
+    std::uint64_t* within) const {
 #ifdef HCMD_TARGET_X86_64_V3
   if (variant_ == KernelVariant::kX86_64_v3)
-    return batch_accumulate_cells_x86_64_v3(s, x, y, z, lane0, width, prune2);
+    return batch_accumulate_cells_x86_64_v3(x, y, z, prune2, lane, out,
+                                            inspected, within);
 #endif
-  batch_accumulate_cells_body(s, x, y, z, lane0, width, prune2);
+  batch_accumulate_cells_body(x, y, z, prune2, lane, out, inspected, within);
 }
 
 #ifdef HCMD_TARGET_X86_64_V3
 HCMD_TARGET_X86_64_V3 InteractionEnergy
 DockingEngine::accumulate_cells_x86_64_v3(const double* x, const double* y,
-                                          const double* z,
+                                          const double* z, Scratch& scratch,
                                           std::uint64_t* inspected,
                                           std::uint64_t* within) const {
-  return accumulate_cells_body(x, y, z, inspected, within);
+  return accumulate_cells_body(x, y, z, scratch, inspected, within);
 }
 
 HCMD_TARGET_X86_64_V3 void DockingEngine::batch_accumulate_cells_x86_64_v3(
-    BatchScratch& s, const double* x, const double* y, const double* z,
-    std::size_t lane0, std::size_t width, double prune2) const {
-  batch_accumulate_cells_body(s, x, y, z, lane0, width, prune2);
+    const double* x, const double* y, const double* z, double prune2,
+    Scratch& lane, InteractionEnergy* out, std::uint64_t* inspected,
+    std::uint64_t* within) const {
+  batch_accumulate_cells_body(x, y, z, prune2, lane, out, inspected, within);
 }
 #endif
 

@@ -15,20 +15,26 @@
 //    construction, so each transformed ligand atom visits only the 27
 //    neighbouring cells and every visited cell is a contiguous slice.
 //  * Scratch buffer: the caller supplies a Scratch holding the transformed
-//    ligand positions, reused across evaluations instead of re-allocating
-//    per call. The engine itself is immutable after construction and safe
-//    to share across threads — each thread brings its own Scratch.
-//  * Batched path: energy_batch() evaluates B poses with the pose index as
-//    the SIMD lane. Lanes are grouped into tiles of nearby poses (the 12
-//    finite-difference probes of one descent step); each tile is
-//    transformed into a struct-of-lanes layout (atom i, tile lane b at
-//    [i*width + b]) so the inner loop reads contiguous lane arrays with no
-//    gathers, and every receptor atom/cell visited is amortised over the
-//    tile. A tile of one lane routes through the scalar kernel itself.
-//    Vectorisation is across poses, never across atoms: each lane
-//    accumulates exactly the scalar path's (ligand atom, receptor atom)
-//    term sequence, so batched results are bit-identical to energy() per
-//    lane.
+//    ligand positions and the scalar kernel's hit buffer, reused across
+//    evaluations instead of re-allocating per call. The engine itself is
+//    immutable after construction and safe to share across threads — each
+//    thread brings its own Scratch.
+//  * Hit-compacted scalar kernel: for each ligand atom the kernel first
+//    computes r^2 for every receptor atom of the 3x3x3 cell window and
+//    compacts, without a branch, the within-cutoff pairs (receptor index
+//    and r^2, in walk order) into the hit buffer; only those hits then
+//    pay the division and the LJ powers, in the same order.
+//  * Batched path: energy_batch() evaluates B poses, grouped into tiles of
+//    nearby poses of at most kTileLanes lanes (the 12 finite-difference
+//    probes of one descent step). A full tile runs one kernel of
+//    compile-time width that keeps the lanes' coordinates and
+//    accumulators in local fixed arrays and shares one receptor walk
+//    behind a lane-0 prune; the rare ligand atom whose lanes' cell windows
+//    differ is walked lane by lane in scalar order. Every narrower tile
+//    runs lane by lane through energy() itself. Vectorisation is across
+//    poses, never across atoms: each lane accumulates exactly the scalar
+//    path's (ligand atom, receptor atom) term sequence, so batched results
+//    are bit-identical to energy() per lane.
 //  * Kernel variants: both cell-list kernels are compiled once per
 //    KernelVariant from one source, and each engine picks the fastest
 //    variant the CPU runs when it is constructed. The variants are
@@ -68,43 +74,32 @@ KernelVariant fastest_kernel_variant();
 
 class DockingEngine {
  public:
-  /// Per-caller mutable state: world-frame ligand positions. Obtain via
-  /// make_scratch() (pre-sized) and reuse across evaluations; energy()
-  /// resizes on mismatch, so one Scratch can serve engines of different
-  /// ligand sizes.
+  /// Lanes of one batched tile: the 6 DOF x 2 central differences of one
+  /// descent step (minimizer.cpp checks its probe count against it).
+  static constexpr std::size_t kTileLanes = 12;
+
+  /// Per-caller mutable state: world-frame ligand positions and the scalar
+  /// kernel's hit buffer (receptor index and r^2 of each within-cutoff
+  /// pair of the current ligand atom; one slot per receptor atom bounds
+  /// it). Obtain via make_scratch() (pre-sized) and reuse across
+  /// evaluations; energy() resizes on mismatch, so one Scratch can serve
+  /// engines of different sizes.
   struct Scratch {
     std::vector<double> x, y, z;
+    std::vector<std::uint32_t> hit_j;
+    std::vector<double> hit_r2;
   };
 
-  /// Per-caller mutable state for the batched path. energy_batch() groups
-  /// the poses into tiles of nearby lanes and transforms one tile at a
-  /// time into x/y/z in tile-major layout (atom i of tile lane b at
-  /// [i * width + b]), so the pose dimension is the contiguous SIMD axis
-  /// and the kernel streams exactly the tile's coordinates — no strided
-  /// reads across unrelated lanes. Accumulators and counters are per
-  /// batch lane. Obtain via make_batch_scratch() pre-sized for the widest
-  /// batch a caller will evaluate; energy_batch() re-sizes on mismatch,
-  /// so one scratch serves varying batch widths.
+  /// Per-caller mutable state for the batched path: one full tile's
+  /// world-frame ligands in tile-major layout (atom i of tile lane b at
+  /// [i * kTileLanes + b], so the lanes are the contiguous SIMD axis), and
+  /// the Scratch through which lanes of narrower tiles run energy(); a
+  /// full tile borrows its hit buffer. Obtain via
+  /// make_batch_scratch(); energy_batch() re-sizes on mismatch, so one
+  /// scratch serves every batch width.
   struct BatchScratch {
-    std::size_t lanes = 0;  ///< capacity: widest batch sized so far
-    std::vector<double> x, y, z;   ///< nl * width of the current tile
-    std::vector<double> lj, elec;  ///< per-lane accumulators
-    /// Per-lane squared distances for the current pair (the vectorised
-    /// distance pass runs for every inspected pair; the expensive term
-    /// pass is skipped when no lane is within the cutoff, mirroring the
-    /// scalar path's early-out).
-    std::vector<double> r2;
-    /// Per-lane within-cutoff tallies, accumulated as doubles so the
-    /// count rides in the same vector lanes as the energy terms (exact:
-    /// counts stay far below 2^53). Converted into `within` per batch.
-    std::vector<double> within_acc;
-    /// Per-lane pair counters, matching the scalar path's bookkeeping
-    /// exactly (summed into the WorkCounter once per batch).
-    std::vector<std::uint64_t> inspected, within;
-    /// Per-tile-lane clamped 3x3x3 windows and, per (y, z) row of the
-    /// union walk, the per-lane fused x-slice bounds.
-    std::vector<std::int32_t> wx0, wx1, wy0, wy1, wz0, wz1;
-    std::vector<std::uint32_t> row_begin, row_end;
+    std::vector<double> x, y, z;
+    Scratch lane;
   };
 
   /// Copies both proteins into SoA form; the references need not outlive
@@ -124,6 +119,8 @@ class DockingEngine {
   }
 
   Scratch make_scratch() const;
+  /// A scratch for batches of up to `lanes` poses (any width works; this
+  /// only decides whether the tile buffers are allocated up front).
   BatchScratch make_batch_scratch(std::size_t lanes) const;
 
   /// Interaction energy of the ligand placed by `pose`. Thread-safe: all
@@ -133,20 +130,45 @@ class DockingEngine {
                            Scratch& scratch,
                            WorkCounter* work = nullptr) const;
 
-  /// Evaluates `count` poses in lockstep: one cell walk serves all lanes.
+  /// Evaluates `count` poses; nearby poses share one cell walk per tile.
   /// out[b] is bit-identical to energy(poses[b], ...) — per-lane
-  /// accumulation order matches the scalar path exactly — and counters are
-  /// flushed into `work` once per batch, not per pose. Thread-safe with a
-  /// per-caller scratch.
+  /// accumulation order matches the scalar path exactly — and counters
+  /// are flushed into `work` once per batch, not per pose. Thread-safe
+  /// with a per-caller scratch.
   void energy_batch(const proteins::RigidTransform* poses, std::size_t count,
                     BatchScratch& scratch, InteractionEnergy* out,
                     WorkCounter* work = nullptr) const;
 
  private:
+  /// The cell of a world-frame point, unclamped: a point outside the
+  /// grid gets out-of-range coordinates.
+  struct Cell {
+    int x, y, z;
+  };
+  /// A cell's 3x3x3 neighbourhood clamped into the grid; empty when it
+  /// lies fully outside.
+  struct Window {
+    int x0, x1, y0, y1, z0, z1;
+    bool empty() const { return x0 > x1 || y0 > y1 || z0 > z1; }
+  };
+
   void build_cell_grid(const std::vector<proteins::PseudoAtom>& atoms);
   std::size_t flat_cell(int x, int y, int z) const {
     return (static_cast<std::size_t>(z) * ny_ + y) * nx_ + x;
   }
+  Cell cell_of(double x, double y, double z) const;
+  Window window_of(Cell c) const;
+  void fit(Scratch& scratch) const;
+  // Adds ligand atom i, at world-frame (x, y, z), to one lane's sums: its
+  // window's fused x-slices in scalar order (z, then y, then j
+  // ascending), hit-compacted into `hit_j`/`hit_r2`. Both kernels are
+  // built from it, so a lane walked alone is the scalar path by
+  // construction.
+  inline void atom_terms(std::size_t i, double x, double y, double z,
+                         std::uint32_t* hit_j, double* hit_r2, double& lj,
+                         double& elec, std::uint64_t& inspected,
+                         std::uint64_t& within) const;
+
   // The two cell-list kernels, each in one entry point per variant. The
   // baseline entry point runs the engine's variant: it hands the call to
   // its x86-64-v3 twin (defined in x86-64 builds only) when variant_ asks
@@ -154,41 +176,40 @@ class DockingEngine {
   // compiles the same source under its own target ISA (engine.cpp).
   //
   // Scalar kernel over one contiguous world-frame ligand (x/y/z, nl
-  // doubles each). Shared verbatim by energy() and by width-1 batch
-  // tiles, which is what makes those tiles bit-identical by construction.
+  // doubles each), behind energy() and so behind every lane that does
+  // not fill a tile.
   InteractionEnergy accumulate_cells(const double* x, const double* y,
-                                     const double* z, std::uint64_t* inspected,
+                                     const double* z, Scratch& scratch,
+                                     std::uint64_t* inspected,
                                      std::uint64_t* within) const;
   InteractionEnergy accumulate_cells_x86_64_v3(
-      const double* x, const double* y, const double* z,
+      const double* x, const double* y, const double* z, Scratch& scratch,
       std::uint64_t* inspected, std::uint64_t* within) const;
   inline InteractionEnergy accumulate_cells_body(
-      const double* x, const double* y, const double* z,
+      const double* x, const double* y, const double* z, Scratch& scratch,
       std::uint64_t* inspected, std::uint64_t* within) const;
-  // Masked kernel over one tile of `width` lanes in tile-major layout
-  // (atom i, tile lane b at x[i * width + b]); per-lane accumulators and
-  // counters live at scratch index lane0 + b. `prune2` is the squared
-  // tile-wide prune radius (cutoff + lane-0 displacement slack): one
-  // lane-0 distance beyond it proves every lane is outside the cutoff,
-  // so the per-lane passes are skipped wholesale. It walks the union of
-  // the tile's windows once with per-lane masks.
-  // energy_batch() groups lanes into tiles of nearby poses, so the union
-  // stays close to each member's own window; which lanes share a tile
-  // cannot affect results (per-lane sums are independent and
-  // order-preserving).
-  void batch_accumulate_cells(BatchScratch& s, const double* x,
-                              const double* y, const double* z,
-                              std::size_t lane0, std::size_t width,
-                              double prune2) const;
-  void batch_accumulate_cells_x86_64_v3(BatchScratch& s, const double* x,
-                                        const double* y, const double* z,
-                                        std::size_t lane0, std::size_t width,
-                                        double prune2) const;
-  inline void batch_accumulate_cells_body(BatchScratch& s, const double* x,
-                                          const double* y, const double* z,
-                                          std::size_t lane0,
-                                          std::size_t width,
-                                          double prune2) const;
+  // Kernel over one full tile of kTileLanes lanes in tile-major layout;
+  // writes the lanes' energies to out[0, kTileLanes) and the tile's
+  // summed pair counts. `prune2` is the squared tile-wide prune radius
+  // (cutoff + displacement slack from lane 0): one lane-0 distance beyond
+  // it proves every lane is outside the cutoff. `lane` lends its hit
+  // buffer to the per-lane walks.
+  void batch_accumulate_cells(const double* x, const double* y,
+                              const double* z, double prune2, Scratch& lane,
+                              InteractionEnergy* out,
+                              std::uint64_t* inspected,
+                              std::uint64_t* within) const;
+  void batch_accumulate_cells_x86_64_v3(const double* x, const double* y,
+                                        const double* z, double prune2,
+                                        Scratch& lane, InteractionEnergy* out,
+                                        std::uint64_t* inspected,
+                                        std::uint64_t* within) const;
+  inline void batch_accumulate_cells_body(const double* x, const double* y,
+                                          const double* z, double prune2,
+                                          Scratch& lane,
+                                          InteractionEnergy* out,
+                                          std::uint64_t* inspected,
+                                          std::uint64_t* within) const;
 
   EnergyParams params_;
   KernelVariant variant_;

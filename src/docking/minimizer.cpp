@@ -14,6 +14,11 @@ constexpr std::array<double proteins::Dof6::*, 6> kDofMembers = {
     &proteins::Dof6::x,     &proteins::Dof6::y,    &proteins::Dof6::z,
     &proteins::Dof6::alpha, &proteins::Dof6::beta, &proteins::Dof6::gamma};
 
+/// Central-difference probes per gradient (+delta and -delta per DOF):
+/// one lane's probes fill exactly one of the engine's batched tiles.
+constexpr std::size_t kProbes = 2 * kDofMembers.size();
+static_assert(kProbes == DockingEngine::kTileLanes);
+
 double dof_delta(const MinimizerParams& params, std::size_t k) {
   return k < 3 ? params.translation_delta : params.rotation_delta;
 }
@@ -135,8 +140,8 @@ void minimize_batch(const DockingEngine& engine,
   batch.control.assign(n_lanes, StepControl(params));
   batch.best.resize(n_lanes);
   batch.done.assign(n_lanes, 0);
-  batch.poses.resize(12 * n_lanes);
-  batch.energies.resize(12 * n_lanes);
+  batch.poses.resize(kProbes * n_lanes);
+  batch.energies.resize(kProbes * n_lanes);
   batch.trial_lane.resize(n_lanes);
   batch.active.resize(n_lanes);
   std::iota(batch.active.begin(), batch.active.end(), 0u);
@@ -190,7 +195,7 @@ void minimize_batch(const DockingEngine& engine,
           const double lo = batch.energies[base + 2 * k + 1].total();
           grad[k] = (hi - lo) / (2.0 * dof_delta(params, k));
         }
-        base += 12;
+        base += kProbes;
       }
       if (!descend(batch.pose[lane], grad, batch.control[lane],
                    batch.trial[lane])) {

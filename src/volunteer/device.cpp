@@ -19,8 +19,10 @@ void check_params(const DeviceParams& p) {
   if (p.contention_mean <= 0.0 || p.contention_mean > 1.0 ||
       p.contention_spread < 0.0)
     throw ConfigError("DeviceParams: invalid contention");
-  if (p.on_mean_hours <= 0.0 || p.off_mean_hours < 0.0)
-    throw ConfigError("DeviceParams: invalid on/off means");
+  // Every on/off mean is an exponential mean the fleet draws from.
+  if (p.on_mean_hours <= 0.0 || p.off_mean_hours <= 0.0 ||
+      p.always_on_on_mean_hours <= 0.0 || p.always_on_off_mean_hours <= 0.0)
+    throw ConfigError("DeviceParams: on/off means must be > 0");
   if (p.lifetime_mean_days <= 0.0)
     throw ConfigError("DeviceParams: lifetime must be > 0");
   if (p.result_error_rate < 0.0 || p.result_error_rate > 1.0 ||

@@ -63,6 +63,7 @@ struct DeviceParams {
   /// boxes and enthusiast rigs left crunching 24/7). The always-on class is
   /// what lets the rare single-position workunits — whose checkpoint slice
   /// is the whole workunit — eventually complete after timeout re-issues.
+  /// Every mean must be > 0.
   double on_mean_hours = 8.0;
   double off_mean_hours = 14.0;
   double always_on_fraction = 0.30;

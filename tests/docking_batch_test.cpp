@@ -6,6 +6,7 @@
 // touching any golden.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -64,6 +65,41 @@ void expect_bitwise_equal(const MinimizationResult& batch,
   EXPECT_EQ(batch.converged, scalar.converged);
 }
 
+/// Runs `poses` through one energy_batch() call on every kernel variant
+/// this build and CPU run, and requires each lane bit-equal to energy()
+/// and the batch's counters equal to the sum over its lanes. Returns the
+/// lanes' energies.
+std::vector<InteractionEnergy> expect_batch_matches_scalar(
+    const ReducedProtein& receptor, const ReducedProtein& ligand,
+    const std::vector<proteins::RigidTransform>& poses) {
+  std::vector<InteractionEnergy> batched(poses.size());
+  for (const KernelVariant v :
+       {KernelVariant::kBaseline, KernelVariant::kX86_64_v3}) {
+    if (!kernel_variant_supported(v)) continue;
+    SCOPED_TRACE(kernel_variant_name(v));
+    const DockingEngine engine(receptor, ligand, EnergyParams{}, v);
+    DockingEngine::BatchScratch bs = engine.make_batch_scratch(poses.size());
+    WorkCounter batch_work;
+    engine.energy_batch(poses.data(), poses.size(), bs, batched.data(),
+                        &batch_work);
+
+    DockingEngine::Scratch scratch = engine.make_scratch();
+    WorkCounter scalar_work;
+    for (std::size_t b = 0; b < poses.size(); ++b) {
+      const auto scalar = engine.energy(poses[b], scratch, &scalar_work);
+      SCOPED_TRACE("lane " + std::to_string(b));
+      EXPECT_EQ(batched[b].lj, scalar.lj);
+      EXPECT_EQ(batched[b].elec, scalar.elec);
+    }
+    EXPECT_EQ(batch_work.evaluations, scalar_work.evaluations);
+    EXPECT_EQ(batch_work.pair_terms, scalar_work.pair_terms);
+    EXPECT_EQ(batch_work.inspected_pairs, scalar_work.inspected_pairs);
+    EXPECT_EQ(batch_work.within_cutoff_pairs,
+              scalar_work.within_cutoff_pairs);
+  }
+  return batched;
+}
+
 struct BatchCase {
   std::size_t lanes;
 };
@@ -82,33 +118,12 @@ TEST_P(BatchBitIdentity, EnergyBatchMatchesScalarPerLane) {
   const BatchCase c = GetParam();
   const auto receptor = proteins::generate_protein(1, 260, 1.2, 81);
   const auto ligand = proteins::generate_protein(2, 55, 1.0, 82);
-  const EnergyParams params;
-  const DockingEngine engine(receptor, ligand, params);
-
   const auto starts =
-      spread_starts(receptor, ligand, c.lanes, params.cutoff);
+      spread_starts(receptor, ligand, c.lanes, EnergyParams{}.cutoff);
   std::vector<proteins::RigidTransform> poses(c.lanes);
   for (std::size_t b = 0; b < c.lanes; ++b)
     poses[b] = starts[b].to_transform();
-
-  DockingEngine::BatchScratch bs = engine.make_batch_scratch(c.lanes);
-  std::vector<InteractionEnergy> batched(c.lanes);
-  WorkCounter batch_work;
-  engine.energy_batch(poses.data(), c.lanes, bs, batched.data(),
-                      &batch_work);
-
-  DockingEngine::Scratch scratch = engine.make_scratch();
-  WorkCounter scalar_work;
-  for (std::size_t b = 0; b < c.lanes; ++b) {
-    const auto scalar = engine.energy(poses[b], scratch, &scalar_work);
-    SCOPED_TRACE("lane " + std::to_string(b));
-    EXPECT_EQ(batched[b].lj, scalar.lj);
-    EXPECT_EQ(batched[b].elec, scalar.elec);
-  }
-  EXPECT_EQ(batch_work.evaluations, scalar_work.evaluations);
-  EXPECT_EQ(batch_work.pair_terms, scalar_work.pair_terms);
-  EXPECT_EQ(batch_work.inspected_pairs, scalar_work.inspected_pairs);
-  EXPECT_EQ(batch_work.within_cutoff_pairs, scalar_work.within_cutoff_pairs);
+  expect_batch_matches_scalar(receptor, ligand, poses);
 }
 
 TEST_P(BatchBitIdentity, MinimizeBatchMatchesScalarPerLane) {
@@ -156,28 +171,28 @@ TEST_P(BatchBitIdentity, MinimizeBatchMatchesScalarPerLane) {
 }
 
 // Probe-style clusters: spread_starts() poses are far apart, so the
-// energy tests above mostly exercise width-1 tiles. These poses are
+// energy tests above mostly exercise single-lane tiles. These poses are
 // deliberately within the tiling threshold of each other — a tight
-// cluster (identical cell windows, shared-slice walk) and a looser one
-// straddling cell boundaries (union walk with per-lane slice masks) —
-// so the masked kernels, the tile-wide prune, and the sparse-hit path
-// all run against contact-distance geometry.
+// cluster (one shared walk once it fills a tile of
+// DockingEngine::kTileLanes lanes; 13 and 25 lanes leave a remainder that
+// runs lane by lane) and a looser one whose lanes fall apart into narrow
+// tiles — so both kernels and the tile-wide prune run against
+// contact-distance geometry.
 TEST_P(BatchBitIdentity, ClusteredPosesMatchScalarPerLane) {
   const BatchCase c = GetParam();
   const auto receptor = proteins::generate_protein(1, 260, 1.2, 81);
   const auto ligand = proteins::generate_protein(2, 55, 1.0, 82);
-  const EnergyParams params;
-  const DockingEngine engine(receptor, ligand, params);
+  const double cutoff = EnergyParams{}.cutoff;
 
   const std::size_t lanes = 2 * c.lanes;
-  std::vector<Dof6> starts(lanes);
+  std::vector<proteins::RigidTransform> poses(lanes);
   for (std::size_t b = 0; b < lanes; ++b) {
-    Dof6& s = starts[b];
+    Dof6 s;
     const bool tight = b < c.lanes;
     // Two cluster centres at contact distance; per-lane offsets of the
     // finite-difference-probe scale (tight) or most of a cell edge
     // (loose, so lanes land in different 3x3x3 windows).
-    const double h = tight ? 0.02 : 0.45 * params.cutoff / 3.0;
+    const double h = tight ? 0.02 : 0.45 * cutoff / 3.0;
     const double k = static_cast<double>(b % c.lanes);
     s.x = receptor.bounding_radius() * (tight ? 0.35 : 0.55) + h * k;
     s.y = 0.3 + h * (tight ? -k : k);
@@ -185,38 +200,68 @@ TEST_P(BatchBitIdentity, ClusteredPosesMatchScalarPerLane) {
     s.alpha = 0.2 + 0.01 * k;
     s.beta = 0.1;
     s.gamma = 0.4 - 0.01 * k;
+    poses[b] = s.to_transform();
   }
-  std::vector<proteins::RigidTransform> poses(lanes);
-  for (std::size_t b = 0; b < lanes; ++b) poses[b] = starts[b].to_transform();
-
-  DockingEngine::BatchScratch bs = engine.make_batch_scratch(lanes);
-  std::vector<InteractionEnergy> batched(lanes);
-  WorkCounter batch_work;
-  engine.energy_batch(poses.data(), lanes, bs, batched.data(), &batch_work);
-
-  DockingEngine::Scratch scratch = engine.make_scratch();
-  WorkCounter scalar_work;
-  std::size_t nonzero_tight = 0, nonzero_loose = 0;
-  for (std::size_t b = 0; b < lanes; ++b) {
-    const auto scalar = engine.energy(poses[b], scratch, &scalar_work);
-    SCOPED_TRACE("lane " + std::to_string(b));
-    EXPECT_EQ(batched[b].lj, scalar.lj);
-    EXPECT_EQ(batched[b].elec, scalar.elec);
-    if (scalar.lj != 0.0) ++(b < c.lanes ? nonzero_tight : nonzero_loose);
-  }
+  const auto energies = expect_batch_matches_scalar(receptor, ligand, poses);
   // Contact distance: both clusters must actually produce energy terms,
   // or the test would pass trivially on all-pruned pairs.
+  std::size_t nonzero_tight = 0, nonzero_loose = 0;
+  for (std::size_t b = 0; b < lanes; ++b)
+    if (energies[b].lj != 0.0) ++(b < c.lanes ? nonzero_tight : nonzero_loose);
   EXPECT_GT(nonzero_tight, 0u);
   EXPECT_GT(nonzero_loose, 0u);
-  EXPECT_EQ(batch_work.evaluations, scalar_work.evaluations);
-  EXPECT_EQ(batch_work.pair_terms, scalar_work.pair_terms);
-  EXPECT_EQ(batch_work.inspected_pairs, scalar_work.inspected_pairs);
-  EXPECT_EQ(batch_work.within_cutoff_pairs, scalar_work.within_cutoff_pairs);
 }
 
+// Lanes whose ligand atom 0 sits on either side of a receptor cell
+// boundary: a full tile then walks that atom lane by lane, in each lane's
+// own window. The test computes the grid as the engine builds it (origin
+// at the receptor's minimum corner, cells one cutoff wide) and checks
+// that the lanes of each tile really straddle the boundary.
+TEST_P(BatchBitIdentity, StraddlingLanesMatchScalarPerLane) {
+  // One lane cannot straddle a boundary, so that case runs two.
+  const std::size_t lanes = std::max<std::size_t>(GetParam().lanes, 2);
+  const std::size_t group = std::min(lanes, DockingEngine::kTileLanes);
+  const auto receptor = proteins::generate_protein(1, 260, 1.2, 81);
+  const auto ligand = proteins::generate_protein(2, 55, 1.0, 82);
+  const double cutoff = EnergyParams{}.cutoff;
+  double origin_x = receptor.atoms().front().position.x;
+  for (const auto& a : receptor.atoms())
+    origin_x = std::min(origin_x, a.position.x);
+
+  // Move the base pose so atom 0 lands on a cell boundary plane, then
+  // spread each tile's worth of lanes 0.1 A across it.
+  Dof6 base;
+  base.x = receptor.bounding_radius() * 0.35;
+  base.alpha = 0.2;
+  base.gamma = 0.4;
+  const proteins::Vec3 atom0 = ligand.atoms().front().position;
+  const double x0 = base.to_transform().apply(atom0).x;
+  base.x += origin_x + std::ceil((x0 - origin_x) / cutoff) * cutoff - x0;
+
+  std::vector<proteins::RigidTransform> poses(lanes);
+  std::vector<int> cells;
+  for (std::size_t b = 0; b < lanes; ++b) {
+    Dof6 s = base;
+    s.x += 0.1 * (static_cast<double>(b % group) /
+                      static_cast<double>(group - 1) -
+                  0.5);
+    poses[b] = s.to_transform();
+    cells.push_back(static_cast<int>(
+        std::floor((poses[b].apply(atom0).x - origin_x) / cutoff)));
+  }
+  EXPECT_NE(cells.front(), cells[group - 1]) << "lanes do not straddle";
+  for (const InteractionEnergy& e :
+       expect_batch_matches_scalar(receptor, ligand, poses))
+    EXPECT_NE(e.lj, 0.0);  // at contact: the walk really ran
+}
+
+// 12 is one full tile (DockingEngine::kTileLanes); 2, 3, 10 and 11 never
+// fill one; 13 and 25 leave a remainder.
 INSTANTIATE_TEST_SUITE_P(
     LanesAndBackends, BatchBitIdentity,
-    ::testing::Values(BatchCase{1}, BatchCase{3}, BatchCase{10}));
+    ::testing::Values(BatchCase{1}, BatchCase{2}, BatchCase{3},
+                      BatchCase{10}, BatchCase{11}, BatchCase{12},
+                      BatchCase{13}, BatchCase{25}));
 
 TEST(BatchScratch, ReusedAcrossVaryingWidths) {
   const auto receptor = proteins::generate_protein(1, 120, 1.0, 85);

@@ -188,7 +188,8 @@ INSTANTIATE_TEST_SUITE_P(Sizes, EngineEquivalenceSweep,
 // equal pair counts on the same inputs, so which variant ran never shows in
 // a result. The x86-64-v3 variant runs against the baseline one through
 // energy() (the scalar kernel) and through energy_batch() (the scalar
-// kernel for a 1-wide tile, the batched kernel for a wider one).
+// kernel for a tile of fewer than DockingEngine::kTileLanes lanes, the
+// batched kernel for a full one).
 
 // The same test of the CPU as the engine's, written out independently.
 bool cpu_runs_x86_64_v3() {
@@ -235,7 +236,7 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 /// descent step, which energy_batch() evaluates as one 12-wide tile. A
 /// probe-sized step lands every lane in the same cell windows; on a grid
 /// of several cells a step of 1 moves some atoms into other cells, so
-/// lanes walk different rows (the union walk).
+/// the tile walks those atoms lane by lane, each in its own window.
 std::vector<Dof6> probes(const Dof6& centre, double step) {
   std::vector<Dof6> out;
   for (double Dof6::*dof : {&Dof6::x, &Dof6::y, &Dof6::z, &Dof6::alpha,
@@ -270,6 +271,7 @@ std::size_t expect_variants_agree(const ReducedProtein& receptor,
     std::vector<proteins::RigidTransform> poses;
     for (const Dof6& p : batch) poses.push_back(p.to_transform());
 
+    WorkCounter alone;  // the batch's poses, one energy() call each
     for (std::size_t b = 0; b < poses.size(); ++b) {
       SCOPED_TRACE("batch " + std::to_string(k) + " pose " +
                    std::to_string(b) + " alone");
@@ -280,22 +282,29 @@ std::size_t expect_variants_agree(const ReducedProtein& receptor,
       EXPECT_EQ(bits(e.elec), bits(f.elec));
       EXPECT_EQ(base_work.inspected_pairs, v3_work.inspected_pairs);
       EXPECT_EQ(base_work.within_cutoff_pairs, v3_work.within_cutoff_pairs);
+      alone += base_work;
       if (e.lj != 0.0 || e.elec != 0.0) ++nonzero;
     }
 
     DockingEngine::BatchScratch base_bs = base.make_batch_scratch(poses.size());
     DockingEngine::BatchScratch v3_bs = v3.make_batch_scratch(poses.size());
     std::vector<InteractionEnergy> base_out(poses.size()), v3_out(poses.size());
-    base.energy_batch(poses.data(), poses.size(), base_bs, base_out.data());
-    v3.energy_batch(poses.data(), poses.size(), v3_bs, v3_out.data());
+    WorkCounter base_batch, v3_batch;
+    base.energy_batch(poses.data(), poses.size(), base_bs, base_out.data(),
+                      &base_batch);
+    v3.energy_batch(poses.data(), poses.size(), v3_bs, v3_out.data(),
+                    &v3_batch);
     for (std::size_t b = 0; b < poses.size(); ++b) {
       SCOPED_TRACE("batch " + std::to_string(k) + " lane " +
                    std::to_string(b));
       EXPECT_EQ(bits(base_out[b].lj), bits(v3_out[b].lj));
       EXPECT_EQ(bits(base_out[b].elec), bits(v3_out[b].elec));
-      EXPECT_EQ(base_bs.inspected[b], v3_bs.inspected[b]);
-      EXPECT_EQ(base_bs.within[b], v3_bs.within[b]);
     }
+    SCOPED_TRACE("batch " + std::to_string(k));
+    EXPECT_EQ(base_batch.inspected_pairs, alone.inspected_pairs);
+    EXPECT_EQ(v3_batch.inspected_pairs, alone.inspected_pairs);
+    EXPECT_EQ(base_batch.within_cutoff_pairs, alone.within_cutoff_pairs);
+    EXPECT_EQ(v3_batch.within_cutoff_pairs, alone.within_cutoff_pairs);
   }
   return nonzero;
 }
@@ -313,7 +322,7 @@ class CrossVariant : public ::testing::Test {
 class KernelVariantSweep : public CrossVariant,
                            public ::testing::WithParamInterface<SweepCase> {};
 
-// The sweep's couples: each sweep pose alone (a 1-wide tile), then a
+// The sweep's couples: each sweep pose alone (a 1-lane batch), then a
 // tight and a loose 12-wide tile at contact distance. The loose tile's
 // lanes inspect different pair counts on the 650- and 1500-atom couples.
 TEST_P(KernelVariantSweep, BitEqualAcrossVariants) {

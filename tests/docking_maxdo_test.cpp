@@ -6,6 +6,7 @@
 
 #include "proteins/generator.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace hcmd::docking {
 namespace {
@@ -25,6 +26,29 @@ struct Fixture {
     params.positions.spacing = 12.0;  // few starting positions
   }
 };
+
+// Pins the docking output itself, not only its agreement between code
+// paths: one whole starting position (21 rotation couples x 10 gamma
+// starts, default parameters, so the batched kernels at contact distance)
+// on a fixed generated couple. A kernel change that moves any energy term
+// by one ulp moves the checkpoint hash; one that changes which pairs are
+// inspected or kept moves the counters.
+TEST(MaxDo, PinnedPositionOutput) {
+  const ReducedProtein receptor = proteins::generate_protein(1, 120, 1.1, 91);
+  const ReducedProtein ligand = proteins::generate_protein(2, 80, 1.0, 92);
+  MaxDoProgram program(receptor, ligand, MaxDoParams{});
+  MaxDoTask task;
+  task.isep_end = 1;
+  MaxDoCheckpoint cp;
+  ASSERT_EQ(program.run(task, cp), RunStatus::kCompleted);
+  ASSERT_EQ(cp.records.size(), proteins::kNumRotationCouples);
+  std::ostringstream bytes;
+  cp.write(bytes);
+  EXPECT_EQ(util::hash64(bytes.str()), 0x7fc148119d2a96d9ULL);
+  EXPECT_EQ(program.work().evaluations, 21064u);
+  EXPECT_EQ(program.work().inspected_pairs, 151924101u);
+  EXPECT_EQ(program.work().within_cutoff_pairs, 41157131u);
+}
 
 TEST(MaxDo, CompletesTaskAndFillsRecords) {
   Fixture f;

@@ -147,5 +147,28 @@ TEST(Device, RejectsInvalidParams) {
   EXPECT_THROW(make_device(0, 0.0, 1.0, rng, p), hcmd::ConfigError);
 }
 
+// A zero on/off mean would pass into util::Rng::exponential mid-campaign;
+// validation rejects each one up front.
+TEST(Device, RejectsZeroOffMean) {
+  util::Rng rng(12);
+  DeviceParams p;
+  p.off_mean_hours = 0.0;
+  EXPECT_THROW(make_device(0, 0.0, 1.0, rng, p), hcmd::ConfigError);
+}
+
+TEST(Device, RejectsZeroAlwaysOnOnMean) {
+  util::Rng rng(13);
+  DeviceParams p;
+  p.always_on_on_mean_hours = 0.0;
+  EXPECT_THROW(make_device(0, 0.0, 1.0, rng, p), hcmd::ConfigError);
+}
+
+TEST(Device, RejectsZeroAlwaysOnOffMean) {
+  util::Rng rng(14);
+  DeviceParams p;
+  p.always_on_off_mean_hours = 0.0;
+  EXPECT_THROW(make_device(0, 0.0, 1.0, rng, p), hcmd::ConfigError);
+}
+
 }  // namespace
 }  // namespace hcmd::volunteer

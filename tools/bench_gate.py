@@ -19,7 +19,9 @@ the event queue, a debug assert left in the docking kernel), not 5% drift.
 
 The same-run laws (LAWS) run in a second invocation of their own, written
 next to --out as <out>_laws.json; their rows are never compared against
-the snapshot.
+the snapshot. The overhead ceilings (OVERHEADS) run in a third, written as
+<out>_overheads.json: repeated, in random interleaved order, and gated on
+medians.
 """
 import argparse
 import json
@@ -62,6 +64,17 @@ SPEEDUPS = [
 # adaptive validation policy (policy:1 runs the identical issue schedule as
 # policy:0 — replication fully off in both — so the ratio is pure
 # reputation-ledger bookkeeping, also capped at 5%).
+# A 5% ceiling is within one pair's noise on a shared box, so these rows
+# run in an invocation of their own (OVERHEAD_FILTER): every row repeated
+# in random interleaved order, so host drift lands on both arms alike, and
+# each check reads the ratio of the two rows' _median aggregates. The
+# serve rows repeat 15 times: a repetition is ~0.15 s and its time is
+# bimodal on a shared 4-vCPU box, so the median of 5 still crossed 1.05 in
+# about a third of runs on an unchanged tree. The policy rows keep their
+# own three 1 s repetitions. The absolute rows stay in the main run.
+OVERHEAD_FILTER = "^BM_ServeThroughput/|^BM_CampaignAdaptivePolicy/"
+OVERHEAD_ARGS = ["--benchmark_repetitions=15",
+                 "--benchmark_enable_random_interleaving=true"]
 OVERHEADS = [
     ("BM_ServeThroughput/spans:0/iterations:150",
      "BM_ServeThroughput/spans:1/iterations:150", 1.05),
@@ -137,16 +150,40 @@ def load_rows(path, field="real_time", aggregates=False):
     return rows
 
 
-def run_bench(bench, bench_filter, out):
+def run_bench(bench, bench_filter, out, extra_args=()):
     cmd = [
         bench,
         f"--benchmark_filter={bench_filter}",
         f"--benchmark_out={out}",
         "--benchmark_out_format=json",
         "--benchmark_format=console",
+        *extra_args,
     ]
     print("bench_gate:", " ".join(cmd), flush=True)
     subprocess.run(cmd, check=True)
+
+
+def check_overheads(path):
+    """Returns one failure sentence per broken or unmeasured ceiling."""
+    rows = load_rows(path, aggregates=True)
+    failures = []
+    for control_name, instr_name, ceiling in OVERHEADS:
+        control_t = rows.get(f"{control_name}_median")
+        instr_t = rows.get(f"{instr_name}_median")
+        if control_t is None or instr_t is None or control_t <= 0:
+            failures.append(f"{instr_name}: overhead median missing from run")
+            print(f"  FAIL   overhead {instr_name}: median missing from run")
+            continue
+        ratio = instr_t / control_t
+        verdict = "FAIL" if ratio > ceiling else "ok"
+        print(f"  {verdict:<6} overhead {instr_name}: x{ratio:.3f} vs "
+              f"{control_name} (medians, ceiling x{ceiling})")
+        if ratio > ceiling:
+            failures.append(f"{instr_name}: control median "
+                            f"{control_t/1e6:.3f} ms, instrumented median "
+                            f"{instr_t/1e6:.3f} ms (overhead x{ratio:.3f} > "
+                            f"ceiling x{ceiling})")
+    return failures
 
 
 def check_laws(path):
@@ -193,6 +230,8 @@ def main():
     root, ext = os.path.splitext(args.out)
     laws_out = f"{root}_laws{ext}"
     run_bench(args.bench, LAW_FILTER, laws_out)
+    overheads_out = f"{root}_overheads{ext}"
+    run_bench(args.bench, OVERHEAD_FILTER, overheads_out, OVERHEAD_ARGS)
 
     baseline = load_rows(args.baseline)
     fresh = load_rows(args.out)
@@ -249,22 +288,7 @@ def main():
                             f"batched {batch_t/1e6:.3f} ms "
                             f"(speedup x{ratio:.2f} < floor x{floor})")
 
-    for control_name, instr_name, ceiling in OVERHEADS:
-        control_t = fresh.get(control_name)
-        instr_t = fresh.get(instr_name)
-        if control_t is None or instr_t is None or control_t <= 0:
-            failures.append(f"{instr_name}: overhead row missing from run")
-            print(f"  FAIL   overhead {instr_name}: row missing from run")
-            continue
-        ratio = instr_t / control_t
-        verdict = "FAIL" if ratio > ceiling else "ok"
-        print(f"  {verdict:<6} overhead {instr_name}: x{ratio:.2f} vs "
-              f"{control_name} (ceiling x{ceiling})")
-        if ratio > ceiling:
-            failures.append(f"{instr_name}: control {control_t/1e6:.3f} ms, "
-                            f"instrumented {instr_t/1e6:.3f} ms "
-                            f"(overhead x{ratio:.2f} > ceiling x{ceiling})")
-
+    failures += check_overheads(overheads_out)
     failures += check_laws(laws_out)
 
     if failures:
